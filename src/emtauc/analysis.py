@@ -112,10 +112,10 @@ def compare_cells(a, b, alpha: float = 0.05) -> str:
     """Two-sided Wilcoxon rank-sum verdict for sample a against sample b.
 
     Returns "+" when a is significantly greater at level ``alpha``, "-"
-    when significantly smaller, and "~" otherwise. Uses the exact
-    permutation distribution when both samples have at most 8 values, and
-    the normal approximation with tie correction beyond that. Requires at
-    least 5 values per sample.
+    when significantly smaller, and "≈" (``VERDICT_SIMILAR``) otherwise.
+    Uses the exact permutation distribution when both samples have at most
+    8 values, and the normal approximation with tie correction beyond that.
+    Requires at least 5 values per sample.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

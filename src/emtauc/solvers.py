@@ -15,10 +15,15 @@ batches are pure and may be evaluated concurrently without changing any
 result. Ledger charges are applied serially in population-index order, the
 evaluation that crosses the budget completes and is recorded, and the run
 then stops.
+
+A run with jobs > 1 owns one thread pool for its whole length: each
+``run_*`` opens it on entry and joins its workers on exit, also when an
+evaluation raises. With jobs <= 1 no pool or thread is created.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,20 +195,29 @@ class RunResult:
     state: object
 
 
-def _eval_batch(task: TaskSpec, keys: np.ndarray, jobs: int) -> np.ndarray:
+def _eval_pool(jobs: int):
+    """Context manager for a run's evaluation pool: ``jobs`` threads, or
+    ``None`` (no threads) when jobs <= 1. Leaving it joins the workers."""
+    if jobs <= 1:
+        return nullcontext()
+    return ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="emtauc-eval")
+
+
+def _eval_batch(
+    task: TaskSpec, keys: np.ndarray, jobs: int, pool: ThreadPoolExecutor | None
+) -> np.ndarray:
     """Decode and evaluate a batch of genomes on one task.
 
-    With jobs > 1 the batch is split across a thread pool; results are
-    bit-identical to the serial path because the kernel treats every row
-    independently.
+    With a pool the batch is split into up to ``jobs`` parts evaluated on
+    the run's threads; results are bit-identical to the serial path
+    because the kernel treats every row independently.
     """
     W = decode_weights(np.atleast_2d(keys))
-    if jobs <= 1 or W.shape[0] < 2:
+    if pool is None or W.shape[0] < 2:
         return task.objective_batch(W)
     parts = np.array_split(np.arange(W.shape[0]), min(jobs, W.shape[0]))
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        futures = [pool.submit(task.objective_batch, W[p]) for p in parts]
-        return np.concatenate([f.result() for f in futures])
+    futures = [pool.submit(task.objective_batch, W[p]) for p in parts]
+    return np.concatenate([f.result() for f in futures])
 
 
 def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -285,61 +299,62 @@ def run_single_task_ga(
     truncation by objective. Passing ``env`` keeps its expensive-task
     archive up to date when this task is the expensive one.
     """
-    rng = np.random.default_rng(config.seed)
-    n = config.resolved_pop_size()
-    dim = task.view.base.dim
-    pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
+    with _eval_pool(jobs) as pool:
+        rng = np.random.default_rng(config.seed)
+        n = config.resolved_pop_size()
+        dim = task.view.base.dim
+        pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
 
-    genomes = rng.random((n, dim))
-    objectives = np.full(n, np.inf)
-    best_w: np.ndarray | None = None
-    best_obj = np.inf
+        genomes = rng.random((n, dim))
+        objectives = np.full(n, np.inf)
+        best_w: np.ndarray | None = None
+        best_obj = np.inf
 
-    def note(keys_row: np.ndarray, value: float) -> None:
-        nonlocal best_w, best_obj
-        if env is not None and task.task_id == TaskId.EXPENSIVE:
-            env.record_expensive(decode_weights(keys_row), value)
-        if value < best_obj:
-            best_obj = float(value)
-            best_w = decode_weights(keys_row)
+        def note(keys_row: np.ndarray, value: float) -> None:
+            nonlocal best_w, best_obj
+            if env is not None and task.task_id == TaskId.EXPENSIVE:
+                env.record_expensive(decode_weights(keys_row), value)
+            if value < best_obj:
+                best_obj = float(value)
+                best_w = decode_weights(keys_row)
 
-    values = _eval_batch(task, genomes, jobs)
-    interrupted = False
-    for i in range(n):
-        if ledger.exhausted:
-            interrupted = True
-            break
-        ledger.charge(task.task_id)
-        objectives[i] = values[i]
-        note(genomes[i], values[i])
-
-    trace = [_ga_trace_point(task, ledger, best_w, best_obj, 0)]
-    t = 1
-    while not interrupted and not ledger.exhausted:
-        children = _ga_offspring(genomes, objectives, config, pm_prob, rng)
-        values = _eval_batch(task, children, jobs)
-        kept = n
+        values = _eval_batch(task, genomes, jobs, pool)
+        interrupted = False
         for i in range(n):
             if ledger.exhausted:
-                kept = i
+                interrupted = True
                 break
             ledger.charge(task.task_id)
-            note(children[i], values[i])
-        pool_g = np.vstack([genomes, children[:kept]])
-        pool_o = np.concatenate([objectives, values[:kept]])
-        order = np.argsort(pool_o, kind="stable")[:n]
-        genomes = pool_g[order]
-        objectives = pool_o[order]
-        trace.append(_ga_trace_point(task, ledger, best_w, best_obj, t))
-        t += 1
+            objectives[i] = values[i]
+            note(genomes[i], values[i])
 
-    return RunResult(
-        kind="single_task_ga",
-        best_weights=best_w,
-        best_objective=None if best_w is None else best_obj,
-        trace=trace,
-        state=TaskPopulation(genomes=genomes, objectives=objectives),
-    )
+        trace = [_ga_trace_point(task, ledger, best_w, best_obj, 0)]
+        t = 1
+        while not interrupted and not ledger.exhausted:
+            children = _ga_offspring(genomes, objectives, config, pm_prob, rng)
+            values = _eval_batch(task, children, jobs, pool)
+            kept = n
+            for i in range(n):
+                if ledger.exhausted:
+                    kept = i
+                    break
+                ledger.charge(task.task_id)
+                note(children[i], values[i])
+            pool_g = np.vstack([genomes, children[:kept]])
+            pool_o = np.concatenate([objectives, values[:kept]])
+            order = np.argsort(pool_o, kind="stable")[:n]
+            genomes = pool_g[order]
+            objectives = pool_o[order]
+            trace.append(_ga_trace_point(task, ledger, best_w, best_obj, t))
+            t += 1
+
+        return RunResult(
+            kind="single_task_ga",
+            best_weights=best_w,
+            best_objective=None if best_w is None else best_obj,
+            trace=trace,
+            state=TaskPopulation(genomes=genomes, objectives=objectives),
+        )
 
 
 def _ga_trace_point(
@@ -407,96 +422,97 @@ def run_mfea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult
     cheap objectives are invalidated, and the CHEAP-skilled cohort is
     re-evaluated at one cheap unit each.
     """
-    rng = np.random.default_rng(config.seed)
-    n = config.resolved_pop_size()
-    dim = env.dataset.dim
-    pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
-    ledger = env.ledger
-    cheap = TaskId.CHEAP.value
+    with _eval_pool(jobs) as pool:
+        rng = np.random.default_rng(config.seed)
+        n = config.resolved_pop_size()
+        dim = env.dataset.dim
+        pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
+        ledger = env.ledger
+        cheap = TaskId.CHEAP.value
 
-    genomes = rng.random((n, dim))
-    costs = np.full((n, 2), np.inf)
-    interrupted = False
-    for tid in (TaskId.CHEAP, TaskId.EXPENSIVE):
-        values = _eval_batch(env.tasks[tid], genomes, jobs)
-        for i in range(n):
-            if ledger.exhausted:
-                interrupted = True
-                break
-            ledger.charge(tid)
-            costs[i, tid.value] = values[i]
-            if tid == TaskId.EXPENSIVE:
-                env.record_expensive(decode_weights(genomes[i]), values[i])
-        if interrupted:
-            break
-
-    ranks, skills, fitness = _population_stats(costs)
-    trace = [_archive_trace_point(env, 0, _finite_min(costs[:, cheap]))]
-
-    t = 1
-    while not interrupted and not ledger.exhausted:
-        adjust_event = False
-        if env.delta is not None and t % env.delta == 0 and env.best_expensive_weights is not None:
-            env.adjust_cheap_task(env.best_expensive_weights, generation=t)
-            adjust_event = True
-            costs[:, cheap] = np.inf
-            refresh = np.flatnonzero(skills == cheap)
-            if refresh.size:
-                values = _eval_batch(env.tasks[TaskId.CHEAP], genomes[refresh], jobs)
-                for pos, i in enumerate(refresh):
-                    if ledger.exhausted:
-                        interrupted = True
-                        break
-                    ledger.charge(TaskId.CHEAP)
-                    costs[i, cheap] = values[pos]
-            ranks, skills, fitness = _population_stats(costs)
-            if interrupted or ledger.exhausted:
-                trace.append(_archive_trace_point(env, t, _finite_min(costs[:, cheap]), True))
-                break
-
-        child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
-        child_values = np.empty(n, dtype=np.float64)
+        genomes = rng.random((n, dim))
+        costs = np.full((n, 2), np.inf)
+        interrupted = False
         for tid in (TaskId.CHEAP, TaskId.EXPENSIVE):
-            group = np.flatnonzero(child_skills == tid.value)
-            if group.size:
-                child_values[group] = _eval_batch(env.tasks[tid], child_genomes[group], jobs)
-
-        child_costs = np.full((n, 2), np.inf)
-        kept = n
-        for i in range(n):
-            if ledger.exhausted:
-                kept = i
+            values = _eval_batch(env.tasks[tid], genomes, jobs, pool)
+            for i in range(n):
+                if ledger.exhausted:
+                    interrupted = True
+                    break
+                ledger.charge(tid)
+                costs[i, tid.value] = values[i]
+                if tid == TaskId.EXPENSIVE:
+                    env.record_expensive(decode_weights(genomes[i]), values[i])
+            if interrupted:
                 break
-            tid = TaskId(int(child_skills[i]))
-            ledger.charge(tid)
-            child_costs[i, tid.value] = child_values[i]
-            if tid == TaskId.EXPENSIVE:
-                env.record_expensive(decode_weights(child_genomes[i]), child_values[i])
 
-        pool_genomes = np.vstack([genomes, child_genomes[:kept]])
-        pool_costs = np.vstack([costs, child_costs[:kept]])
-        _, _, pool_fitness = _population_stats(pool_costs)
-        order = np.argsort(-pool_fitness, kind="stable")[:n]
-        genomes = pool_genomes[order]
-        costs = pool_costs[order]
         ranks, skills, fitness = _population_stats(costs)
+        trace = [_archive_trace_point(env, 0, _finite_min(costs[:, cheap]))]
 
-        trace.append(_archive_trace_point(env, t, _finite_min(costs[:, cheap]), adjust_event))
-        t += 1
+        t = 1
+        while not interrupted and not ledger.exhausted:
+            adjust_event = False
+            if env.delta is not None and t % env.delta == 0 and env.best_expensive_weights is not None:
+                env.adjust_cheap_task(env.best_expensive_weights, generation=t)
+                adjust_event = True
+                costs[:, cheap] = np.inf
+                refresh = np.flatnonzero(skills == cheap)
+                if refresh.size:
+                    values = _eval_batch(env.tasks[TaskId.CHEAP], genomes[refresh], jobs, pool)
+                    for pos, i in enumerate(refresh):
+                        if ledger.exhausted:
+                            interrupted = True
+                            break
+                        ledger.charge(TaskId.CHEAP)
+                        costs[i, cheap] = values[pos]
+                ranks, skills, fitness = _population_stats(costs)
+                if interrupted or ledger.exhausted:
+                    trace.append(_archive_trace_point(env, t, _finite_min(costs[:, cheap]), True))
+                    break
 
-    return RunResult(
-        kind="mfea",
-        best_weights=env.best_expensive_weights,
-        best_objective=env.best_expensive_objective,
-        trace=trace,
-        state=Population(
-            genomes=genomes,
-            factorial_costs=costs,
-            factorial_ranks=ranks,
-            skills=skills,
-            scalar_fitness=fitness,
-        ),
-    )
+            child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
+            child_values = np.empty(n, dtype=np.float64)
+            for tid in (TaskId.CHEAP, TaskId.EXPENSIVE):
+                group = np.flatnonzero(child_skills == tid.value)
+                if group.size:
+                    child_values[group] = _eval_batch(env.tasks[tid], child_genomes[group], jobs, pool)
+
+            child_costs = np.full((n, 2), np.inf)
+            kept = n
+            for i in range(n):
+                if ledger.exhausted:
+                    kept = i
+                    break
+                tid = TaskId(int(child_skills[i]))
+                ledger.charge(tid)
+                child_costs[i, tid.value] = child_values[i]
+                if tid == TaskId.EXPENSIVE:
+                    env.record_expensive(decode_weights(child_genomes[i]), child_values[i])
+
+            pool_genomes = np.vstack([genomes, child_genomes[:kept]])
+            pool_costs = np.vstack([costs, child_costs[:kept]])
+            _, _, pool_fitness = _population_stats(pool_costs)
+            order = np.argsort(-pool_fitness, kind="stable")[:n]
+            genomes = pool_genomes[order]
+            costs = pool_costs[order]
+            ranks, skills, fitness = _population_stats(costs)
+
+            trace.append(_archive_trace_point(env, t, _finite_min(costs[:, cheap]), adjust_event))
+            t += 1
+
+        return RunResult(
+            kind="mfea",
+            best_weights=env.best_expensive_weights,
+            best_objective=env.best_expensive_objective,
+            trace=trace,
+            state=Population(
+                genomes=genomes,
+                factorial_costs=costs,
+                factorial_ranks=ranks,
+                skills=skills,
+                scalar_fitness=fitness,
+            ),
+        )
 
 
 def run_emea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
@@ -508,113 +524,114 @@ def run_emea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult
     there (charged), and overwrite that population's current worst members.
     Cheap-task adjustment refreshes the whole cheap population.
     """
-    rng = np.random.default_rng(config.seed)
-    n = config.resolved_pop_size()
-    dim = env.dataset.dim
-    pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
-    ledger = env.ledger
-    task_ids = (TaskId.CHEAP, TaskId.EXPENSIVE)
+    with _eval_pool(jobs) as pool:
+        rng = np.random.default_rng(config.seed)
+        n = config.resolved_pop_size()
+        dim = env.dataset.dim
+        pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
+        ledger = env.ledger
+        task_ids = (TaskId.CHEAP, TaskId.EXPENSIVE)
 
-    genomes = [rng.random((n, dim)), rng.random((n, dim))]
-    objectives = [np.full(n, np.inf), np.full(n, np.inf)]
-    interrupted = False
-    for tid in task_ids:
-        values = _eval_batch(env.tasks[tid], genomes[tid.value], jobs)
-        for i in range(n):
-            if ledger.exhausted:
-                interrupted = True
-                break
-            ledger.charge(tid)
-            objectives[tid.value][i] = values[i]
-            if tid == TaskId.EXPENSIVE:
-                env.record_expensive(decode_weights(genomes[tid.value][i]), values[i])
-        if interrupted:
-            break
-
-    trace = [_archive_trace_point(env, 0, _finite_min(objectives[0]))]
-
-    t = 1
-    while not interrupted and not ledger.exhausted:
-        adjust_event = False
-        if env.delta is not None and t % env.delta == 0 and env.best_expensive_weights is not None:
-            env.adjust_cheap_task(env.best_expensive_weights, generation=t)
-            adjust_event = True
-            values = _eval_batch(env.tasks[TaskId.CHEAP], genomes[0], jobs)
-            objectives[0][:] = np.inf
-            for i in range(n):
-                if ledger.exhausted:
-                    interrupted = True
-                    break
-                ledger.charge(TaskId.CHEAP)
-                objectives[0][i] = values[i]
-            if interrupted or ledger.exhausted:
-                trace.append(_archive_trace_point(env, t, _finite_min(objectives[0]), True))
-                break
-
+        genomes = [rng.random((n, dim)), rng.random((n, dim))]
+        objectives = [np.full(n, np.inf), np.full(n, np.inf)]
+        interrupted = False
         for tid in task_ids:
-            children = _ga_offspring(genomes[tid.value], objectives[tid.value], config, pm_prob, rng)
-            values = _eval_batch(env.tasks[tid], children, jobs)
-            kept = n
+            values = _eval_batch(env.tasks[tid], genomes[tid.value], jobs, pool)
             for i in range(n):
                 if ledger.exhausted:
-                    kept = i
                     interrupted = True
                     break
                 ledger.charge(tid)
+                objectives[tid.value][i] = values[i]
                 if tid == TaskId.EXPENSIVE:
-                    env.record_expensive(decode_weights(children[i]), values[i])
-            pool_g = np.vstack([genomes[tid.value], children[:kept]])
-            pool_o = np.concatenate([objectives[tid.value], values[:kept]])
-            order = np.argsort(pool_o, kind="stable")[:n]
-            genomes[tid.value] = pool_g[order]
-            objectives[tid.value] = pool_o[order]
+                    env.record_expensive(decode_weights(genomes[tid.value][i]), values[i])
             if interrupted:
                 break
 
-        if (
-            not interrupted
-            and not ledger.exhausted
-            and config.transfer_count > 0
-            and t % config.transfer_interval == 0
-        ):
-            count = min(config.transfer_count, n)
-            orders = [np.argsort(objectives[0], kind="stable"), np.argsort(objectives[1], kind="stable")]
-            sorted_pops = [genomes[0][orders[0]].T, genomes[1][orders[1]].T]
-            top_genomes = [sorted_pops[0][:, :count].T.copy(), sorted_pops[1][:, :count].T.copy()]
-            for target in (0, 1):
-                source = 1 - target
-                mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
-                candidates = mapping.apply(top_genomes[source])
-                values = _eval_batch(env.tasks[task_ids[target]], candidates, jobs)
-                worst_first = np.argsort(objectives[target], kind="stable")[::-1]
-                for k in range(candidates.shape[0]):
+        trace = [_archive_trace_point(env, 0, _finite_min(objectives[0]))]
+
+        t = 1
+        while not interrupted and not ledger.exhausted:
+            adjust_event = False
+            if env.delta is not None and t % env.delta == 0 and env.best_expensive_weights is not None:
+                env.adjust_cheap_task(env.best_expensive_weights, generation=t)
+                adjust_event = True
+                values = _eval_batch(env.tasks[TaskId.CHEAP], genomes[0], jobs, pool)
+                objectives[0][:] = np.inf
+                for i in range(n):
                     if ledger.exhausted:
                         interrupted = True
                         break
-                    ledger.charge(task_ids[target])
-                    slot = worst_first[k]
-                    genomes[target][slot] = candidates[k]
-                    objectives[target][slot] = values[k]
-                    if target == 1:
-                        env.record_expensive(decode_weights(candidates[k]), values[k])
+                    ledger.charge(TaskId.CHEAP)
+                    objectives[0][i] = values[i]
+                if interrupted or ledger.exhausted:
+                    trace.append(_archive_trace_point(env, t, _finite_min(objectives[0]), True))
+                    break
+
+            for tid in task_ids:
+                children = _ga_offspring(genomes[tid.value], objectives[tid.value], config, pm_prob, rng)
+                values = _eval_batch(env.tasks[tid], children, jobs, pool)
+                kept = n
+                for i in range(n):
+                    if ledger.exhausted:
+                        kept = i
+                        interrupted = True
+                        break
+                    ledger.charge(tid)
+                    if tid == TaskId.EXPENSIVE:
+                        env.record_expensive(decode_weights(children[i]), values[i])
+                pool_g = np.vstack([genomes[tid.value], children[:kept]])
+                pool_o = np.concatenate([objectives[tid.value], values[:kept]])
+                order = np.argsort(pool_o, kind="stable")[:n]
+                genomes[tid.value] = pool_g[order]
+                objectives[tid.value] = pool_o[order]
                 if interrupted:
                     break
 
-        trace.append(_archive_trace_point(env, t, _finite_min(objectives[0]), adjust_event))
-        if interrupted or ledger.exhausted:
-            break
-        t += 1
+            if (
+                not interrupted
+                and not ledger.exhausted
+                and config.transfer_count > 0
+                and t % config.transfer_interval == 0
+            ):
+                count = min(config.transfer_count, n)
+                orders = [np.argsort(objectives[0], kind="stable"), np.argsort(objectives[1], kind="stable")]
+                sorted_pops = [genomes[0][orders[0]].T, genomes[1][orders[1]].T]
+                top_genomes = [sorted_pops[0][:, :count].T.copy(), sorted_pops[1][:, :count].T.copy()]
+                for target in (0, 1):
+                    source = 1 - target
+                    mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
+                    candidates = mapping.apply(top_genomes[source])
+                    values = _eval_batch(env.tasks[task_ids[target]], candidates, jobs, pool)
+                    worst_first = np.argsort(objectives[target], kind="stable")[::-1]
+                    for k in range(candidates.shape[0]):
+                        if ledger.exhausted:
+                            interrupted = True
+                            break
+                        ledger.charge(task_ids[target])
+                        slot = worst_first[k]
+                        genomes[target][slot] = candidates[k]
+                        objectives[target][slot] = values[k]
+                        if target == 1:
+                            env.record_expensive(decode_weights(candidates[k]), values[k])
+                    if interrupted:
+                        break
 
-    return RunResult(
-        kind="emea",
-        best_weights=env.best_expensive_weights,
-        best_objective=env.best_expensive_objective,
-        trace=trace,
-        state={
-            TaskId.CHEAP: TaskPopulation(genomes=genomes[0], objectives=objectives[0]),
-            TaskId.EXPENSIVE: TaskPopulation(genomes=genomes[1], objectives=objectives[1]),
-        },
-    )
+            trace.append(_archive_trace_point(env, t, _finite_min(objectives[0]), adjust_event))
+            if interrupted or ledger.exhausted:
+                break
+            t += 1
+
+        return RunResult(
+            kind="emea",
+            best_weights=env.best_expensive_weights,
+            best_objective=env.best_expensive_objective,
+            trace=trace,
+            state={
+                TaskId.CHEAP: TaskPopulation(genomes=genomes[0], objectives=objectives[0]),
+                TaskId.EXPENSIVE: TaskPopulation(genomes=genomes[1], objectives=objectives[1]),
+            },
+        )
 
 
 def dispatch_solver(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:

@@ -1,0 +1,86 @@
+"""Property tests: the ranking kernel against the literal loops in _oracles.
+
+Features and weights come from small grids of exactly representable values,
+so decision values tie often and the dense oracle products are exact.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from emtauc.data import Dataset
+from emtauc.evaluation import hardness_scores, objective_batch, pairwise_loss_count
+
+from _oracles import hardness_naive, pair_loss_broadcast, pair_loss_naive
+
+FEATURES = (-2.0, -1.0, 0.0, 1.0, 2.0)
+WEIGHTS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+DECISIONS = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+
+
+@st.composite
+def tie_heavy_problem(draw):
+    """A dataset on the feature grid and a (k, dim) weight batch, 1 <= k <= 25."""
+    n_pos = draw(st.integers(1, 15))
+    n_neg = draw(st.integers(1, 15))
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 25))
+    cells = st.lists(st.sampled_from(FEATURES), min_size=(n_pos + n_neg) * dim, max_size=(n_pos + n_neg) * dim)
+    X = np.array(draw(cells)).reshape(n_pos + n_neg, dim)
+    labels = np.array(draw(st.permutations([1] * n_pos + [-1] * n_neg)), dtype=np.int64)
+    weights = st.lists(st.sampled_from(WEIGHTS), min_size=k * dim, max_size=k * dim)
+    W = np.array(draw(weights)).reshape(k, dim)
+    return X, labels, W
+
+
+def _oracle_decisions(X, labels, w):
+    f = X @ w  # exact on the grids
+    return f[labels == 1], f[labels == -1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_problem(), st.sampled_from((0.0, 0.125, 1.0)))
+def test_objective_batch_matches_oracles(problem, lam):
+    X, labels, W = problem
+    view = Dataset(sparse.csr_matrix(X), labels).full_view()
+    counts = []
+    for w in W:
+        f_pos, f_neg = _oracle_decisions(X, labels, w)
+        counts.append(pair_loss_naive(f_pos, f_neg))
+        assert counts[-1] == pair_loss_broadcast(f_pos, f_neg)
+    want = np.array(counts) / (view.t_pos * view.t_neg) + 0.5 * lam * (W * W).sum(axis=1)
+    assert np.array_equal(objective_batch(W, view, lam), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_problem(), st.integers(2, 25))
+def test_objective_batch_chunks_bit_equal(problem, parts):
+    X, labels, W = problem
+    view = Dataset(sparse.csr_matrix(X), labels).full_view()
+    full = objective_batch(W, view, 0.125)
+    chunks = [objective_batch(c, view, 0.125) for c in np.array_split(W, min(parts, W.shape[0]))]
+    assert np.array_equal(np.concatenate(chunks), full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_problem())
+def test_hardness_scores_match_oracle(problem):
+    X, labels, W = problem
+    ds = Dataset(sparse.csr_matrix(X), labels)
+    for w in W:
+        scores = hardness_scores(w, ds)
+        want_pos, want_neg = hardness_naive(*_oracle_decisions(X, labels, w))
+        assert np.array_equal(scores.pos_scores, want_pos)
+        assert np.array_equal(scores.neg_scores, want_neg)
+        assert scores.pos_scores.dtype == scores.neg_scores.dtype == np.int64
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(DECISIONS), min_size=1, max_size=40),
+    st.lists(st.sampled_from(DECISIONS), min_size=1, max_size=40),
+)
+def test_pairwise_loss_count_matches_oracles(f_pos, f_neg):
+    got = pairwise_loss_count(f_pos, f_neg)
+    assert type(got) is int
+    assert got == pair_loss_naive(f_pos, f_neg) == pair_loss_broadcast(f_pos, f_neg)

@@ -1,7 +1,10 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
-from emtauc.environment import TaskId, build_environment
+from emtauc.environment import TaskId, TaskSpec, build_environment
 from emtauc.evaluation import auc_metric
 from emtauc.solvers import (
     SolverConfig,
@@ -323,3 +326,72 @@ def test_solvers_deterministic_and_jobs_invariant():
         tb = [(p.generation, p.cumulative_cost, p.best_objective_expensive) for p in b.trace]
         tc = [(p.generation, p.cumulative_cost, p.best_objective_expensive) for p in c.trace]
         assert ta == tb == tc
+
+
+def _record_worker_threads(monkeypatch, fail_on_call=None):
+    """Patch TaskSpec.objective_batch to log the threads it runs on other
+    than the caller's; optionally raise on the given call number."""
+    caller = threading.current_thread()
+    workers = set()
+    calls = itertools.count()
+    original = TaskSpec.objective_batch
+
+    def recording(self, W):
+        if threading.current_thread() is not caller:
+            workers.add(threading.current_thread())
+        if next(calls) == fail_on_call:
+            raise RuntimeError("injected evaluation failure")
+        return original(self, W)
+
+    monkeypatch.setattr(TaskSpec, "objective_batch", recording)
+    return workers
+
+
+def _assert_joined(threads):
+    for thread in threads:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), f"{thread.name} outlived its run"
+
+
+def test_run_owns_one_pool_joined_on_return(monkeypatch):
+    ds = make_gaussian_dataset(11)
+    for kind in ("single_task_ga", "mfea", "emea"):
+        workers = _record_worker_threads(monkeypatch)
+        env = build_environment(ds, budget=4000, delta=5, seed=26)
+        dispatch_solver(env, SolverConfig(kind=kind, seed=27), jobs=2)
+        # one pool for the whole run: never more threads than jobs
+        assert 1 <= len(workers) <= 2
+        _assert_joined(workers)
+
+
+def test_run_pool_joined_when_evaluation_raises(monkeypatch):
+    ds = make_gaussian_dataset(12)
+    for kind in ("single_task_ga", "mfea", "emea"):
+        workers = _record_worker_threads(monkeypatch, fail_on_call=5)
+        env = build_environment(ds, budget=4000, delta=5, seed=28)
+        with pytest.raises(RuntimeError, match="injected evaluation failure"):
+            dispatch_solver(env, SolverConfig(kind=kind, seed=29), jobs=2)
+        assert workers
+        _assert_joined(workers)
+
+
+def test_serial_run_starts_no_thread(monkeypatch):
+    workers = _record_worker_threads(monkeypatch)
+    env = build_environment(make_gaussian_dataset(13), budget=3000, delta=5, seed=30)
+    dispatch_solver(env, SolverConfig(kind="mfea", seed=31), jobs=1)
+    assert not workers
+
+
+def test_jobs_two_trace_equals_serial_across_adjustments():
+    ds = make_gaussian_dataset(14, n_pos=90, n_neg=110)
+    for kind in ("mfea", "emea"):
+        runs = []
+        for jobs in (1, 2):
+            env = build_environment(ds, budget=12000, delta=4, seed=32)
+            runs.append((dispatch_solver(env, SolverConfig(kind=kind, seed=33), jobs=jobs), env))
+        (serial, env1), (pooled, env2) = runs
+        assert len(env1.adjustment_log) >= 2
+        assert env1.adjustment_log == env2.adjustment_log
+        assert serial.trace == pooled.trace
+        assert serial.best_objective == pooled.best_objective
+        assert np.array_equal(serial.best_weights, pooled.best_weights)
