@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,13 +19,6 @@ import scipy.sparse as sp
 
 class DataError(ValueError):
     """Raised for malformed dataset files or invalid dataset operations."""
-
-
-class Instance(NamedTuple):
-    """One labeled instance; ``features`` holds (1-based index, value) pairs."""
-
-    label: int
-    features: tuple[tuple[int, float], ...]
 
 
 def as_rate(value, what: str = "rate") -> Fraction:
@@ -101,15 +93,6 @@ class Dataset:
     @property
     def t_neg(self) -> int:
         return int(self.neg_idx.size)
-
-    def instance(self, i: int) -> Instance:
-        row = self.X.getrow(i)
-        feats = tuple((int(j) + 1, float(v)) for j, v in zip(row.indices, row.data))
-        return Instance(label=int(self.labels[i]), features=feats)
-
-    def instances(self) -> Iterator[Instance]:
-        for i in range(self.n):
-            yield self.instance(i)
 
     def subset(self, indices) -> "Dataset":
         """New Dataset from the given instance indices; keeps this dim."""
@@ -203,9 +186,6 @@ class DatasetView:
         h.update(np.int64(self.base.n).tobytes())
         h.update(self.selected.tobytes())
         return h.hexdigest()
-
-    def same_selection(self, other: "DatasetView") -> bool:
-        return self.base is other.base and np.array_equal(self.selected, other.selected)
 
     def __repr__(self) -> str:
         return f"DatasetView(n={self.n}, t_pos={self.t_pos}, t_neg={self.t_neg})"
@@ -306,10 +286,14 @@ def parse_libsvm_path(path) -> Dataset:
 def serialize_libsvm(ds: Dataset) -> str:
     """Canonical LIBSVM text: explicit labels, ascending indices, shortest
     round-trip decimals, zero entries omitted."""
+    indptr = ds.X.indptr.tolist()
+    feature_ids = (ds.X.indices + 1).tolist()
+    values = ds.X.data.tolist()
     out: list[str] = []
-    for inst in ds.instances():
-        parts = ["+1" if inst.label > 0 else "-1"]
-        parts.extend(f"{idx}:{repr(val)}" for idx, val in inst.features if val != 0.0)
+    for i, label in enumerate(ds.labels.tolist()):
+        row = range(indptr[i], indptr[i + 1])
+        parts = ["+1" if label > 0 else "-1"]
+        parts.extend(f"{feature_ids[k]}:{values[k]!r}" for k in row if values[k] != 0.0)
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 

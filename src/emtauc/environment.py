@@ -8,6 +8,7 @@ terms), so accounting is exact for any rational rate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -54,7 +55,9 @@ class CostLedger:
         self._budget = budget
         self._den = p * p
         self._units = {TaskId.CHEAP: p * p, TaskId.EXPENSIVE: q * q}
-        self._budget_units = budget * self._den
+        # Spent units are integers, so spent >= budget exactly when the
+        # spent units reach the ceiling of the budget in units.
+        self._budget_units = math.ceil(budget * self._den)
         self._spent_units = 0
         self.evals = {TaskId.CHEAP: 0, TaskId.EXPENSIVE: 0}
 
@@ -77,9 +80,8 @@ class CostLedger:
     def cost_per_eval(self, task_id: TaskId) -> Fraction:
         return Fraction(self._units[TaskId(task_id)], self._den)
 
-    def charge(self, task_id: TaskId) -> Fraction:
-        """Record one evaluation on ``task_id``; returns the (possibly
-        negative) remaining budget."""
+    def charge(self, task_id: TaskId) -> None:
+        """Record one evaluation on ``task_id``."""
         if self.exhausted:
             raise BudgetExhaustedError(
                 f"budget exhausted: spent {self.spent} of {self._budget}"
@@ -87,7 +89,6 @@ class CostLedger:
         task_id = TaskId(task_id)
         self._spent_units += self._units[task_id]
         self.evals[task_id] += 1
-        return self.remaining
 
 
 class TaskSpec:

@@ -3,7 +3,7 @@
 Three solvers share one variation pipeline (SBX crossover followed by
 polynomial mutation) and one decode rule w = 2*keys - 1:
 
-* ``run_single_task_ga``: (mu+lambda) GA on one task.
+* ``run_single_task_ga``: (mu+lambda) GA on the expensive task alone.
 * ``run_mfea``: one unified population, implicit transfer through
   assortative mating controlled by a fixed random-mating probability.
 * ``run_emea``: one population per task, explicit transfer every G
@@ -12,9 +12,11 @@ polynomial mutation) and one decode rule w = 2*keys - 1:
 
 All random draws happen in the serial orchestration path; objective
 batches are pure and may be evaluated concurrently without changing any
-result. Ledger charges are applied serially in population-index order, the
-evaluation that crosses the budget completes and is recorded, and the run
-then stops.
+result. ``_evaluate`` is the only place that evaluates, charges and
+archives: every solver hands it a batch, it charges the rows serially in
+index order, the evaluation that crosses the budget completes and is
+recorded, and the run then stops. Rows past that point are never charged
+and never enter a population.
 
 A run with jobs > 1 owns one thread pool for its whole length: each
 ``run_*`` opens it on entry and joins its workers on exit, also when an
@@ -29,10 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .environment import Environment, CostLedger, TaskId, TaskSpec
+from .environment import Environment, TaskId, TaskSpec
 
 SOLVER_KINDS = ("single_task_ga", "mfea", "emea")
 _DEFAULT_POP = {"single_task_ga": 10, "mfea": 20, "emea": 10}
+_BOTH_TASKS = [TaskId.CHEAP, TaskId.EXPENSIVE]
 
 
 @dataclass(frozen=True)
@@ -168,31 +171,11 @@ class TracePoint:
 
 
 @dataclass
-class Population:
-    """Unified-population state: one row per individual."""
-
-    genomes: np.ndarray
-    factorial_costs: np.ndarray
-    factorial_ranks: np.ndarray
-    skills: np.ndarray
-    scalar_fitness: np.ndarray
-
-
-@dataclass
-class TaskPopulation:
-    """Single-task population state."""
-
-    genomes: np.ndarray
-    objectives: np.ndarray
-
-
-@dataclass
 class RunResult:
     kind: str
     best_weights: np.ndarray | None
     best_objective: float | None
     trace: list[TracePoint]
-    state: object
 
 
 def _eval_pool(jobs: int):
@@ -239,6 +222,49 @@ def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     best_rank = masked[np.arange(m), skills]
     fitness = np.where(np.isfinite(best_rank), 1.0 / best_rank, 0.0)
     return ranks, skills, fitness
+
+
+def _evaluate(
+    env: Environment, task_ids, keys: np.ndarray, jobs: int, pool: ThreadPoolExecutor | None
+) -> tuple[np.ndarray, int]:
+    """Evaluate, charge and archive a batch of genomes.
+
+    ``task_ids`` is one TaskId for the whole batch or one per row. Each
+    task's rows are evaluated together, cheap rows first, on the task as
+    ``env`` holds it now. The rows are then charged in index order until the
+    ledger is exhausted; the row that crosses the budget completes. Charged
+    expensive rows are archived. Returns the values and the number of
+    charged rows, which are the leading ones; rows left uncharged read inf,
+    as if never evaluated.
+    """
+    tids = np.broadcast_to(np.asarray(task_ids, dtype=np.int64), keys.shape[:1])
+    values = np.empty(keys.shape[0])
+    for tid in TaskId:
+        rows = np.flatnonzero(tids == tid)
+        if rows.size:
+            values[rows] = _eval_batch(env.tasks[tid], keys[rows], jobs, pool)
+    ledger = env.ledger
+    kept = 0
+    for tid in tids.tolist():
+        if ledger.exhausted:
+            break
+        ledger.charge(tid)
+        if tid == TaskId.EXPENSIVE:
+            env.record_expensive(decode_weights(keys[kept]), values[kept])
+        kept += 1
+    values[kept:] = np.inf
+    return values, kept
+
+
+def _truncate(
+    genomes: np.ndarray, objectives: np.ndarray, children: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mu+lambda) survival: the len(genomes) best of parents and children
+    by objective; ties keep parents, then index order."""
+    pool_g = np.vstack([genomes, children])
+    pool_o = np.concatenate([objectives, values])
+    order = np.argsort(pool_o, kind="stable")[: genomes.shape[0]]
+    return pool_g[order], pool_o[order]
 
 
 def _finite_min(values: np.ndarray) -> float | None:
@@ -288,92 +314,29 @@ def _ga_offspring(genomes: np.ndarray, objectives: np.ndarray, config: SolverCon
     return children
 
 
-def run_single_task_ga(
-    task: TaskSpec,
-    ledger: CostLedger,
-    config: SolverConfig,
-    env: Environment | None = None,
-    jobs: int = 1,
-) -> RunResult:
-    """(mu+lambda) GA: binary-tournament parents, SBX+PM children, elitist
-    truncation by objective. Passing ``env`` keeps its expensive-task
-    archive up to date when this task is the expensive one.
+def run_single_task_ga(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
+    """(mu+lambda) GA on the expensive task alone: binary-tournament parents,
+    SBX+PM children, elitist truncation by objective.
     """
     with _eval_pool(jobs) as pool:
         rng = np.random.default_rng(config.seed)
         n = config.resolved_pop_size()
-        dim = task.view.base.dim
+        dim = env.dataset.dim
         pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
 
         genomes = rng.random((n, dim))
-        objectives = np.full(n, np.inf)
-        best_w: np.ndarray | None = None
-        best_obj = np.inf
+        objectives, _ = _evaluate(env, TaskId.EXPENSIVE, genomes, jobs, pool)
+        trace = [_archive_trace_point(env, 0, None)]
 
-        def note(keys_row: np.ndarray, value: float) -> None:
-            nonlocal best_w, best_obj
-            if env is not None and task.task_id == TaskId.EXPENSIVE:
-                env.record_expensive(decode_weights(keys_row), value)
-            if value < best_obj:
-                best_obj = float(value)
-                best_w = decode_weights(keys_row)
-
-        values = _eval_batch(task, genomes, jobs, pool)
-        interrupted = False
-        for i in range(n):
-            if ledger.exhausted:
-                interrupted = True
-                break
-            ledger.charge(task.task_id)
-            objectives[i] = values[i]
-            note(genomes[i], values[i])
-
-        trace = [_ga_trace_point(task, ledger, best_w, best_obj, 0)]
         t = 1
-        while not interrupted and not ledger.exhausted:
+        while not env.ledger.exhausted:
             children = _ga_offspring(genomes, objectives, config, pm_prob, rng)
-            values = _eval_batch(task, children, jobs, pool)
-            kept = n
-            for i in range(n):
-                if ledger.exhausted:
-                    kept = i
-                    break
-                ledger.charge(task.task_id)
-                note(children[i], values[i])
-            pool_g = np.vstack([genomes, children[:kept]])
-            pool_o = np.concatenate([objectives, values[:kept]])
-            order = np.argsort(pool_o, kind="stable")[:n]
-            genomes = pool_g[order]
-            objectives = pool_o[order]
-            trace.append(_ga_trace_point(task, ledger, best_w, best_obj, t))
+            values, kept = _evaluate(env, TaskId.EXPENSIVE, children, jobs, pool)
+            genomes, objectives = _truncate(genomes, objectives, children[:kept], values[:kept])
+            trace.append(_archive_trace_point(env, t, None))
             t += 1
 
-        return RunResult(
-            kind="single_task_ga",
-            best_weights=best_w,
-            best_objective=None if best_w is None else best_obj,
-            trace=trace,
-            state=TaskPopulation(genomes=genomes, objectives=objectives),
-        )
-
-
-def _ga_trace_point(
-    task: TaskSpec, ledger: CostLedger, best_w: np.ndarray | None, best_obj: float, generation: int
-) -> TracePoint:
-    if best_w is None:
-        obj = auc = None
-    else:
-        obj = best_obj
-        auc = 1.0 - (best_obj - 0.5 * task.lam * float(best_w @ best_w))
-    expensive = task.task_id == TaskId.EXPENSIVE
-    return TracePoint(
-        generation=generation,
-        cumulative_cost=ledger.spent,
-        best_objective_expensive=obj if expensive else None,
-        best_auc_expensive=auc if expensive else None,
-        best_objective_cheap=None if expensive else obj,
-        adjust_event=False,
-    )
+        return RunResult("single_task_ga", env.best_expensive_weights, env.best_expensive_objective, trace)
 
 
 def _mfea_offspring(
@@ -412,6 +375,15 @@ def _mfea_offspring(
     return child_genomes, child_skills
 
 
+def _maybe_adjust(env: Environment, generation: int) -> bool:
+    """Rebuild the cheap view from the archived best expensive weights if
+    ``generation`` is a multiple of ``env.delta``; returns whether it did."""
+    if env.delta is None or generation % env.delta or env.best_expensive_weights is None:
+        return False
+    env.adjust_cheap_task(env.best_expensive_weights, generation=generation)
+    return True
+
+
 def run_mfea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
     """Multifactorial EA over both tasks with a fixed random-mating
     probability and periodic cheap-task adjustment.
@@ -427,92 +399,40 @@ def run_mfea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult
         n = config.resolved_pop_size()
         dim = env.dataset.dim
         pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
-        ledger = env.ledger
         cheap = TaskId.CHEAP.value
 
         genomes = rng.random((n, dim))
-        costs = np.full((n, 2), np.inf)
-        interrupted = False
-        for tid in (TaskId.CHEAP, TaskId.EXPENSIVE):
-            values = _eval_batch(env.tasks[tid], genomes, jobs, pool)
-            for i in range(n):
-                if ledger.exhausted:
-                    interrupted = True
-                    break
-                ledger.charge(tid)
-                costs[i, tid.value] = values[i]
-                if tid == TaskId.EXPENSIVE:
-                    env.record_expensive(decode_weights(genomes[i]), values[i])
-            if interrupted:
-                break
-
-        ranks, skills, fitness = _population_stats(costs)
+        values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), np.vstack([genomes, genomes]), jobs, pool)
+        costs = values.reshape(2, n).T
+        _, skills, _ = _population_stats(costs)
         trace = [_archive_trace_point(env, 0, _finite_min(costs[:, cheap]))]
 
         t = 1
-        while not interrupted and not ledger.exhausted:
-            adjust_event = False
-            if env.delta is not None and t % env.delta == 0 and env.best_expensive_weights is not None:
-                env.adjust_cheap_task(env.best_expensive_weights, generation=t)
-                adjust_event = True
+        while not env.ledger.exhausted:
+            adjust_event = _maybe_adjust(env, t)
+            if adjust_event:
                 costs[:, cheap] = np.inf
                 refresh = np.flatnonzero(skills == cheap)
-                if refresh.size:
-                    values = _eval_batch(env.tasks[TaskId.CHEAP], genomes[refresh], jobs, pool)
-                    for pos, i in enumerate(refresh):
-                        if ledger.exhausted:
-                            interrupted = True
-                            break
-                        ledger.charge(TaskId.CHEAP)
-                        costs[i, cheap] = values[pos]
-                ranks, skills, fitness = _population_stats(costs)
-                if interrupted or ledger.exhausted:
-                    trace.append(_archive_trace_point(env, t, _finite_min(costs[:, cheap]), True))
-                    break
+                costs[refresh, cheap], _ = _evaluate(env, TaskId.CHEAP, genomes[refresh], jobs, pool)
+                _, skills, _ = _population_stats(costs)
 
-            child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
-            child_values = np.empty(n, dtype=np.float64)
-            for tid in (TaskId.CHEAP, TaskId.EXPENSIVE):
-                group = np.flatnonzero(child_skills == tid.value)
-                if group.size:
-                    child_values[group] = _eval_batch(env.tasks[tid], child_genomes[group], jobs, pool)
-
-            child_costs = np.full((n, 2), np.inf)
-            kept = n
-            for i in range(n):
-                if ledger.exhausted:
-                    kept = i
-                    break
-                tid = TaskId(int(child_skills[i]))
-                ledger.charge(tid)
-                child_costs[i, tid.value] = child_values[i]
-                if tid == TaskId.EXPENSIVE:
-                    env.record_expensive(decode_weights(child_genomes[i]), child_values[i])
-
-            pool_genomes = np.vstack([genomes, child_genomes[:kept]])
-            pool_costs = np.vstack([costs, child_costs[:kept]])
-            _, _, pool_fitness = _population_stats(pool_costs)
-            order = np.argsort(-pool_fitness, kind="stable")[:n]
-            genomes = pool_genomes[order]
-            costs = pool_costs[order]
-            ranks, skills, fitness = _population_stats(costs)
+            if not env.ledger.exhausted:
+                child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
+                values, kept = _evaluate(env, child_skills, child_genomes, jobs, pool)
+                child_costs = np.full((n, 2), np.inf)
+                child_costs[np.arange(n), child_skills] = values
+                pool_genomes = np.vstack([genomes, child_genomes[:kept]])
+                pool_costs = np.vstack([costs, child_costs[:kept]])
+                _, _, pool_fitness = _population_stats(pool_costs)
+                order = np.argsort(-pool_fitness, kind="stable")[:n]
+                genomes = pool_genomes[order]
+                costs = pool_costs[order]
+                _, skills, _ = _population_stats(costs)
 
             trace.append(_archive_trace_point(env, t, _finite_min(costs[:, cheap]), adjust_event))
             t += 1
 
-        return RunResult(
-            kind="mfea",
-            best_weights=env.best_expensive_weights,
-            best_objective=env.best_expensive_objective,
-            trace=trace,
-            state=Population(
-                genomes=genomes,
-                factorial_costs=costs,
-                factorial_ranks=ranks,
-                skills=skills,
-                scalar_fitness=fitness,
-            ),
-        )
+        return RunResult("mfea", env.best_expensive_weights, env.best_expensive_objective, trace)
 
 
 def run_emea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
@@ -530,108 +450,47 @@ def run_emea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult
         dim = env.dataset.dim
         pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
         ledger = env.ledger
-        task_ids = (TaskId.CHEAP, TaskId.EXPENSIVE)
 
-        genomes = [rng.random((n, dim)), rng.random((n, dim))]
-        objectives = [np.full(n, np.inf), np.full(n, np.inf)]
-        interrupted = False
-        for tid in task_ids:
-            values = _eval_batch(env.tasks[tid], genomes[tid.value], jobs, pool)
-            for i in range(n):
-                if ledger.exhausted:
-                    interrupted = True
-                    break
-                ledger.charge(tid)
-                objectives[tid.value][i] = values[i]
-                if tid == TaskId.EXPENSIVE:
-                    env.record_expensive(decode_weights(genomes[tid.value][i]), values[i])
-            if interrupted:
-                break
-
+        # Row i of ``genomes`` and ``objectives`` is the population of TaskId(i).
+        genomes = rng.random((2, n, dim))
+        values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), genomes.reshape(2 * n, dim), jobs, pool)
+        objectives = values.reshape(2, n)
         trace = [_archive_trace_point(env, 0, _finite_min(objectives[0]))]
 
         t = 1
-        while not interrupted and not ledger.exhausted:
-            adjust_event = False
-            if env.delta is not None and t % env.delta == 0 and env.best_expensive_weights is not None:
-                env.adjust_cheap_task(env.best_expensive_weights, generation=t)
-                adjust_event = True
-                values = _eval_batch(env.tasks[TaskId.CHEAP], genomes[0], jobs, pool)
-                objectives[0][:] = np.inf
-                for i in range(n):
-                    if ledger.exhausted:
-                        interrupted = True
-                        break
-                    ledger.charge(TaskId.CHEAP)
-                    objectives[0][i] = values[i]
-                if interrupted or ledger.exhausted:
-                    trace.append(_archive_trace_point(env, t, _finite_min(objectives[0]), True))
-                    break
+        while not ledger.exhausted:
+            adjust_event = _maybe_adjust(env, t)
+            if adjust_event:
+                objectives[0], _ = _evaluate(env, TaskId.CHEAP, genomes[0], jobs, pool)
 
-            for tid in task_ids:
-                children = _ga_offspring(genomes[tid.value], objectives[tid.value], config, pm_prob, rng)
-                values = _eval_batch(env.tasks[tid], children, jobs, pool)
-                kept = n
-                for i in range(n):
-                    if ledger.exhausted:
-                        kept = i
-                        interrupted = True
-                        break
-                    ledger.charge(tid)
-                    if tid == TaskId.EXPENSIVE:
-                        env.record_expensive(decode_weights(children[i]), values[i])
-                pool_g = np.vstack([genomes[tid.value], children[:kept]])
-                pool_o = np.concatenate([objectives[tid.value], values[:kept]])
-                order = np.argsort(pool_o, kind="stable")[:n]
-                genomes[tid.value] = pool_g[order]
-                objectives[tid.value] = pool_o[order]
-                if interrupted:
+            for tid in TaskId:
+                if ledger.exhausted:
                     break
+                children = _ga_offspring(genomes[tid], objectives[tid], config, pm_prob, rng)
+                values, kept = _evaluate(env, tid, children, jobs, pool)
+                genomes[tid], objectives[tid] = _truncate(
+                    genomes[tid], objectives[tid], children[:kept], values[:kept]
+                )
 
-            if (
-                not interrupted
-                and not ledger.exhausted
-                and config.transfer_count > 0
-                and t % config.transfer_interval == 0
-            ):
+            if not ledger.exhausted and config.transfer_count > 0 and t % config.transfer_interval == 0:
                 count = min(config.transfer_count, n)
-                orders = [np.argsort(objectives[0], kind="stable"), np.argsort(objectives[1], kind="stable")]
-                sorted_pops = [genomes[0][orders[0]].T, genomes[1][orders[1]].T]
-                top_genomes = [sorted_pops[0][:, :count].T.copy(), sorted_pops[1][:, :count].T.copy()]
-                for target in (0, 1):
+                sorted_pops = [genomes[i][np.argsort(objectives[i], kind="stable")].T for i in (0, 1)]
+                top_genomes = [pop[:, :count].T.copy() for pop in sorted_pops]
+                for target in TaskId:
+                    if ledger.exhausted:
+                        break
                     source = 1 - target
                     mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
                     candidates = mapping.apply(top_genomes[source])
-                    values = _eval_batch(env.tasks[task_ids[target]], candidates, jobs, pool)
-                    worst_first = np.argsort(objectives[target], kind="stable")[::-1]
-                    for k in range(candidates.shape[0]):
-                        if ledger.exhausted:
-                            interrupted = True
-                            break
-                        ledger.charge(task_ids[target])
-                        slot = worst_first[k]
-                        genomes[target][slot] = candidates[k]
-                        objectives[target][slot] = values[k]
-                        if target == 1:
-                            env.record_expensive(decode_weights(candidates[k]), values[k])
-                    if interrupted:
-                        break
+                    values, kept = _evaluate(env, target, candidates, jobs, pool)
+                    slots = np.argsort(objectives[target], kind="stable")[::-1][:kept]
+                    genomes[target][slots] = candidates[:kept]
+                    objectives[target][slots] = values[:kept]
 
             trace.append(_archive_trace_point(env, t, _finite_min(objectives[0]), adjust_event))
-            if interrupted or ledger.exhausted:
-                break
             t += 1
 
-        return RunResult(
-            kind="emea",
-            best_weights=env.best_expensive_weights,
-            best_objective=env.best_expensive_objective,
-            trace=trace,
-            state={
-                TaskId.CHEAP: TaskPopulation(genomes=genomes[0], objectives=objectives[0]),
-                TaskId.EXPENSIVE: TaskPopulation(genomes=genomes[1], objectives=objectives[1]),
-            },
-        )
+        return RunResult("emea", env.best_expensive_weights, env.best_expensive_objective, trace)
 
 
 def dispatch_solver(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
@@ -641,7 +500,7 @@ def dispatch_solver(env: Environment, config: SolverConfig, jobs: int = 1) -> Ru
     same budget so comparisons are cost-fair.
     """
     if config.kind == "single_task_ga":
-        return run_single_task_ga(env.tasks[TaskId.EXPENSIVE], env.ledger, config, env=env, jobs=jobs)
+        return run_single_task_ga(env, config, jobs=jobs)
     if config.kind == "mfea":
         return run_mfea(env, config, jobs=jobs)
     if config.kind == "emea":

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emtauc.environment import (
     BudgetExhaustedError,
@@ -106,7 +109,7 @@ def test_environment_cheap_view_deterministic():
     ds = make_gaussian_dataset(0)
     a = build_environment(ds, seed=11).tasks[TaskId.CHEAP].view
     b = build_environment(ds, seed=11).tasks[TaskId.CHEAP].view
-    assert a.same_selection(b)
+    assert np.array_equal(a.selected, b.selected)
 
 
 def test_environment_rejects_bad_delta():
@@ -160,3 +163,31 @@ def test_archive_starts_empty():
     env = build_environment(ds, seed=3)
     assert env.best_expensive_weights is None
     assert env.best_expensive_objective is None
+
+
+RATES = st.one_of(
+    st.sampled_from([Fraction(1, 997), Fraction(3, 10), Fraction(1, 3), Fraction(7, 9), Fraction(1)]),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000),
+)
+
+
+@given(
+    charges=st.lists(st.sampled_from(list(TaskId)), max_size=40),
+    s=RATES,
+    budget=st.fractions(min_value=Fraction(1, 1000), max_value=400, max_denominator=1000),
+)
+def test_ledger_matches_fraction_reference(charges, s, budget):
+    # The drawn charges, then cheap ones until the budget is crossed.
+    ledger = CostLedger(budget, s)
+    spent = Fraction(0)
+    for tid in itertools.chain(charges, itertools.repeat(TaskId.CHEAP)):
+        if spent >= budget:
+            with pytest.raises(BudgetExhaustedError):
+                ledger.charge(tid)
+            break
+        ledger.charge(tid)  # the crossing charge completes
+        spent += 1 if tid == TaskId.CHEAP else 1 / s**2
+        assert ledger.spent == spent
+        assert ledger.remaining == budget - spent
+        assert ledger.exhausted == (spent >= budget)
+    assert ledger.spent == spent

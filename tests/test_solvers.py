@@ -16,6 +16,7 @@ from emtauc.solvers import (
     run_mfea,
     run_single_task_ga,
     sbx_crossover,
+    _evaluate,
     _population_stats,
 )
 
@@ -153,9 +154,7 @@ def test_solver_config_validation():
 def test_single_ga_runs_expensive_only():
     ds = make_gaussian_dataset(0)
     env = build_environment(ds, budget=5000, seed=1)
-    result = run_single_task_ga(
-        env.tasks[TaskId.EXPENSIVE], env.ledger, SolverConfig(kind="single_task_ga", seed=2), env=env
-    )
+    result = run_single_task_ga(env, SolverConfig(kind="single_task_ga", seed=2))
     assert env.ledger.evals[TaskId.CHEAP] == 0
     assert env.ledger.evals[TaskId.EXPENSIVE] > 0
     assert result.best_objective == env.best_expensive_objective
@@ -166,12 +165,7 @@ def test_single_ga_improves_on_separable():
     hits = 0
     for seed in range(10):
         env = build_environment(ds, budget=40000, seed=seed)
-        result = run_single_task_ga(
-            env.tasks[TaskId.EXPENSIVE],
-            env.ledger,
-            SolverConfig(kind="single_task_ga", seed=seed),
-            env=env,
-        )
+        result = run_single_task_ga(env, SolverConfig(kind="single_task_ga", seed=seed))
         if auc_metric(result.best_weights, ds.full_view()) == 1.0:
             hits += 1
     assert hits >= 8
@@ -194,6 +188,39 @@ def test_budget_overshoot_bounded():
         env = build_environment(ds, budget=3000, seed=5)
         dispatch_solver(env, SolverConfig(kind=kind, seed=6))
         assert env.ledger.spent <= 3000 + env.ledger.cost_per_eval(TaskId.EXPENSIVE)
+
+
+def test_evaluate_charges_mixed_rows_like_a_serial_loop():
+    ds = make_gaussian_dataset(9)
+    C, E = TaskId.CHEAP, TaskId.EXPENSIVE
+    tids = [C, E, C, C, E, C, E, E]
+    budget = 150  # costs 1 and 100: rows 0-3 spend 103, row 4 crosses to 203
+    rng = np.random.default_rng(0)
+    keys = rng.random((len(tids), ds.dim))
+    ref_env = build_environment(ds, budget=budget, seed=1)
+    exact = [ref_env.tasks[t].objective(decode_weights(k)) for t, k in zip(tids, keys)]
+    # Swap the best expensive row into row 6, which the budget leaves uncharged.
+    best = min((i for i, t in enumerate(tids) if t == E), key=lambda i: exact[i])
+    keys[[6, best]] = keys[[best, 6]]
+    exact[6], exact[best] = exact[best], exact[6]
+
+    ref_kept = 0
+    for tid in tids:
+        if ref_env.ledger.exhausted:
+            break
+        ref_env.ledger.charge(tid)
+        ref_kept += 1
+
+    env = build_environment(ds, budget=budget, seed=1)
+    values, kept = _evaluate(env, np.array(tids), keys, 1, None)
+    assert kept == ref_kept == 5
+    assert env.ledger.spent == ref_env.ledger.spent == 203
+    assert env.ledger.evals == ref_env.ledger.evals == {C: 3, E: 2}
+    assert values[:kept].tolist() == exact[:kept]
+    assert np.all(np.isinf(values[kept:]))
+    charged_expensive = [exact[i] for i in (1, 4)]
+    assert env.best_expensive_objective == min(charged_expensive)
+    assert env.best_expensive_objective > exact[6]
 
 
 def test_budget_too_small_for_init():
