@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats
 
 from .data import Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
-from .environment import TaskId, build_environment
+from .environment import TaskId, as_budget, build_environment
 from .evaluation import auc_metric, objective_batch
 from .solvers import SolverConfig, decode_weights, dispatch_solver
 
@@ -289,6 +289,7 @@ def run_benchmark(
     if trials < 1 or folds < 2:
         raise ValueError("need trials >= 1 and folds >= 2")
     rate = as_rate(s, "sampling rate")
+    budget = as_budget(budget)
     if baseline is None:
         baseline = entries[0].label
     if baseline not in {e.label for e in entries}:
@@ -316,13 +317,15 @@ def run_benchmark(
                             seed=cell_seed,
                             s=rate,
                             lam=lam,
-                            budget=Fraction(budget) if not isinstance(budget, float) else Fraction(str(budget)),
+                            budget=budget,
                             jobs=1,
                         )
                     )
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # With the fork start method the executor starts all max_workers
+        # processes at the first submit, so never ask for more than cells.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_list))) as pool:
             cells = list(pool.map(_execute_cell, jobs_list, chunksize=1))
     else:
         cells = [_execute_cell(job) for job in jobs_list]

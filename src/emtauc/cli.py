@@ -34,6 +34,7 @@ from .config import (
     CostModelConfig,
     LandscapeConfig,
     RunConfig,
+    echo,
 )
 from .data import DataError, parse_libsvm_path, scale_features, stratified_sample
 from .environment import TaskId, build_environment
@@ -71,17 +72,9 @@ def _load_config_dict(path: str) -> dict:
 
 
 def _apply_overrides(d: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    flags = {
-        "seed": "seed",
-        "output_dir": "output_dir",
-        "dataset": "dataset",
-        "budget": "budget",
-        "jobs": "jobs",
-        "trace_stride": "trace_stride",
-    }
     out = dict(d)
     for key in keys:
-        value = getattr(args, flags[key], None)
+        value = getattr(args, key)
         if value is not None:
             out[key] = value
     return out
@@ -106,19 +99,6 @@ def _dataset_stats(path: str, ds) -> dict:
         "features": ds.dim,
         "positives": ds.t_pos,
         "negatives": ds.t_neg,
-    }
-
-
-def _solver_echo(solver) -> dict:
-    return {
-        "kind": solver.kind,
-        "pop_size": solver.resolved_pop_size(),
-        "rmp": solver.rmp,
-        "transfer_interval": solver.transfer_interval,
-        "transfer_count": solver.transfer_count,
-        "sbx_eta": solver.sbx_eta,
-        "pm_eta": solver.pm_eta,
-        "pm_prob": solver.pm_prob,
     }
 
 
@@ -186,18 +166,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = {
         "artifact_version": __version__,
         "command": "run",
-        "config": {
-            "dataset": cfg.dataset,
-            "solver": _solver_echo(cfg.solver),
-            "s": str(cfg.s),
-            "lambda": cfg.lam,
-            "delta": cfg.delta,
-            "budget": str(cfg.budget),
-            "seed": cfg.seed,
-            "output_dir": str(out_dir),
-            "trace_stride": cfg.trace_stride,
-            "jobs": cfg.jobs,
-        },
+        "config": dict(echo(cfg), output_dir=str(out_dir)),
         "seed": cfg.seed,
         "derived_seeds": {"environment": env_seed, "solver": solver_seed},
         "started_at": started_at,
@@ -287,23 +256,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         )
     _write_lines(out_dir / "summary.csv", lines)
 
-    config_echo = {
-        "datasets": list(cfg.datasets),
-        "solvers": [
-            dict(_solver_echo(spec.config), label=spec.label, delta=spec.delta)
-            for spec in cfg.solvers
-        ],
-        "trials": cfg.trials,
-        "folds": cfg.folds,
-        "baseline": summary.baseline,
-        "s": str(cfg.s),
-        "lambda": cfg.lam,
-        "delta": cfg.delta,
-        "budget": str(cfg.budget),
-        "seed": cfg.seed,
-        "output_dir": str(out_dir),
-        "jobs": cfg.jobs,
-    }
+    config_echo = dict(echo(cfg), output_dir=str(out_dir), baseline=summary.baseline)
 
     cells_dir = out_dir / "cells"
     for cell in summary.cells:
@@ -402,15 +355,7 @@ def cmd_landscape(args: argparse.Namespace) -> int:
     manifest = {
         "artifact_version": __version__,
         "command": "landscape",
-        "config": {
-            "dataset": cfg.dataset,
-            "s": str(cfg.s),
-            "lambda": cfg.lam,
-            "n_points": cfg.n_points,
-            "repeats": cfg.repeats,
-            "seed": cfg.seed,
-            "output_dir": str(out_dir),
-        },
+        "config": dict(echo(cfg), output_dir=str(out_dir)),
         "seed": cfg.seed,
         "started_at": started_at,
         "finished_at": finished_at,
@@ -478,13 +423,7 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
     manifest = {
         "artifact_version": __version__,
         "command": "costmodel",
-        "config": {
-            "dataset": cfg.dataset,
-            "rates": [str(r) for r in cfg.rates],
-            "repetitions": cfg.repetitions,
-            "seed": cfg.seed,
-            "output_dir": str(out_dir),
-        },
+        "config": dict(echo(cfg), output_dir=str(out_dir)),
         "seed": cfg.seed,
         "started_at": started_at,
         "finished_at": finished_at,

@@ -1,15 +1,20 @@
 """Typed run configuration parsed from JSON dicts.
 
-Parsing is strict: unknown keys are errors, as are missing required keys.
-Every ``from_dict`` raises ConfigError with the offending key path so CLI
-users get an actionable message instead of a traceback.
+Each field of a config dataclass is one JSON key. Its metadata holds the
+parser of the raw value and the JSON key where that differs from the field
+name (``lam`` is ``"lambda"``); a field without a default is required.
+``from_dict`` walks this table strictly (unknown and missing keys are
+errors, and every ConfigError names the key path) and ``echo`` walks it to
+write the manifest's ``config`` block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 
 from .data import DataError, as_rate
+from .environment import as_budget
 from .solvers import SOLVER_KINDS, SolverConfig
 
 
@@ -17,29 +22,22 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return d[key]
+def _int(minimum: int):
+    def parse(value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+        return value
 
-
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-
-
-def _as_int(value, where: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
-    return value
+    return parse
 
 
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -49,112 +47,136 @@ def _as_str(value, where: str) -> str:
     return value
 
 
-def _parse_rate(value, where: str) -> Fraction:
-    try:
-        return as_rate(value, where)
-    except (DataError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+def _optional(parse):
+    return lambda value, where: None if value is None else parse(value, where)
 
 
-def _parse_budget(value, where: str) -> Fraction:
-    try:
-        budget = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ConfigError(f"{where}: expected a positive number, got {value!r}") from None
-    if budget <= 0:
-        raise ConfigError(f"{where}: must be positive, got {value!r}")
-    return budget
+def _from_data(coerce):
+    """A parser for a data-layer coercion that raises DataError."""
+
+    def parse(value, where: str):
+        try:
+            return coerce(value, where)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
+
+    return parse
+
+
+_parse_rate = _from_data(as_rate)
+_parse_budget = _from_data(as_budget)
+_delta = _optional(_int(1))
+
+
+def _list_of(parse_item):
+    def parse(value, where: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: expected a non-empty list")
+        return tuple(parse_item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+    return parse
+
+
+def _parse_keys(d, parsers: dict, required, where: str) -> dict:
+    """Check ``d`` against a JSON key -> parser table; parse in table order."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
+    unknown = sorted(set(d) - set(parsers))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    values = {}
+    for key, parse in parsers.items():
+        if key in d:
+            values[key] = parse(d[key], f"{where}.{key}")
+        elif key in required:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return values
+
+
+def _solver_kind(value, where: str) -> str:
+    kind = _as_str(value, where)
+    if kind not in SOLVER_KINDS:
+        raise ConfigError(f"{where}: expected one of {', '.join(SOLVER_KINDS)}, got {kind!r}")
+    return kind
+
+
+_SOLVER_KEYS = {
+    "kind": _solver_kind,
+    "pop_size": _int(2),
+    "rmp": _as_number,
+    "transfer_interval": _int(1),
+    "transfer_count": _int(0),
+    "sbx_eta": _as_number,
+    "pm_eta": _as_number,
+    "pm_prob": _optional(_as_number),
+}
 
 
 def parse_solver(d, where: str = "solver") -> SolverConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {d!r}")
-    allowed = {
-        "kind",
-        "pop_size",
-        "rmp",
-        "transfer_interval",
-        "transfer_count",
-        "sbx_eta",
-        "pm_eta",
-        "pm_prob",
-    }
-    _reject_unknown(d, allowed, where)
-    kind = _as_str(_require(d, "kind", where), f"{where}.kind")
-    if kind not in SOLVER_KINDS:
-        raise ConfigError(
-            f"{where}.kind: expected one of {', '.join(SOLVER_KINDS)}, got {kind!r}"
-        )
-    kwargs = {}
-    if "pop_size" in d:
-        kwargs["pop_size"] = _as_int(d["pop_size"], f"{where}.pop_size", minimum=2)
-    if "rmp" in d:
-        kwargs["rmp"] = _as_number(d["rmp"], f"{where}.rmp")
-    if "transfer_interval" in d:
-        kwargs["transfer_interval"] = _as_int(d["transfer_interval"], f"{where}.transfer_interval", minimum=1)
-    if "transfer_count" in d:
-        kwargs["transfer_count"] = _as_int(d["transfer_count"], f"{where}.transfer_count", minimum=0)
-    if "sbx_eta" in d:
-        kwargs["sbx_eta"] = _as_number(d["sbx_eta"], f"{where}.sbx_eta")
-    if "pm_eta" in d:
-        kwargs["pm_eta"] = _as_number(d["pm_eta"], f"{where}.pm_eta")
-    if "pm_prob" in d and d["pm_prob"] is not None:
-        kwargs["pm_prob"] = _as_number(d["pm_prob"], f"{where}.pm_prob")
+    kwargs = _parse_keys(d, _SOLVER_KEYS, {"kind"}, where)
     try:
-        return SolverConfig(kind=kind, **kwargs)
+        return SolverConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _key(parse, default=MISSING, key: str | None = None):
+    """A config field; without a default it is a required key."""
+    return field(default=default, metadata={"parse": parse, "key": key})
+
+
+def _json_key(f) -> str:
+    return f.metadata["key"] or f.name
+
+
+def _parse_fields(cls, d, where: str):
+    """Parse ``d`` into ``cls``. Fields are parsed in declaration order,
+    which decides the error reported for a config with several."""
+    table = {_json_key(f): f for f in fields(cls)}
+    values = _parse_keys(
+        d,
+        {key: f.metadata["parse"] for key, f in table.items()},
+        {key for key, f in table.items() if f.default is MISSING},
+        where,
+    )
+    return cls(**{table[key].name: value for key, value in values.items()})
+
+
+def echo(cfg) -> dict:
+    """The manifest's ``config`` block, in a form ``from_dict`` reads back;
+    solver blocks carry the resolved ``pop_size``."""
+    return {_json_key(f): _echo_value(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _echo_value(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_echo_value(v) for v in value]
+    if isinstance(value, SolverConfig):
+        return dict({key: getattr(value, key) for key in _SOLVER_KEYS}, pop_size=value.resolved_pop_size())
+    if isinstance(value, BenchmarkSolverSpec):
+        return dict(_echo_value(value.config), label=value.label, delta=value.delta)
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    dataset: str
-    solver: SolverConfig
-    s: Fraction = Fraction(1, 10)
-    lam: float = 0.125
-    delta: int | None = 30
-    budget: Fraction = Fraction(101000)
-    seed: int = 0
-    output_dir: str | None = None
-    trace_stride: int = 1
-    jobs: int = 1
+    dataset: str = _key(_as_str)
+    solver: SolverConfig = _key(parse_solver)
+    # no wall-clock fallback: a run must name its seed (file or --seed)
+    seed: int = _key(_int(0))
+    s: Fraction = _key(_parse_rate, Fraction(1, 10))
+    lam: float = _key(_as_number, 0.125, key="lambda")
+    delta: int | None = _key(_delta, 30)
+    budget: Fraction = _key(_parse_budget, Fraction(101000))
+    output_dir: str | None = _key(_as_str, None)
+    trace_stride: int = _key(_int(1), 1)
+    jobs: int = _key(_int(1), 1)
 
-    @staticmethod
-    def from_dict(d) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"run config: expected an object, got {d!r}")
-        allowed = {
-            "dataset",
-            "solver",
-            "s",
-            "lambda",
-            "delta",
-            "budget",
-            "seed",
-            "output_dir",
-            "trace_stride",
-            "jobs",
-        }
-        _reject_unknown(d, allowed, "run config")
-        dataset = _as_str(_require(d, "dataset", "run config"), "run config.dataset")
-        solver = parse_solver(_require(d, "solver", "run config"), "run config.solver")
-        # no wall-clock fallback: a run must name its seed (file or --seed)
-        kwargs = {"seed": _as_int(_require(d, "seed", "run config"), "run config.seed", minimum=0)}
-        if "s" in d:
-            kwargs["s"] = _parse_rate(d["s"], "run config.s")
-        if "lambda" in d:
-            kwargs["lam"] = _as_number(d["lambda"], "run config.lambda")
-        if "delta" in d:
-            kwargs["delta"] = None if d["delta"] is None else _as_int(d["delta"], "run config.delta", minimum=1)
-        if "budget" in d:
-            kwargs["budget"] = _parse_budget(d["budget"], "run config.budget")
-        if "output_dir" in d:
-            kwargs["output_dir"] = _as_str(d["output_dir"], "run config.output_dir")
-        if "trace_stride" in d:
-            kwargs["trace_stride"] = _as_int(d["trace_stride"], "run config.trace_stride", minimum=1)
-        if "jobs" in d:
-            kwargs["jobs"] = _as_int(d["jobs"], "run config.jobs", minimum=1)
-        return RunConfig(dataset=dataset, solver=solver, **kwargs)
+    @classmethod
+    def from_dict(cls, d) -> "RunConfig":
+        return _parse_fields(cls, d, "run config")
 
 
 @dataclass(frozen=True)
@@ -164,175 +186,84 @@ class BenchmarkSolverSpec:
     delta: int | None
 
 
-def _parse_benchmark_solver(d, where: str, default_delta: int | None) -> BenchmarkSolverSpec:
+def _parse_benchmark_solver(d, where: str) -> BenchmarkSolverSpec:
+    """``label``, ``delta`` (else the top-level one) and the solver keys."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {d!r}")
     inner = dict(d)
-    label = None
-    if "label" in inner:
-        label = _as_str(inner.pop("label"), f"{where}.label")
-    delta = default_delta
-    if "delta" in inner:
-        raw = inner.pop("delta")
-        delta = None if raw is None else _as_int(raw, f"{where}.delta", minimum=1)
+    label = _as_str(inner.pop("label"), f"{where}.label") if "label" in inner else None
+    delta = _delta(inner.pop("delta"), f"{where}.delta") if "delta" in inner else None
     config = parse_solver(inner, where)
     return BenchmarkSolverSpec(label=label or config.kind, config=config, delta=delta)
 
 
-@dataclass(frozen=True)
+def _parse_benchmark_solvers(value, where: str) -> tuple[BenchmarkSolverSpec, ...]:
+    solvers = _list_of(_parse_benchmark_solver)(value, where)
+    if len({spec.label for spec in solvers}) != len(solvers):
+        raise ConfigError(f"{where}: duplicate labels; set a distinct 'label' per entry")
+    return solvers
+
+
+def _parse_datasets(value, where: str) -> tuple[str, ...]:
+    datasets = _list_of(_as_str)(value, where)
+    if len(set(datasets)) != len(datasets):
+        raise ConfigError(f"{where}: duplicate entries")
+    return datasets
+
+
+# kw_only lets the required ``solvers`` follow ``delta`` in parse order
+@dataclass(frozen=True, kw_only=True)
 class BenchmarkConfig:
-    datasets: tuple[str, ...]
-    solvers: tuple[BenchmarkSolverSpec, ...]
-    trials: int = 5
-    folds: int = 5
-    baseline: str | None = None
-    s: Fraction = Fraction(1, 10)
-    lam: float = 0.125
-    delta: int | None = 30
-    budget: Fraction = Fraction(101000)
-    seed: int = 0
-    output_dir: str | None = None
-    jobs: int = 1
+    datasets: tuple[str, ...] = _key(_parse_datasets)
+    seed: int = _key(_int(0))
+    delta: int | None = _key(_delta, 30)
+    solvers: tuple[BenchmarkSolverSpec, ...] = _key(_parse_benchmark_solvers)
+    trials: int = _key(_int(1), 5)
+    folds: int = _key(_int(2), 5)
+    baseline: str | None = _key(_as_str, None)
+    s: Fraction = _key(_parse_rate, Fraction(1, 10))
+    lam: float = _key(_as_number, 0.125, key="lambda")
+    budget: Fraction = _key(_parse_budget, Fraction(101000))
+    output_dir: str | None = _key(_as_str, None)
+    jobs: int = _key(_int(1), 1)
 
-    @staticmethod
-    def from_dict(d) -> "BenchmarkConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"benchmark config: expected an object, got {d!r}")
-        allowed = {
-            "datasets",
-            "solvers",
-            "trials",
-            "folds",
-            "baseline",
-            "s",
-            "lambda",
-            "delta",
-            "budget",
-            "seed",
-            "output_dir",
-            "jobs",
-        }
-        _reject_unknown(d, allowed, "benchmark config")
-        raw_datasets = _require(d, "datasets", "benchmark config")
-        if not isinstance(raw_datasets, list) or not raw_datasets:
-            raise ConfigError("benchmark config.datasets: expected a non-empty list")
-        datasets = tuple(
-            _as_str(v, f"benchmark config.datasets[{i}]") for i, v in enumerate(raw_datasets)
-        )
-        if len(set(datasets)) != len(datasets):
-            raise ConfigError("benchmark config.datasets: duplicate entries")
-
-        kwargs = {
-            "seed": _as_int(_require(d, "seed", "benchmark config"), "benchmark config.seed", minimum=0)
-        }
-        if "delta" in d:
-            kwargs["delta"] = None if d["delta"] is None else _as_int(d["delta"], "benchmark config.delta", minimum=1)
-        default_delta = kwargs.get("delta", 30)
-
-        raw_solvers = _require(d, "solvers", "benchmark config")
-        if not isinstance(raw_solvers, list) or not raw_solvers:
-            raise ConfigError("benchmark config.solvers: expected a non-empty list")
-        solvers = tuple(
-            _parse_benchmark_solver(v, f"benchmark config.solvers[{i}]", default_delta)
-            for i, v in enumerate(raw_solvers)
-        )
-        labels = [spec.label for spec in solvers]
-        if len(set(labels)) != len(labels):
+    @classmethod
+    def from_dict(cls, d) -> "BenchmarkConfig":
+        cfg = _parse_fields(cls, d, "benchmark config")
+        if cfg.baseline is not None and cfg.baseline not in {spec.label for spec in cfg.solvers}:
             raise ConfigError(
-                "benchmark config.solvers: duplicate labels; set a distinct 'label' per entry"
+                f"benchmark config.baseline: {cfg.baseline!r} does not match any solver label"
             )
-
-        if "trials" in d:
-            kwargs["trials"] = _as_int(d["trials"], "benchmark config.trials", minimum=1)
-        if "folds" in d:
-            kwargs["folds"] = _as_int(d["folds"], "benchmark config.folds", minimum=2)
-        if "baseline" in d:
-            baseline = _as_str(d["baseline"], "benchmark config.baseline")
-            if baseline not in labels:
-                raise ConfigError(
-                    f"benchmark config.baseline: {baseline!r} does not match any solver label"
-                )
-            kwargs["baseline"] = baseline
-        if "s" in d:
-            kwargs["s"] = _parse_rate(d["s"], "benchmark config.s")
-        if "lambda" in d:
-            kwargs["lam"] = _as_number(d["lambda"], "benchmark config.lambda")
-        if "budget" in d:
-            kwargs["budget"] = _parse_budget(d["budget"], "benchmark config.budget")
-        if "output_dir" in d:
-            kwargs["output_dir"] = _as_str(d["output_dir"], "benchmark config.output_dir")
-        if "jobs" in d:
-            kwargs["jobs"] = _as_int(d["jobs"], "benchmark config.jobs", minimum=1)
-        return BenchmarkConfig(datasets=datasets, solvers=solvers, **kwargs)
+        solvers = tuple(
+            spec if "delta" in raw else replace(spec, delta=cfg.delta)
+            for spec, raw in zip(cfg.solvers, d["solvers"])
+        )
+        return replace(cfg, solvers=solvers)
 
 
 @dataclass(frozen=True)
 class LandscapeConfig:
-    dataset: str
-    s: Fraction = Fraction(1, 10)
-    lam: float = 0.125
-    n_points: int = 2000
-    repeats: int = 10
-    seed: int = 0
-    output_dir: str | None = None
+    dataset: str = _key(_as_str)
+    s: Fraction = _key(_parse_rate, Fraction(1, 10))
+    lam: float = _key(_as_number, 0.125, key="lambda")
+    n_points: int = _key(_int(2), 2000)
+    repeats: int = _key(_int(1), 10)
+    seed: int = _key(_int(0), 0)
+    output_dir: str | None = _key(_as_str, None)
 
-    @staticmethod
-    def from_dict(d) -> "LandscapeConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"landscape config: expected an object, got {d!r}")
-        allowed = {"dataset", "s", "lambda", "n_points", "repeats", "seed", "output_dir"}
-        _reject_unknown(d, allowed, "landscape config")
-        dataset = _as_str(_require(d, "dataset", "landscape config"), "landscape config.dataset")
-        kwargs = {}
-        if "s" in d:
-            kwargs["s"] = _parse_rate(d["s"], "landscape config.s")
-        if "lambda" in d:
-            kwargs["lam"] = _as_number(d["lambda"], "landscape config.lambda")
-        if "n_points" in d:
-            kwargs["n_points"] = _as_int(d["n_points"], "landscape config.n_points", minimum=2)
-        if "repeats" in d:
-            kwargs["repeats"] = _as_int(d["repeats"], "landscape config.repeats", minimum=1)
-        if "seed" in d:
-            kwargs["seed"] = _as_int(d["seed"], "landscape config.seed", minimum=0)
-        if "output_dir" in d:
-            kwargs["output_dir"] = _as_str(d["output_dir"], "landscape config.output_dir")
-        return LandscapeConfig(dataset=dataset, **kwargs)
+    @classmethod
+    def from_dict(cls, d) -> "LandscapeConfig":
+        return _parse_fields(cls, d, "landscape config")
 
 
 @dataclass(frozen=True)
 class CostModelConfig:
-    dataset: str
-    rates: tuple[Fraction, ...] = field(
-        default_factory=lambda: (
-            Fraction(1, 10),
-            Fraction(1, 5),
-            Fraction(1, 2),
-            Fraction(1),
-        )
-    )
-    repetitions: int = 50
-    seed: int = 0
-    output_dir: str | None = None
+    dataset: str = _key(_as_str)
+    rates: tuple[Fraction, ...] = _key(_list_of(_parse_rate), tuple(map(Fraction, ("1/10", "1/5", "1/2", "1"))))
+    repetitions: int = _key(_int(1), 50)
+    seed: int = _key(_int(0), 0)
+    output_dir: str | None = _key(_as_str, None)
 
-    @staticmethod
-    def from_dict(d) -> "CostModelConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"costmodel config: expected an object, got {d!r}")
-        allowed = {"dataset", "rates", "repetitions", "seed", "output_dir"}
-        _reject_unknown(d, allowed, "costmodel config")
-        dataset = _as_str(_require(d, "dataset", "costmodel config"), "costmodel config.dataset")
-        kwargs = {}
-        if "rates" in d:
-            raw = d["rates"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("costmodel config.rates: expected a non-empty list")
-            kwargs["rates"] = tuple(
-                _parse_rate(v, f"costmodel config.rates[{i}]") for i, v in enumerate(raw)
-            )
-        if "repetitions" in d:
-            kwargs["repetitions"] = _as_int(d["repetitions"], "costmodel config.repetitions", minimum=1)
-        if "seed" in d:
-            kwargs["seed"] = _as_int(d["seed"], "costmodel config.seed", minimum=0)
-        if "output_dir" in d:
-            kwargs["output_dir"] = _as_str(d["output_dir"], "costmodel config.output_dir")
-        return CostModelConfig(dataset=dataset, **kwargs)
+    @classmethod
+    def from_dict(cls, d) -> "CostModelConfig":
+        return _parse_fields(cls, d, "costmodel config")

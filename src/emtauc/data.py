@@ -33,11 +33,9 @@ def as_rate(value, what: str = "rate") -> Fraction:
         rate = value
     elif isinstance(value, int):
         rate = Fraction(value)
-    elif isinstance(value, float):
-        rate = Fraction(str(value))
-    elif isinstance(value, str):
+    elif isinstance(value, (float, str)):
         try:
-            rate = Fraction(value)
+            rate = Fraction(str(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise DataError(f"{what} is not a valid number: {value!r}") from exc
     else:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import Dataset, DatasetView, as_rate, stratified_sample
+from .data import DataError, Dataset, DatasetView, as_rate, stratified_sample
 from .evaluation import (
     auc_metric,
     hardness_scores,
@@ -34,6 +34,23 @@ class BudgetExhaustedError(RuntimeError):
     """Charging was attempted after the ledger reported exhaustion."""
 
 
+def as_budget(value, what: str = "budget") -> Fraction:
+    """Coerce a budget to an exact positive Fraction.
+
+    Floats go through their shortest decimal repr, as in ``as_rate``, so
+    0.1 becomes exactly 1/10. Bools are not numbers here.
+    """
+    if isinstance(value, bool):
+        raise DataError(f"{what}: expected a positive number, got {value!r}")
+    try:
+        budget = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise DataError(f"{what}: expected a positive number, got {value!r}") from None
+    if budget <= 0:
+        raise DataError(f"{what}: must be positive, got {value!r}")
+    return budget
+
+
 class CostLedger:
     """Exact budget accounting for per-task evaluation charges.
 
@@ -45,12 +62,7 @@ class CostLedger:
 
     def __init__(self, budget, s) -> None:
         rate = as_rate(s, "sampling rate")
-        if isinstance(budget, float):
-            budget = Fraction(str(budget))
-        else:
-            budget = Fraction(budget)
-        if budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
+        budget = as_budget(budget)
         p, q = rate.numerator, rate.denominator
         self._budget = budget
         self._den = p * p

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import emtauc.analysis
 from emtauc.analysis import (
     BenchmarkEntry,
     VERDICT_BETTER,
@@ -14,6 +15,7 @@ from emtauc.analysis import (
     spearman_rho,
     stable_seed,
 )
+from emtauc.data import DataError
 from emtauc.solvers import SolverConfig
 
 from _oracles import rank_sum_exact_p
@@ -174,6 +176,41 @@ def test_run_benchmark_jobs_invariant():
     s1 = run_benchmark(datasets, _tiny_entries(), jobs=1, **kwargs)
     s2 = run_benchmark(datasets, _tiny_entries(), jobs=3, **kwargs)
     assert [c.auc for c in s1.cells] == [c.auc for c in s2.cells]
+
+
+def test_run_benchmark_rejects_bad_budget_up_front():
+    datasets = {"toy": make_gaussian_dataset(6)}
+    for budget, message in ((0, "must be positive, got 0"), (True, "expected a positive number")):
+        with pytest.raises(DataError, match=message):
+            run_benchmark(datasets, _tiny_entries(), trials=1, folds=2, budget=budget)
+
+
+def test_run_benchmark_pool_never_exceeds_cells(monkeypatch):
+    # The recorder runs the cells in this process: no worker is started.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(emtauc.analysis, "ProcessPoolExecutor", SerialPool)
+    datasets = {"toy": make_gaussian_dataset(6)}
+    kwargs = dict(trials=1, folds=2, base_seed=12, budget=1500)
+    serial = run_benchmark(datasets, _tiny_entries(), jobs=1, **kwargs)
+    pooled = run_benchmark(datasets, _tiny_entries(), jobs=64, **kwargs)
+    assert asked == [4]
+    assert pooled == serial
+    run_benchmark(datasets, _tiny_entries(), jobs=3, **kwargs)
+    assert asked == [4, 3]
 
 
 def test_run_benchmark_perfect_on_separable():

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from emtauc.data import DataError
 from emtauc.environment import (
     BudgetExhaustedError,
     CostLedger,
     TaskId,
+    as_budget,
     build_environment,
 )
 
@@ -92,6 +94,28 @@ def test_ledger_rejects_bad_budget():
         CostLedger(0, "0.1")
     with pytest.raises(ValueError):
         CostLedger(-5, "0.1")
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (0, "budget: must be positive, got 0"),
+        (True, "budget: expected a positive number, got True"),
+        (float("nan"), "budget: expected a positive number, got nan"),
+        ("1/0", "budget: expected a positive number, got '1/0'"),
+    ],
+)
+def test_ledger_budget_messages(budget, message):
+    with pytest.raises(DataError) as info:
+        CostLedger(budget, "0.1")
+    assert str(info.value) == message
+
+
+def test_as_budget_is_exact():
+    assert as_budget(0.1) == Fraction(1, 10)
+    assert as_budget("7/3") == Fraction(7, 3)
+    assert as_budget(Fraction(5, 2)) == Fraction(5, 2)
+    assert CostLedger(2.5, "0.5").budget == Fraction(5, 2)
 
 
 def test_environment_views():
