@@ -48,8 +48,6 @@ class LandscapeReport:
     """Per-repeat rank correlations between cheap and expensive objectives."""
 
     rhos: tuple[float, ...]
-    n_points: int
-    s: Fraction
 
     @property
     def mean(self) -> float:
@@ -86,7 +84,7 @@ def landscape_similarity(
         cheap_obj = objective_batch(W, view, lam)
         expensive_obj = objective_batch(W, full, lam)
         rhos.append(spearman_rho(cheap_obj, expensive_obj))
-    return LandscapeReport(rhos=tuple(rhos), n_points=n_points, s=rate)
+    return LandscapeReport(rhos=tuple(rhos))
 
 
 def _rank_sum_exact_p(ranks: np.ndarray, n_a: int, observed: float) -> float:

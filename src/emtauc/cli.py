@@ -18,16 +18,13 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    BenchmarkEntry,
-    landscape_similarity,
-    run_benchmark,
-)
+from .analysis import landscape_similarity, run_benchmark
 from .config import (
     BenchmarkConfig,
     ConfigError,
@@ -47,6 +44,15 @@ LANDSCAPE_HEADER = "repeat,rho"
 COSTMODEL_HEADER = "rate,theoretical_ratio,measured_mean_seconds,measured_ratio"
 
 _BASE_RATE = Fraction(1, 10)
+
+_CONFIG_PARSERS = {
+    "run": RunConfig.from_dict,
+    "benchmark": BenchmarkConfig.from_dict,
+    "landscape": LandscapeConfig.from_dict,
+    "costmodel": CostModelConfig.from_dict,
+}
+# parsed arguments that are not config keys; every other flag overrides one
+_NOT_OVERRIDES = frozenset(("config", "command", "handler", "kind"))
 
 
 def _utc_now() -> str:
@@ -71,13 +77,16 @@ def _load_config_dict(path: str) -> dict:
     return loaded
 
 
-def _apply_overrides(d: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    out = dict(d)
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            out[key] = value
-    return out
+def _parse_config(args: argparse.Namespace):
+    """The config file with every flag the user set laid over it, parsed
+    as the subcommand's config kind (``--kind`` for validate-config)."""
+    raw = _load_config_dict(args.config)
+    raw.update(
+        (key, value)
+        for key, value in vars(args).items()
+        if value is not None and key not in _NOT_OVERRIDES
+    )
+    return _CONFIG_PARSERS[getattr(args, "kind", args.command)](raw)
 
 
 def _resolve_output_dir(configured: str | None) -> Path:
@@ -102,36 +111,81 @@ def _dataset_stats(path: str, ds) -> dict:
     }
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False)
-    path.write_text(text + "\n", encoding="utf-8")
+def _write_artifact(path: Path, chunks) -> None:
+    """Write the strings ``chunks`` yields to a temporary file beside
+    ``path``, then rename it over ``path``. On any failure the temporary
+    file is removed, so no artifact is ever left half written."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header``, then one line per row of string cells."""
+    _write_artifact(path, chain((header + "\n",), (",".join(cells) + "\n" for cells in rows)))
+
+
+def _write_manifest(
+    path: Path, command: str, config: dict, out_dir: Path, seed: int, clock, results: dict, **extra
+) -> None:
+    """The header every manifest shares: version, command, the ``config``
+    echo with ``output_dir``, seed and the ``(started_at, finished_at)``
+    clock; then ``results`` and any ``extra`` top-level keys
+    (``dataset_stats``, ``derived_seeds``)."""
+    started_at, finished_at = clock
+    manifest = dict(
+        extra,
+        artifact_version=__version__,
+        command=command,
+        config=dict(config, output_dir=str(out_dir)),
+        seed=seed,
+        started_at=started_at,
+        finished_at=finished_at,
+        results=results,
+    )
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False)
+    _write_artifact(path, chain(encoder.iterencode(manifest), ("\n",)))
+
+
+def _run_results(best_objective, train_auc, test_auc, spent, budget, evaluations, adjustments) -> dict:
+    """The results keys of one solver run, shared by ``run`` and
+    ``benchmark-cell`` manifests. ``evaluations`` is (cheap, expensive)
+    and ``adjustments`` holds (generation, view fingerprint) pairs."""
+    cheap, expensive = evaluations
+    return {
+        "final_best_objective": best_objective,
+        "final_train_auc": train_auc,
+        "final_test_auc": test_auc,
+        "total_cost_spent": None if spent is None else float(spent),
+        "total_cost_spent_exact": None if spent is None else str(spent),
+        "budget": str(budget),
+        "evaluations": {"cheap": cheap, "expensive": expensive},
+        "adjustments": [{"generation": g, "view_fingerprint": fp} for g, fp in adjustments],
+    }
 
 
 def write_trace(path: Path, trace, stride: int) -> None:
     """One row per recorded generation, filtered to every ``stride``-th
     generation; the first and last recorded rows always appear."""
-    lines = [TRACE_HEADER]
     last = len(trace) - 1
-    for idx, point in enumerate(trace):
-        if idx != last and point.generation % stride != 0:
-            continue
-        lines.append(
-            ",".join(
-                (
-                    str(point.generation),
-                    repr(float(point.cumulative_cost)),
-                    _fmt(point.best_objective_expensive),
-                    _fmt(point.best_auc_expensive),
-                    _fmt(point.best_objective_cheap),
-                    str(int(point.adjust_event)),
-                )
-            )
+    rows = (
+        (
+            str(point.generation),
+            repr(float(point.cumulative_cost)),
+            _fmt(point.best_objective_expensive),
+            _fmt(point.best_auc_expensive),
+            _fmt(point.best_objective_cheap),
+            str(int(point.adjust_event)),
         )
-    _write_lines(path, lines)
+        for idx, point in enumerate(trace)
+        if idx == last or point.generation % stride == 0
+    )
+    _write_csv(path, TRACE_HEADER, rows)
 
 
 def _derived_seeds(seed: int) -> tuple[int, int]:
@@ -140,12 +194,7 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(
-        _load_config_dict(args.config),
-        args,
-        ("seed", "output_dir", "dataset", "budget", "jobs", "trace_stride"),
-    )
-    cfg = RunConfig.from_dict(raw)
+    cfg = _parse_config(args)
     out_dir = _resolve_output_dir(cfg.output_dir)
     ds = _load_dataset(cfg.dataset)
 
@@ -163,38 +212,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         train_auc = None
     else:
         train_auc = float(auc_metric(result.best_weights, env.tasks[TaskId.EXPENSIVE].view))
-    manifest = {
-        "artifact_version": __version__,
-        "command": "run",
-        "config": dict(echo(cfg), output_dir=str(out_dir)),
-        "seed": cfg.seed,
-        "derived_seeds": {"environment": env_seed, "solver": solver_seed},
-        "started_at": started_at,
-        "finished_at": finished_at,
-        "dataset_stats": _dataset_stats(cfg.dataset, ds),
-        "results": {
-            "solver_kind": result.kind,
-            "final_best_objective": result.best_objective,
-            "final_train_auc": train_auc,
-            "final_test_auc": None,
-            "total_cost_spent": float(env.ledger.spent),
-            "total_cost_spent_exact": str(env.ledger.spent),
-            "budget": str(env.ledger.budget),
-            "evaluations": {
-                "cheap": env.ledger.evals[TaskId.CHEAP],
-                "expensive": env.ledger.evals[TaskId.EXPENSIVE],
-            },
-            "generations": result.trace[-1].generation,
-            "adjustments": [
-                {"generation": e.generation, "view_fingerprint": e.view_fingerprint}
-                for e in env.adjustment_log
-            ],
-        },
-    }
-    _write_manifest(out_dir / "manifest.json", manifest)
+    ledger = env.ledger
+    results = _run_results(
+        result.best_objective, train_auc, None, ledger.spent, ledger.budget,
+        (ledger.evals[TaskId.CHEAP], ledger.evals[TaskId.EXPENSIVE]),
+        [(e.generation, e.view_fingerprint) for e in env.adjustment_log],
+    )
+    _write_manifest(
+        out_dir / "manifest.json", "run", echo(cfg), out_dir, cfg.seed, (started_at, finished_at),
+        dict(results, solver_kind=result.kind, generations=result.trace[-1].generation),
+        derived_seeds={"environment": env_seed, "solver": solver_seed},
+        dataset_stats=_dataset_stats(cfg.dataset, ds),
+    )
     print(
         f"run: solver={result.kind} best_objective={_fmt(result.best_objective) or 'n/a'} "
-        f"train_auc={_fmt(train_auc) or 'n/a'} spent={float(env.ledger.spent)!r} -> {out_dir}"
+        f"train_auc={_fmt(train_auc) or 'n/a'} spent={float(ledger.spent)!r} -> {out_dir}"
     )
     return 0
 
@@ -204,31 +236,21 @@ def _safe_name(name: str) -> str:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(
-        _load_config_dict(args.config), args, ("seed", "output_dir", "jobs")
-    )
-    cfg = BenchmarkConfig.from_dict(raw)
+    cfg = _parse_config(args)
     out_dir = _resolve_output_dir(cfg.output_dir)
 
+    # config parsing has checked that the file stems are distinct
     datasets = {}
     stats = {}
     for path in cfg.datasets:
         name = Path(path).stem
-        if name in datasets:
-            raise ConfigError(f"benchmark config.datasets: duplicate dataset name {name!r}")
-        ds = _load_dataset(path)
-        datasets[name] = ds
-        stats[name] = _dataset_stats(path, ds)
-
-    entries = [
-        BenchmarkEntry(label=spec.label, config=spec.config, delta=spec.delta)
-        for spec in cfg.solvers
-    ]
+        datasets[name] = _load_dataset(path)
+        stats[name] = _dataset_stats(path, datasets[name])
 
     started_at = _utc_now()
     summary = run_benchmark(
         datasets,
-        entries,
+        cfg.solvers,
         trials=cfg.trials,
         folds=cfg.folds,
         base_seed=cfg.seed,
@@ -238,93 +260,40 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         baseline=cfg.baseline,
         jobs=cfg.jobs,
     )
-    finished_at = _utc_now()
+    clock = (started_at, _utc_now())
 
-    lines = [SUMMARY_HEADER]
-    for row in summary.rows:
-        lines.append(
-            ",".join(
-                (
-                    row.dataset,
-                    row.solver,
-                    _fmt(row.mean),
-                    _fmt(row.std),
-                    str(row.n),
-                    row.verdict,
-                )
-            )
-        )
-    _write_lines(out_dir / "summary.csv", lines)
+    # summary.csv's columns are also the keys of the manifest's rows
+    rows = [(r.dataset, r.solver, r.mean, r.std, r.n, r.verdict) for r in summary.rows]
+    _write_csv(
+        out_dir / "summary.csv",
+        SUMMARY_HEADER,
+        ((name, solver, _fmt(mean), _fmt(std), str(n), verdict) for name, solver, mean, std, n, verdict in rows),
+    )
 
-    config_echo = dict(echo(cfg), output_dir=str(out_dir), baseline=summary.baseline)
-
-    cells_dir = out_dir / "cells"
+    config_echo = dict(echo(cfg), baseline=summary.baseline)
     for cell in summary.cells:
-        cell_dir = cells_dir / _safe_name(
+        cell_dir = out_dir / "cells" / _safe_name(
             f"{cell.dataset}__{cell.solver}__t{cell.trial}_f{cell.fold}"
         )
         cell_dir.mkdir(parents=True, exist_ok=True)
-        cell_manifest = {
-            "artifact_version": __version__,
-            "command": "benchmark-cell",
-            "config": dict(
-                config_echo,
-                cell={
-                    "dataset": cell.dataset,
-                    "solver": cell.solver,
-                    "trial": cell.trial,
-                    "fold": cell.fold,
-                },
-            ),
-            "seed": cell.seed,
-            "started_at": started_at,
-            "finished_at": finished_at,
-            "dataset_stats": stats[cell.dataset],
-            "results": {
-                "final_best_objective": cell.best_objective,
-                "final_train_auc": cell.train_auc,
-                "final_test_auc": cell.auc,
-                "total_cost_spent": None if cell.spent is None else float(cell.spent),
-                "total_cost_spent_exact": None if cell.spent is None else str(cell.spent),
-                "budget": str(cfg.budget),
-                "evaluations": {
-                    "cheap": cell.cheap_evals,
-                    "expensive": cell.expensive_evals,
-                },
-                "adjustments": [
-                    {"generation": g, "view_fingerprint": fp} for g, fp in cell.adjustments
-                ],
-                "error": cell.error,
-            },
-        }
-        _write_manifest(cell_dir / "manifest.json", cell_manifest)
+        results = _run_results(
+            cell.best_objective, cell.train_auc, cell.auc, cell.spent, cfg.budget,
+            (cell.cheap_evals, cell.expensive_evals), cell.adjustments,
+        )
+        cell_key = {"dataset": cell.dataset, "solver": cell.solver, "trial": cell.trial, "fold": cell.fold}
+        _write_manifest(
+            cell_dir / "manifest.json", "benchmark-cell", dict(config_echo, cell=cell_key), out_dir,
+            cell.seed, clock, dict(results, error=cell.error), dataset_stats=stats[cell.dataset],
+        )
 
     failures = sum(1 for c in summary.cells if c.error is not None)
-    manifest = {
-        "artifact_version": __version__,
-        "command": "benchmark",
-        "config": config_echo,
-        "seed": cfg.seed,
-        "started_at": started_at,
-        "finished_at": finished_at,
-        "results": {
-            "baseline": summary.baseline,
-            "cells": len(summary.cells),
-            "failed_cells": failures,
-            "rows": [
-                {
-                    "dataset": row.dataset,
-                    "solver": row.solver,
-                    "mean_auc": row.mean,
-                    "std_auc": row.std,
-                    "n": row.n,
-                    "verdict": row.verdict,
-                }
-                for row in summary.rows
-            ],
-        },
+    results = {
+        "baseline": summary.baseline,
+        "cells": len(summary.cells),
+        "failed_cells": failures,
+        "rows": [dict(zip(SUMMARY_HEADER.split(","), row)) for row in rows],
     }
-    _write_manifest(out_dir / "manifest.json", manifest)
+    _write_manifest(out_dir / "manifest.json", "benchmark", config_echo, out_dir, cfg.seed, clock, results)
     print(
         f"benchmark: {len(summary.rows)} summary rows, {len(summary.cells)} cells "
         f"({failures} failed) -> {out_dir}"
@@ -333,10 +302,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_landscape(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(
-        _load_config_dict(args.config), args, ("seed", "output_dir")
-    )
-    cfg = LandscapeConfig.from_dict(raw)
+    cfg = _parse_config(args)
     out_dir = _resolve_output_dir(cfg.output_dir)
     ds = _load_dataset(cfg.dataset)
 
@@ -346,43 +312,26 @@ def cmd_landscape(args: argparse.Namespace) -> int:
     )
     finished_at = _utc_now()
 
-    lines = [LANDSCAPE_HEADER]
-    for i, rho in enumerate(report.rhos):
-        lines.append(f"{i},{repr(rho)}")
-    lines.append(f"mean,{repr(report.mean)}")
-    _write_lines(out_dir / "landscape.csv", lines)
-
-    manifest = {
-        "artifact_version": __version__,
-        "command": "landscape",
-        "config": dict(echo(cfg), output_dir=str(out_dir)),
-        "seed": cfg.seed,
-        "started_at": started_at,
-        "finished_at": finished_at,
-        "dataset_stats": _dataset_stats(cfg.dataset, ds),
-        "results": {
-            "mean_rho": report.mean,
-            "variance_rho": report.variance,
-            "rhos": list(report.rhos),
-        },
-    }
-    _write_manifest(out_dir / "manifest.json", manifest)
+    rows = [(str(i), repr(rho)) for i, rho in enumerate(report.rhos)]
+    _write_csv(out_dir / "landscape.csv", LANDSCAPE_HEADER, rows + [("mean", repr(report.mean))])
+    _write_manifest(
+        out_dir / "manifest.json", "landscape", echo(cfg), out_dir, cfg.seed, (started_at, finished_at),
+        {"mean_rho": report.mean, "variance_rho": report.variance, "rhos": list(report.rhos)},
+        dataset_stats=_dataset_stats(cfg.dataset, ds),
+    )
     print(f"landscape: mean rho {report.mean:.4f} over {cfg.repeats} repeats -> {out_dir}")
     return 0
 
 
 def cmd_costmodel(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(
-        _load_config_dict(args.config), args, ("seed", "output_dir")
-    )
-    cfg = CostModelConfig.from_dict(raw)
+    cfg = _parse_config(args)
     out_dir = _resolve_output_dir(cfg.output_dir)
     ds = _load_dataset(cfg.dataset)
     lam = 0.125
 
     started_at = _utc_now()
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.rates))
-    rows = []
+    timed = []
     for rate, child in zip(cfg.rates, children):
         rng = np.random.default_rng(child)
         view = stratified_sample(ds, rate, rng)
@@ -390,74 +339,31 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         for w in weights:
             objective(w, view, lam)
-        mean_seconds = (time.perf_counter() - start) / cfg.repetitions
-        rows.append(
-            {
-                "rate": rate,
-                "theoretical_ratio": (rate / _BASE_RATE) ** 2,
-                "measured_mean_seconds": mean_seconds,
-            }
-        )
+        timed.append((rate, (time.perf_counter() - start) / cfg.repetitions))
     finished_at = _utc_now()
 
-    base_row = next((r for r in rows if r["rate"] == _BASE_RATE), rows[0])
-    base_seconds = base_row["measured_mean_seconds"]
-    lines = [COSTMODEL_HEADER]
-    for row in rows:
-        measured_ratio = (
-            row["measured_mean_seconds"] / base_seconds if base_seconds > 0 else float("nan")
-        )
-        row["measured_ratio"] = measured_ratio
-        lines.append(
-            ",".join(
-                (
-                    str(row["rate"]),
-                    str(row["theoretical_ratio"]),
-                    repr(row["measured_mean_seconds"]),
-                    repr(measured_ratio),
-                )
-            )
-        )
-    _write_lines(out_dir / "costmodel.csv", lines)
-
-    manifest = {
-        "artifact_version": __version__,
-        "command": "costmodel",
-        "config": dict(echo(cfg), output_dir=str(out_dir)),
-        "seed": cfg.seed,
-        "started_at": started_at,
-        "finished_at": finished_at,
-        "dataset_stats": _dataset_stats(cfg.dataset, ds),
-        "results": {
-            "rows": [
-                {
-                    "rate": str(row["rate"]),
-                    "theoretical_ratio": str(row["theoretical_ratio"]),
-                    "measured_mean_seconds": row["measured_mean_seconds"],
-                    "measured_ratio": row["measured_ratio"],
-                }
-                for row in rows
-            ],
-        },
-    }
-    _write_manifest(out_dir / "manifest.json", manifest)
+    base_seconds = next((sec for rate, sec in timed if rate == _BASE_RATE), timed[0][1])
+    # costmodel.csv's columns are also the keys of the manifest's rows
+    rows = [
+        (str(rate), str((rate / _BASE_RATE) ** 2), sec, sec / base_seconds if base_seconds > 0 else float("nan"))
+        for rate, sec in timed
+    ]
+    _write_csv(
+        out_dir / "costmodel.csv",
+        COSTMODEL_HEADER,
+        ((rate, ratio, repr(sec), repr(measured)) for rate, ratio, sec, measured in rows),
+    )
+    _write_manifest(
+        out_dir / "manifest.json", "costmodel", echo(cfg), out_dir, cfg.seed, (started_at, finished_at),
+        {"rows": [dict(zip(COSTMODEL_HEADER.split(","), row)) for row in rows]},
+        dataset_stats=_dataset_stats(cfg.dataset, ds),
+    )
     print(f"costmodel: {len(rows)} rates timed on {cfg.dataset} -> {out_dir}")
     return 0
 
 
-_CONFIG_PARSERS = {
-    "run": RunConfig.from_dict,
-    "benchmark": BenchmarkConfig.from_dict,
-    "landscape": LandscapeConfig.from_dict,
-    "costmodel": CostModelConfig.from_dict,
-}
-
-
 def cmd_validate_config(args: argparse.Namespace) -> int:
-    raw = _load_config_dict(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    _CONFIG_PARSERS[args.kind](raw)
+    _parse_config(args)
     print(f"ok: valid {args.kind} config")
     return 0
 

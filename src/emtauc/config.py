@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
+from pathlib import Path
 
+from .analysis import BenchmarkEntry
 from .data import DataError, as_rate
 from .environment import as_budget
 from .solvers import SOLVER_KINDS, SolverConfig
@@ -36,9 +38,15 @@ def _int(minimum: int):
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{where}: expected a finite number, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_str(value, where: str) -> str:
@@ -155,7 +163,7 @@ def _echo_value(value):
         return [_echo_value(v) for v in value]
     if isinstance(value, SolverConfig):
         return dict({key: getattr(value, key) for key in _SOLVER_KEYS}, pop_size=value.resolved_pop_size())
-    if isinstance(value, BenchmarkSolverSpec):
+    if isinstance(value, BenchmarkEntry):
         return dict(_echo_value(value.config), label=value.label, delta=value.delta)
     return value
 
@@ -179,14 +187,7 @@ class RunConfig:
         return _parse_fields(cls, d, "run config")
 
 
-@dataclass(frozen=True)
-class BenchmarkSolverSpec:
-    label: str
-    config: SolverConfig
-    delta: int | None
-
-
-def _parse_benchmark_solver(d, where: str) -> BenchmarkSolverSpec:
+def _parse_benchmark_solver(d, where: str) -> BenchmarkEntry:
     """``label``, ``delta`` (else the top-level one) and the solver keys."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {d!r}")
@@ -194,10 +195,10 @@ def _parse_benchmark_solver(d, where: str) -> BenchmarkSolverSpec:
     label = _as_str(inner.pop("label"), f"{where}.label") if "label" in inner else None
     delta = _delta(inner.pop("delta"), f"{where}.delta") if "delta" in inner else None
     config = parse_solver(inner, where)
-    return BenchmarkSolverSpec(label=label or config.kind, config=config, delta=delta)
+    return BenchmarkEntry(label=label or config.kind, config=config, delta=delta)
 
 
-def _parse_benchmark_solvers(value, where: str) -> tuple[BenchmarkSolverSpec, ...]:
+def _parse_benchmark_solvers(value, where: str) -> tuple[BenchmarkEntry, ...]:
     solvers = _list_of(_parse_benchmark_solver)(value, where)
     if len({spec.label for spec in solvers}) != len(solvers):
         raise ConfigError(f"{where}: duplicate labels; set a distinct 'label' per entry")
@@ -205,9 +206,17 @@ def _parse_benchmark_solvers(value, where: str) -> tuple[BenchmarkSolverSpec, ..
 
 
 def _parse_datasets(value, where: str) -> tuple[str, ...]:
+    """Distinct paths with distinct file stems: a stem names the dataset
+    in ``summary.csv`` and in the cell directories."""
     datasets = _list_of(_as_str)(value, where)
     if len(set(datasets)) != len(datasets):
         raise ConfigError(f"{where}: duplicate entries")
+    names = set()
+    for path in datasets:
+        name = Path(path).stem
+        if name in names:
+            raise ConfigError(f"{where}: duplicate dataset name {name!r}")
+        names.add(name)
     return datasets
 
 
@@ -217,7 +226,7 @@ class BenchmarkConfig:
     datasets: tuple[str, ...] = _key(_parse_datasets)
     seed: int = _key(_int(0))
     delta: int | None = _key(_delta, 30)
-    solvers: tuple[BenchmarkSolverSpec, ...] = _key(_parse_benchmark_solvers)
+    solvers: tuple[BenchmarkEntry, ...] = _key(_parse_benchmark_solvers)
     trials: int = _key(_int(1), 5)
     folds: int = _key(_int(2), 5)
     baseline: str | None = _key(_as_str, None)

@@ -1,11 +1,15 @@
+import argparse
 import json
+from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from emtauc.cli import main
+from emtauc import cli
+from emtauc.cli import build_parser, main
+from emtauc.config import BenchmarkConfig, CostModelConfig, LandscapeConfig, RunConfig
 from emtauc.data import serialize_libsvm
 
 from conftest import make_gaussian_dataset
@@ -315,3 +319,100 @@ def test_costmodel_theoretical_column_exact(tmp_path, dataset_file):
     assert ratios == [Fraction(1), Fraction(4), Fraction(25), Fraction(100)]
     base_measured = float(lines[1].split(",")[3])
     assert base_measured == 1.0
+
+
+def test_failed_manifest_leaves_no_partial_or_temporary_file(tmp_path, dataset_file, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, run_config(dataset_file, output_dir=str(out)))
+
+    def fail_after_trace():
+        # the config echo is serialised after trace.csv is written and
+        # after the manifest's first keys are streamed to its temporary file
+        with monkeypatch.context() as m:
+            m.setattr(cli, "echo", lambda cfg: {"unserialisable": object()})
+            assert main(["run", "--config", str(cfg)]) == 4
+
+    fail_after_trace()
+    assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+    assert (out / "trace.csv").read_text().startswith("generation,")
+
+    # a rerun that fails leaves the earlier manifest whole
+    assert main(["run", "--config", str(cfg)]) == 0
+    before = (out / "manifest.json").read_bytes()
+    fail_after_trace()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trace.csv"]
+    assert (out / "manifest.json").read_bytes() == before
+
+
+CONFIG_CLASSES = {
+    "run": [RunConfig],
+    "benchmark": [BenchmarkConfig],
+    "landscape": [LandscapeConfig],
+    "costmodel": [CostModelConfig],
+    "validate-config": [RunConfig, BenchmarkConfig, LandscapeConfig, CostModelConfig],
+}
+
+
+def test_every_override_flag_is_a_config_key():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(CONFIG_CLASSES)
+    for command, sub in subparsers.choices.items():
+        flags = {action.dest for action in sub._actions} - {"help", "config", "kind"}
+        assert "seed" in flags
+        for cls in CONFIG_CLASSES[command]:
+            keys = {f.metadata["key"] or f.name for f in fields(cls)}
+            assert flags <= keys, (command, cls.__name__, flags - keys)
+
+
+SHARED_RUN_RESULTS = {
+    "final_best_objective",
+    "final_train_auc",
+    "final_test_auc",
+    "total_cost_spent",
+    "total_cost_spent_exact",
+    "budget",
+    "evaluations",
+    "adjustments",
+}
+
+
+def test_run_and_benchmark_cell_manifests_share_results_keys(tmp_path, dataset_file):
+    run_out = tmp_path / "run"
+    cfg = write_config(tmp_path, run_config(dataset_file, output_dir=str(run_out), delta=2))
+    assert main(["run", "--config", str(cfg)]) == 0
+    bench_out = tmp_path / "bench"
+    bench = write_config(
+        tmp_path,
+        {
+            "datasets": [str(dataset_file)],
+            "solvers": [{"kind": "mfea"}],
+            "trials": 1,
+            "folds": 2,
+            "budget": 3000,
+            "delta": 2,
+            "seed": 7,
+            "output_dir": str(bench_out),
+        },
+        name="bench.json",
+    )
+    assert main(["benchmark", "--config", str(bench)]) == 0
+    run_results = validate_manifest(run_out / "manifest.json")["results"]
+    cell_dir = next((bench_out / "cells").iterdir())
+    cell_results = validate_manifest(cell_dir / "manifest.json")["results"]
+    assert set(run_results) == SHARED_RUN_RESULTS | {"solver_kind", "generations"}
+    assert set(cell_results) == SHARED_RUN_RESULTS | {"error"}
+    assert run_results["adjustments"] and cell_results["adjustments"]
+    for results in (run_results, cell_results):
+        assert set(results["adjustments"][0]) == {"generation", "view_fingerprint"}
+        assert results["budget"] == "3000"
+        assert results["total_cost_spent_exact"] is not None
+
+
+def test_manifest_schema_rejects_unknown_results_key(tmp_path, dataset_file):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, run_config(dataset_file, output_dir=str(out)))
+    assert main(["run", "--config", str(cfg)]) == 0
+    payload = validate_manifest(out / "manifest.json")
+    payload["results"]["final_tset_auc"] = None
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, MANIFEST_SCHEMA)

@@ -63,6 +63,7 @@ def solver(kind, **keys):
 NAN = float("nan")
 INF = float("inf")
 KINDS = ", ".join(("single_task_ga", "mfea", "emea"))
+TOO_LARGE = "expected a finite number, got an integer too large for a float"
 
 # (kind, raw config, exact ConfigError message)
 ERROR_CASES = [
@@ -184,6 +185,11 @@ ERROR_CASES = [
     ("costmodel", config("costmodel", {"repetitions": 0}), "costmodel config.repetitions: must be >= 1, got 0"),
     ("costmodel", config("costmodel", {"seed": 0.5}), "costmodel config.seed: expected an integer, got 0.5"),
     ("costmodel", config("costmodel", {"output_dir": True}), "costmodel config.output_dir: expected a non-empty string, got True"),
+    # appended last, so that scripts/cli_digest.py keeps the case numbers above:
+    # integers too large for a float, and dataset paths that share a stem
+    ("run", config("run", {"lambda": 10**400}), f"run config.lambda: {TOO_LARGE}"),
+    ("run", solver("mfea", rmp=10**400), f"run config.solver.rmp: {TOO_LARGE}"),
+    ("benchmark", config("benchmark", {"datasets": ["toy.libsvm", "./toy.libsvm"]}), "benchmark config.datasets: duplicate dataset name 'toy'"),
 ]
 
 
@@ -291,6 +297,7 @@ def toy_dir(tmp_path, monkeypatch):
         ({"lambda": NAN}, "run config.lambda: expected a finite number, got nan"),
         ({"solver": {"kind": "mfea", "sbx_eta": INF}}, "run config.solver.sbx_eta: expected a finite number, got inf"),
         ({"s": NAN}, "run config.s is not a valid number: nan"),
+        ({"lambda": 10**400}, f"run config.lambda: {TOO_LARGE}"),
     ],
 )
 def test_cli_rejects_bool_budget_and_non_finite_numbers(toy_dir, capsys, changes, message):
