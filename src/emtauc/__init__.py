@@ -62,9 +62,6 @@ from .solvers import (
     decode_weights,
     dispatch_solver,
     fit_transfer_map,
-    run_emea,
-    run_mfea,
-    run_single_task_ga,
 )
 
 __all__ = [
@@ -110,7 +107,4 @@ __all__ = [
     "decode_weights",
     "dispatch_solver",
     "fit_transfer_map",
-    "run_emea",
-    "run_mfea",
-    "run_single_task_ga",
 ]

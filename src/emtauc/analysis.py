@@ -11,7 +11,7 @@ from math import comb, sqrt
 import numpy as np
 from scipy import stats
 
-from .data import Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
+from .data import DataError, Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
 from .environment import TaskId, as_budget, build_environment
 from .evaluation import auc_metric, objective_batch
 from .solvers import SolverConfig, decode_weights, dispatch_solver
@@ -68,7 +68,9 @@ def landscape_similarity(
     Each repeat draws a fresh stratified subsample at rate ``s`` and
     ``n_points`` genomes, then ranks the cheap objective against the
     expensive one on identical decoded weights. Nothing here touches a
-    budget ledger.
+    budget ledger. Raises DataError when either objective is constant over
+    the sampled weights (all features constant and ``lam`` 0, say), since
+    rank correlation is undefined there.
     """
     rate = as_rate(s, "sampling rate")
     if n_points < 2:
@@ -83,6 +85,11 @@ def landscape_similarity(
         W = decode_weights(rng.random((n_points, ds.dim)))
         cheap_obj = objective_batch(W, view, lam)
         expensive_obj = objective_batch(W, full, lam)
+        for task, obj in (("cheap", cheap_obj), ("expensive", expensive_obj)):
+            if np.all(obj == obj[0]):
+                raise DataError(
+                    f"the {task} objective is constant over the sampled weights; rank correlation is undefined"
+                )
         rhos.append(spearman_rho(cheap_obj, expensive_obj))
     return LandscapeReport(rhos=tuple(rhos))
 
@@ -210,7 +217,6 @@ class _CellJob:
     s: Fraction
     lam: float
     budget: Fraction
-    jobs: int
 
 
 def _execute_cell(job: _CellJob) -> BenchmarkCell:
@@ -224,7 +230,7 @@ def _execute_cell(job: _CellJob) -> BenchmarkCell:
         env = build_environment(
             train, s=job.s, lam=job.lam, delta=job.entry.delta, budget=job.budget, seed=env_seed
         )
-        result = dispatch_solver(env, replace(job.entry.config, seed=solver_seed), jobs=job.jobs)
+        result = dispatch_solver(env, replace(job.entry.config, seed=solver_seed))
         if result.best_weights is None:
             raise RuntimeError("budget too small for any expensive evaluation")
         test_view = DatasetView(job.dataset, job.test_idx)
@@ -316,7 +322,6 @@ def run_benchmark(
                             s=rate,
                             lam=lam,
                             budget=budget,
-                            jobs=1,
                         )
                     )
 

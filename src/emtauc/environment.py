@@ -16,13 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_sample
-from .evaluation import (
-    auc_metric,
-    hardness_scores,
-    objective,
-    objective_batch,
-    select_hardest,
-)
+from .evaluation import hardness_scores, objective_batch, select_hardest
 
 
 class TaskId(IntEnum):
@@ -104,24 +98,18 @@ class CostLedger:
 
 
 class TaskSpec:
-    """One optimization task: a data view, the regularizer, and its price."""
+    """One optimization task: a data view and the regularizer. Its price
+    per evaluation lives in ``CostLedger.cost_per_eval``."""
 
-    __slots__ = ("task_id", "view", "lam", "cost_per_eval")
+    __slots__ = ("task_id", "view", "lam")
 
-    def __init__(self, task_id: TaskId, view: DatasetView, lam: float, cost_per_eval: Fraction) -> None:
+    def __init__(self, task_id: TaskId, view: DatasetView, lam: float) -> None:
         self.task_id = TaskId(task_id)
         self.view = view
         self.lam = float(lam)
-        self.cost_per_eval = cost_per_eval
-
-    def objective(self, w) -> float:
-        return objective(w, self.view, self.lam)
 
     def objective_batch(self, W) -> np.ndarray:
         return objective_batch(W, self.view, self.lam)
-
-    def auc(self, w) -> float:
-        return auc_metric(w, self.view)
 
 
 @dataclass(frozen=True)
@@ -145,15 +133,8 @@ class Environment:
         self.ledger = CostLedger(budget, rate)
         cheap_view = stratified_sample(dataset, rate, seed)
         self.tasks = {
-            TaskId.CHEAP: TaskSpec(
-                TaskId.CHEAP, cheap_view, self.lam, self.ledger.cost_per_eval(TaskId.CHEAP)
-            ),
-            TaskId.EXPENSIVE: TaskSpec(
-                TaskId.EXPENSIVE,
-                dataset.full_view(),
-                self.lam,
-                self.ledger.cost_per_eval(TaskId.EXPENSIVE),
-            ),
+            TaskId.CHEAP: TaskSpec(TaskId.CHEAP, cheap_view, self.lam),
+            TaskId.EXPENSIVE: TaskSpec(TaskId.EXPENSIVE, dataset.full_view(), self.lam),
         }
         self._best_w: np.ndarray | None = None
         self._best_obj: float = np.inf

@@ -3,12 +3,20 @@
 Three solvers share one variation pipeline (SBX crossover followed by
 polynomial mutation) and one decode rule w = 2*keys - 1:
 
-* ``run_single_task_ga``: (mu+lambda) GA on the expensive task alone.
-* ``run_mfea``: one unified population, implicit transfer through
+* ``single_task_ga``: (mu+lambda) GA on the expensive task alone.
+* ``mfea``: one unified population, implicit transfer through
   assortative mating controlled by a fixed random-mating probability.
-* ``run_emea``: one population per task, explicit transfer every G
+* ``emea``: one population per task, explicit transfer every G
   generations through a learned linear map between the tasks' sorted
   populations.
+
+``dispatch_solver`` is the one entry point and the one driver loop. Each
+solver is a generator that keeps only its policy (mating, selection,
+adjustment, transfer) and yields its best cheap objective and adjust flag
+once after initialisation and once per generation. The driver turns every
+yield into a ``TracePoint``, so trace point 0 is initialisation and point t
+is generation t; it stops after the first point recorded with the budget
+exhausted.
 
 All random draws happen in the serial orchestration path; objective
 batches are pure and may be evaluated concurrently without changing any
@@ -18,16 +26,18 @@ index order, the evaluation that crosses the budget completes and is
 recorded, and the run then stops. Rows past that point are never charged
 and never enter a population.
 
-A run with jobs > 1 owns one thread pool for its whole length: each
-``run_*`` opens it on entry and joins its workers on exit, also when an
-evaluation raises. With jobs <= 1 no pool or thread is created.
+A run with jobs > 1 owns one thread pool of ``jobs`` workers for its whole
+length: ``dispatch_solver`` opens it on entry and joins its workers on exit,
+also when an evaluation raises. With jobs <= 1 no pool or thread is created.
 """
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -178,14 +188,6 @@ class RunResult:
     trace: list[TracePoint]
 
 
-def _eval_pool(jobs: int):
-    """Context manager for a run's evaluation pool: ``jobs`` threads, or
-    ``None`` (no threads) when jobs <= 1. Leaving it joins the workers."""
-    if jobs <= 1:
-        return nullcontext()
-    return ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="emtauc-eval")
-
-
 def _eval_batch(
     task: TaskSpec, keys: np.ndarray, jobs: int, pool: ThreadPoolExecutor | None
 ) -> np.ndarray:
@@ -256,24 +258,13 @@ def _evaluate(
     return values, kept
 
 
-def _truncate(
-    genomes: np.ndarray, objectives: np.ndarray, children: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mu+lambda) survival: the len(genomes) best of parents and children
-    by objective; ties keep parents, then index order."""
-    pool_g = np.vstack([genomes, children])
-    pool_o = np.concatenate([objectives, values])
-    order = np.argsort(pool_o, kind="stable")[: genomes.shape[0]]
-    return pool_g[order], pool_o[order]
-
-
 def _finite_min(values: np.ndarray) -> float | None:
     finite = values[np.isfinite(values)]
     return float(finite.min()) if finite.size else None
 
 
 def _archive_trace_point(
-    env: Environment, generation: int, best_cheap: float | None, adjust_event: bool = False
+    env: Environment, generation: int, best_cheap: float | None, adjust_event: bool
 ) -> TracePoint:
     obj = env.best_expensive_objective
     if obj is None:
@@ -314,29 +305,27 @@ def _ga_offspring(genomes: np.ndarray, objectives: np.ndarray, config: SolverCon
     return children
 
 
-def run_single_task_ga(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
-    """(mu+lambda) GA on the expensive task alone: binary-tournament parents,
-    SBX+PM children, elitist truncation by objective.
-    """
-    with _eval_pool(jobs) as pool:
-        rng = np.random.default_rng(config.seed)
-        n = config.resolved_pop_size()
-        dim = env.dataset.dim
-        pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
+def _ga_generation(
+    genomes: np.ndarray, objectives: np.ndarray, tid: TaskId, evaluate, config: SolverConfig, pm_prob: float, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """One (mu+lambda) generation on task ``tid``: binary-tournament parents,
+    SBX+PM children, then the len(genomes) best of parents and charged
+    children by objective survive; ties keep parents, then index order."""
+    children = _ga_offspring(genomes, objectives, config, pm_prob, rng)
+    values, kept = evaluate(tid, children)
+    merged_g = np.vstack([genomes, children[:kept]])
+    merged_o = np.concatenate([objectives, values[:kept]])
+    order = np.argsort(merged_o, kind="stable")[: genomes.shape[0]]
+    return merged_g[order], merged_o[order]
 
-        genomes = rng.random((n, dim))
-        objectives, _ = _evaluate(env, TaskId.EXPENSIVE, genomes, jobs, pool)
-        trace = [_archive_trace_point(env, 0, None)]
 
-        t = 1
-        while not env.ledger.exhausted:
-            children = _ga_offspring(genomes, objectives, config, pm_prob, rng)
-            values, kept = _evaluate(env, TaskId.EXPENSIVE, children, jobs, pool)
-            genomes, objectives = _truncate(genomes, objectives, children[:kept], values[:kept])
-            trace.append(_archive_trace_point(env, t, None))
-            t += 1
-
-        return RunResult("single_task_ga", env.best_expensive_weights, env.best_expensive_objective, trace)
+def _single_task_ga(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob: float):
+    """(mu+lambda) GA on the expensive task alone."""
+    genomes = rng.random((n, env.dataset.dim))
+    objectives, _ = evaluate(TaskId.EXPENSIVE, genomes)
+    while True:
+        yield None, False
+        genomes, objectives = _ga_generation(genomes, objectives, TaskId.EXPENSIVE, evaluate, config, pm_prob, rng)
 
 
 def _mfea_offspring(
@@ -384,7 +373,7 @@ def _maybe_adjust(env: Environment, generation: int) -> bool:
     return True
 
 
-def run_mfea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
+def _mfea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob: float):
     """Multifactorial EA over both tasks with a fixed random-mating
     probability and periodic cheap-task adjustment.
 
@@ -394,48 +383,36 @@ def run_mfea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult
     cheap objectives are invalidated, and the CHEAP-skilled cohort is
     re-evaluated at one cheap unit each.
     """
-    with _eval_pool(jobs) as pool:
-        rng = np.random.default_rng(config.seed)
-        n = config.resolved_pop_size()
-        dim = env.dataset.dim
-        pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
-        cheap = TaskId.CHEAP.value
+    cheap = TaskId.CHEAP.value
+    genomes = rng.random((n, env.dataset.dim))
+    values, _ = evaluate(np.repeat(_BOTH_TASKS, n), np.vstack([genomes, genomes]))
+    costs = values.reshape(2, n).T
+    _, skills, _ = _population_stats(costs)
+    adjust_event = False
+    for t in itertools.count(1):
+        yield _finite_min(costs[:, cheap]), adjust_event
+        adjust_event = _maybe_adjust(env, t)
+        if adjust_event:
+            costs[:, cheap] = np.inf
+            refresh = np.flatnonzero(skills == cheap)
+            costs[refresh, cheap], _ = evaluate(TaskId.CHEAP, genomes[refresh])
+            _, skills, _ = _population_stats(costs)
 
-        genomes = rng.random((n, dim))
-        values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), np.vstack([genomes, genomes]), jobs, pool)
-        costs = values.reshape(2, n).T
-        _, skills, _ = _population_stats(costs)
-        trace = [_archive_trace_point(env, 0, _finite_min(costs[:, cheap]))]
-
-        t = 1
-        while not env.ledger.exhausted:
-            adjust_event = _maybe_adjust(env, t)
-            if adjust_event:
-                costs[:, cheap] = np.inf
-                refresh = np.flatnonzero(skills == cheap)
-                costs[refresh, cheap], _ = _evaluate(env, TaskId.CHEAP, genomes[refresh], jobs, pool)
-                _, skills, _ = _population_stats(costs)
-
-            if not env.ledger.exhausted:
-                child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
-                values, kept = _evaluate(env, child_skills, child_genomes, jobs, pool)
-                child_costs = np.full((n, 2), np.inf)
-                child_costs[np.arange(n), child_skills] = values
-                pool_genomes = np.vstack([genomes, child_genomes[:kept]])
-                pool_costs = np.vstack([costs, child_costs[:kept]])
-                _, _, pool_fitness = _population_stats(pool_costs)
-                order = np.argsort(-pool_fitness, kind="stable")[:n]
-                genomes = pool_genomes[order]
-                costs = pool_costs[order]
-                _, skills, _ = _population_stats(costs)
-
-            trace.append(_archive_trace_point(env, t, _finite_min(costs[:, cheap]), adjust_event))
-            t += 1
-
-        return RunResult("mfea", env.best_expensive_weights, env.best_expensive_objective, trace)
+        if not env.ledger.exhausted:
+            child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
+            values, kept = evaluate(child_skills, child_genomes)
+            child_costs = np.full((n, 2), np.inf)
+            child_costs[np.arange(n), child_skills] = values
+            merged_genomes = np.vstack([genomes, child_genomes[:kept]])
+            merged_costs = np.vstack([costs, child_costs[:kept]])
+            _, _, merged_fitness = _population_stats(merged_costs)
+            order = np.argsort(-merged_fitness, kind="stable")[:n]
+            genomes = merged_genomes[order]
+            costs = merged_costs[order]
+            _, skills, _ = _population_stats(costs)
 
 
-def run_emea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
+def _emea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob: float):
     """Two per-task GA populations with explicit transfer.
 
     Every ``transfer_interval`` generations a linear map is fit between the
@@ -444,65 +421,63 @@ def run_emea(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult
     there (charged), and overwrite that population's current worst members.
     Cheap-task adjustment refreshes the whole cheap population.
     """
-    with _eval_pool(jobs) as pool:
-        rng = np.random.default_rng(config.seed)
-        n = config.resolved_pop_size()
-        dim = env.dataset.dim
-        pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / dim
-        ledger = env.ledger
+    ledger = env.ledger
+    dim = env.dataset.dim
+    # Row i of ``genomes`` and ``objectives`` is the population of TaskId(i).
+    genomes = rng.random((2, n, dim))
+    values, _ = evaluate(np.repeat(_BOTH_TASKS, n), genomes.reshape(2 * n, dim))
+    objectives = values.reshape(2, n)
+    adjust_event = False
+    for t in itertools.count(1):
+        yield _finite_min(objectives[0]), adjust_event
+        adjust_event = _maybe_adjust(env, t)
+        if adjust_event:
+            objectives[0], _ = evaluate(TaskId.CHEAP, genomes[0])
 
-        # Row i of ``genomes`` and ``objectives`` is the population of TaskId(i).
-        genomes = rng.random((2, n, dim))
-        values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), genomes.reshape(2 * n, dim), jobs, pool)
-        objectives = values.reshape(2, n)
-        trace = [_archive_trace_point(env, 0, _finite_min(objectives[0]))]
+        for tid in TaskId:
+            if ledger.exhausted:
+                break
+            genomes[tid], objectives[tid] = _ga_generation(
+                genomes[tid], objectives[tid], tid, evaluate, config, pm_prob, rng
+            )
 
-        t = 1
-        while not ledger.exhausted:
-            adjust_event = _maybe_adjust(env, t)
-            if adjust_event:
-                objectives[0], _ = _evaluate(env, TaskId.CHEAP, genomes[0], jobs, pool)
-
-            for tid in TaskId:
+        if not ledger.exhausted and config.transfer_count > 0 and t % config.transfer_interval == 0:
+            count = min(config.transfer_count, n)
+            sorted_pops = [genomes[i][np.argsort(objectives[i], kind="stable")].T for i in (0, 1)]
+            top_genomes = [pop[:, :count].T.copy() for pop in sorted_pops]
+            for target in TaskId:
                 if ledger.exhausted:
                     break
-                children = _ga_offspring(genomes[tid], objectives[tid], config, pm_prob, rng)
-                values, kept = _evaluate(env, tid, children, jobs, pool)
-                genomes[tid], objectives[tid] = _truncate(
-                    genomes[tid], objectives[tid], children[:kept], values[:kept]
-                )
+                source = 1 - target
+                mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
+                candidates = mapping.apply(top_genomes[source])
+                values, kept = evaluate(target, candidates)
+                slots = np.argsort(objectives[target], kind="stable")[::-1][:kept]
+                genomes[target][slots] = candidates[:kept]
+                objectives[target][slots] = values[:kept]
 
-            if not ledger.exhausted and config.transfer_count > 0 and t % config.transfer_interval == 0:
-                count = min(config.transfer_count, n)
-                sorted_pops = [genomes[i][np.argsort(objectives[i], kind="stable")].T for i in (0, 1)]
-                top_genomes = [pop[:, :count].T.copy() for pop in sorted_pops]
-                for target in TaskId:
-                    if ledger.exhausted:
-                        break
-                    source = 1 - target
-                    mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
-                    candidates = mapping.apply(top_genomes[source])
-                    values, kept = _evaluate(env, target, candidates, jobs, pool)
-                    slots = np.argsort(objectives[target], kind="stable")[::-1][:kept]
-                    genomes[target][slots] = candidates[:kept]
-                    objectives[target][slots] = values[:kept]
 
-            trace.append(_archive_trace_point(env, t, _finite_min(objectives[0]), adjust_event))
-            t += 1
-
-        return RunResult("emea", env.best_expensive_weights, env.best_expensive_objective, trace)
+_SOLVERS = {"single_task_ga": _single_task_ga, "mfea": _mfea, "emea": _emea}
 
 
 def dispatch_solver(env: Environment, config: SolverConfig, jobs: int = 1) -> RunResult:
-    """Run the configured solver against an environment.
+    """Run the configured solver against an environment and trace it.
 
     The single-task baseline optimizes the expensive task directly at the
     same budget so comparisons are cost-fair.
     """
-    if config.kind == "single_task_ga":
-        return run_single_task_ga(env, config, jobs=jobs)
-    if config.kind == "mfea":
-        return run_mfea(env, config, jobs=jobs)
-    if config.kind == "emea":
-        return run_emea(env, config, jobs=jobs)
-    raise ValueError(f"unknown solver kind {config.kind!r}")
+    solver = _SOLVERS.get(config.kind)
+    if solver is None:
+        raise ValueError(f"unknown solver kind {config.kind!r}")
+    rng = np.random.default_rng(config.seed)
+    pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / env.dataset.dim
+    trace = []
+    pool_cm = ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="emtauc-eval") if jobs > 1 else nullcontext()
+    with pool_cm as pool:
+        evaluate = partial(_evaluate, env, jobs=jobs, pool=pool)
+        generations = solver(env, config, rng, evaluate, config.resolved_pop_size(), pm_prob)
+        for generation, (best_cheap, adjust_event) in enumerate(generations):
+            trace.append(_archive_trace_point(env, generation, best_cheap, adjust_event))
+            if env.ledger.exhausted:
+                break
+    return RunResult(config.kind, env.best_expensive_weights, env.best_expensive_objective, trace)

@@ -300,6 +300,19 @@ def test_landscape_csv_and_full_rate(tmp_path, dataset_file):
     assert payload["results"]["mean_rho"] == 1.0
 
 
+def test_landscape_constant_objective_is_a_data_error(tmp_path, capsys):
+    # every feature constant and no regularizer: every weight scores loss 1
+    data = tmp_path / "const.libsvm"
+    data.write_text("".join(f"{label} 1:0.5 2:1\n" for label in ("+1",) * 3 + ("-1",) * 3))
+    payload = {
+        "dataset": str(data), "s": "1", "lambda": 0, "n_points": 20, "repeats": 2, "seed": 1,
+        "output_dir": str(tmp_path / "land"),
+    }
+    assert main(["landscape", "--config", str(write_config(tmp_path, payload))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "objective is constant over the sampled weights" in err
+
+
 def test_costmodel_theoretical_column_exact(tmp_path, dataset_file):
     out = tmp_path / "cost"
     cfg = write_config(

@@ -125,8 +125,8 @@ def test_environment_views():
     assert cheap.t_pos == 6 and cheap.t_neg == 8
     full = env.tasks[TaskId.EXPENSIVE].view
     assert full.t_pos == 60 and full.t_neg == 80
-    assert env.tasks[TaskId.CHEAP].cost_per_eval == 1
-    assert env.tasks[TaskId.EXPENSIVE].cost_per_eval == 100
+    assert env.ledger.cost_per_eval(TaskId.CHEAP) == 1
+    assert env.ledger.cost_per_eval(TaskId.EXPENSIVE) == 100
 
 
 def test_environment_cheap_view_deterministic():

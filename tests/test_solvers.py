@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 
 from emtauc.environment import TaskId, TaskSpec, build_environment
-from emtauc.evaluation import auc_metric
+from emtauc.evaluation import auc_metric, objective
 from emtauc.solvers import (
     SolverConfig,
     decode_weights,
     dispatch_solver,
     fit_transfer_map,
     pm_mutation,
-    run_emea,
-    run_mfea,
-    run_single_task_ga,
     sbx_crossover,
     _evaluate,
     _population_stats,
@@ -42,19 +39,9 @@ class RecordingTask:
     def lam(self):
         return self.inner.lam
 
-    @property
-    def cost_per_eval(self):
-        return self.inner.cost_per_eval
-
     def objective_batch(self, W):
         self.calls.append(W.shape[0])
         return self.inner.objective_batch(W)
-
-    def objective(self, w):
-        return self.inner.objective(w)
-
-    def auc(self, w):
-        return self.inner.auc(w)
 
 
 def test_decode_weights_endpoints():
@@ -154,7 +141,7 @@ def test_solver_config_validation():
 def test_single_ga_runs_expensive_only():
     ds = make_gaussian_dataset(0)
     env = build_environment(ds, budget=5000, seed=1)
-    result = run_single_task_ga(env, SolverConfig(kind="single_task_ga", seed=2))
+    result = dispatch_solver(env, SolverConfig(kind="single_task_ga", seed=2))
     assert env.ledger.evals[TaskId.CHEAP] == 0
     assert env.ledger.evals[TaskId.EXPENSIVE] > 0
     assert result.best_objective == env.best_expensive_objective
@@ -165,7 +152,7 @@ def test_single_ga_improves_on_separable():
     hits = 0
     for seed in range(10):
         env = build_environment(ds, budget=40000, seed=seed)
-        result = run_single_task_ga(env, SolverConfig(kind="single_task_ga", seed=seed))
+        result = dispatch_solver(env, SolverConfig(kind="single_task_ga", seed=seed))
         if auc_metric(result.best_weights, ds.full_view()) == 1.0:
             hits += 1
     assert hits >= 8
@@ -173,13 +160,18 @@ def test_single_ga_improves_on_separable():
 
 def test_trace_costs_strictly_increase():
     ds = make_gaussian_dataset(1)
-    for kind in ("single_task_ga", "mfea", "emea"):
-        env = build_environment(ds, budget=9000, delta=5, seed=3)
+    # budget 5 runs out during initialisation: the trace is that one point
+    for kind, budget in itertools.product(("single_task_ga", "mfea", "emea"), (9000, 5)):
+        env = build_environment(ds, budget=budget, delta=5, seed=3)
         result = dispatch_solver(env, SolverConfig(kind=kind, seed=4))
+        assert result.kind == kind
         costs = [p.cumulative_cost for p in result.trace]
         assert all(b > a for a, b in zip(costs, costs[1:]))
         gens = [p.generation for p in result.trace]
         assert gens == list(range(len(gens)))
+        assert (len(gens) == 1) == (budget == 5)
+        assert result.trace[-1].cumulative_cost == env.ledger.spent
+        assert result.trace[-1].best_objective_expensive == result.best_objective
 
 
 def test_budget_overshoot_bounded():
@@ -198,7 +190,8 @@ def test_evaluate_charges_mixed_rows_like_a_serial_loop():
     rng = np.random.default_rng(0)
     keys = rng.random((len(tids), ds.dim))
     ref_env = build_environment(ds, budget=budget, seed=1)
-    exact = [ref_env.tasks[t].objective(decode_weights(k)) for t, k in zip(tids, keys)]
+    tasks = [ref_env.tasks[t] for t in tids]
+    exact = [objective(decode_weights(k), task.view, task.lam) for task, k in zip(tasks, keys)]
     # Swap the best expensive row into row 6, which the budget leaves uncharged.
     best = min((i for i, t in enumerate(tids) if t == E), key=lambda i: exact[i])
     keys[[6, best]] = keys[[best, 6]]
@@ -227,7 +220,7 @@ def test_budget_too_small_for_init():
     ds = make_gaussian_dataset(3)
     # 5 units: the first five cheap evaluations fit, no expensive one does
     env = build_environment(ds, budget=5, seed=7)
-    result = run_mfea(env, SolverConfig(kind="mfea", seed=8))
+    result = dispatch_solver(env, SolverConfig(kind="mfea", seed=8))
     assert result.best_weights is None
     assert result.best_objective is None
     assert len(result.trace) == 1
@@ -240,7 +233,7 @@ def test_mfea_offspring_evaluated_on_skill_task_only():
     rec = {tid: RecordingTask(env.tasks[tid]) for tid in env.tasks}
     env.tasks.update(rec)
     n = 20
-    result = run_mfea(env, SolverConfig(kind="mfea", seed=10))
+    result = dispatch_solver(env, SolverConfig(kind="mfea", seed=10))
     # init evaluates the whole population on both tasks
     assert rec[TaskId.CHEAP].calls[0] == n
     assert rec[TaskId.EXPENSIVE].calls[0] == n
@@ -254,7 +247,7 @@ def test_mfea_offspring_evaluated_on_skill_task_only():
 def test_mfea_adjustment_reevaluates_cheap_cohort():
     ds = make_gaussian_dataset(5)
     env = build_environment(ds, budget=60000, delta=4, seed=11)
-    result = run_mfea(env, SolverConfig(kind="mfea", seed=12))
+    result = dispatch_solver(env, SolverConfig(kind="mfea", seed=12))
     assert len(env.adjustment_log) >= 1
     flagged = [p.generation for p in result.trace if p.adjust_event]
     assert flagged == [e.generation for e in env.adjustment_log]
@@ -264,7 +257,7 @@ def test_mfea_adjustment_reevaluates_cheap_cohort():
 def test_mfea_rmp_zero_still_runs():
     ds = make_gaussian_dataset(6)
     env = build_environment(ds, budget=4000, seed=13)
-    result = run_mfea(env, SolverConfig(kind="mfea", rmp=0.0, seed=14))
+    result = dispatch_solver(env, SolverConfig(kind="mfea", rmp=0.0, seed=14))
     assert result.best_weights is not None
 
 
@@ -275,7 +268,7 @@ def test_emea_transfer_charges_target_task():
     env.tasks.update(rec)
     n = 10
     count = 2
-    result = run_emea(env, SolverConfig(kind="emea", transfer_interval=3, transfer_count=count, seed=16))
+    result = dispatch_solver(env, SolverConfig(kind="emea", transfer_interval=3, transfer_count=count, seed=16))
     gens = result.trace[-1].generation
     # per full generation each task sees one n-row offspring call, plus a
     # count-row call per transfer event
@@ -291,7 +284,7 @@ def test_emea_transfer_disabled_never_maps():
     env = build_environment(ds, budget=20000, delta=None, seed=17)
     rec = {tid: RecordingTask(env.tasks[tid]) for tid in env.tasks}
     env.tasks.update(rec)
-    run_emea(env, SolverConfig(kind="emea", transfer_count=0, seed=18))
+    dispatch_solver(env, SolverConfig(kind="emea", transfer_count=0, seed=18))
     for tid in rec:
         assert all(c in (10,) for c in rec[tid].calls)  # init + offspring only
 
