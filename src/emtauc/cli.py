@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.add_argument("--dataset", default=None, help="override the dataset path")
     p_run.add_argument("--budget", default=None, help="override the evaluation budget")
-    p_run.add_argument("--jobs", type=int, default=None, help="parallel evaluation threads")
+    p_run.add_argument("--jobs", type=int, default=None, help="accepted for existing configs; has no effect")
     p_run.add_argument(
         "--trace-stride", dest="trace_stride", type=int, default=None,
         help="record every k-th generation in trace.csv",

@@ -194,7 +194,8 @@ def parse_libsvm(source: str | bytes) -> Dataset:
 
     ``#`` starts a comment, blank lines are skipped, indices are 1-based and
     must be strictly increasing within a line. Any label parsing as a
-    positive number maps to +1, everything else to -1.
+    positive number (``inf`` included) maps to +1, any other number to -1;
+    ``nan`` is an invalid label.
     """
     if isinstance(source, bytes):
         try:
@@ -217,8 +218,10 @@ def parse_libsvm(source: str | bytes) -> Dataset:
             raise DataError(f"line {line_no}: missing label before features")
         try:
             label_val = float(label_tok)
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: invalid label {label_tok!r}") from exc
+        except ValueError:
+            label_val = np.nan
+        if np.isnan(label_val):
+            raise DataError(f"line {line_no}: invalid label {label_tok!r}")
         labels.append(1 if label_val > 0 else -1)
 
         idxs: list[int] = []

@@ -18,26 +18,17 @@ yield into a ``TracePoint``, so trace point 0 is initialisation and point t
 is generation t; it stops after the first point recorded with the budget
 exhausted.
 
-All random draws happen in the serial orchestration path; objective
-batches are pure and may be evaluated concurrently without changing any
-result. ``_evaluate`` is the only place that evaluates, charges and
-archives: every solver hands it a batch, it charges the rows serially in
-index order, the evaluation that crosses the budget completes and is
-recorded, and the run then stops. Rows past that point are never charged
+``_evaluate`` is the only place that evaluates, charges and archives:
+every solver hands it a batch, it charges the rows serially in index
+order, the evaluation that crosses the budget completes and is recorded,
+and the run then stops. Rows past that point are never charged
 and never enter a population.
-
-A run with jobs > 1 owns one thread pool of ``jobs`` workers for its whole
-length: ``dispatch_solver`` opens it on entry and joins its workers on exit,
-also when an evaluation raises. With jobs <= 1 no pool or thread is created.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -188,21 +179,9 @@ class RunResult:
     trace: list[TracePoint]
 
 
-def _eval_batch(
-    task: TaskSpec, keys: np.ndarray, jobs: int, pool: ThreadPoolExecutor | None
-) -> np.ndarray:
-    """Decode and evaluate a batch of genomes on one task.
-
-    With a pool the batch is split into up to ``jobs`` parts evaluated on
-    the run's threads; results are bit-identical to the serial path
-    because the kernel treats every row independently.
-    """
-    W = decode_weights(np.atleast_2d(keys))
-    if pool is None or W.shape[0] < 2:
-        return task.objective_batch(W)
-    parts = np.array_split(np.arange(W.shape[0]), min(jobs, W.shape[0]))
-    futures = [pool.submit(task.objective_batch, W[p]) for p in parts]
-    return np.concatenate([f.result() for f in futures])
+def _eval_batch(task: TaskSpec, keys: np.ndarray) -> np.ndarray:
+    """Decode and evaluate a batch of genomes on one task."""
+    return task.objective_batch(decode_weights(np.atleast_2d(keys)))
 
 
 def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,9 +205,7 @@ def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return ranks, skills, fitness
 
 
-def _evaluate(
-    env: Environment, task_ids, keys: np.ndarray, jobs: int, pool: ThreadPoolExecutor | None
-) -> tuple[np.ndarray, int]:
+def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Evaluate, charge and archive a batch of genomes.
 
     ``task_ids`` is one TaskId for the whole batch or one per row. Each
@@ -244,7 +221,7 @@ def _evaluate(
     for tid in TaskId:
         rows = np.flatnonzero(tids == tid)
         if rows.size:
-            values[rows] = _eval_batch(env.tasks[tid], keys[rows], jobs, pool)
+            values[rows] = _eval_batch(env.tasks[tid], keys[rows])
     ledger = env.ledger
     kept = 0
     for tid in tids.tolist():
@@ -306,26 +283,27 @@ def _ga_offspring(genomes: np.ndarray, objectives: np.ndarray, config: SolverCon
 
 
 def _ga_generation(
-    genomes: np.ndarray, objectives: np.ndarray, tid: TaskId, evaluate, config: SolverConfig, pm_prob: float, rng
+    env: Environment, genomes: np.ndarray, objectives: np.ndarray, tid: TaskId,
+    config: SolverConfig, pm_prob: float, rng,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One (mu+lambda) generation on task ``tid``: binary-tournament parents,
     SBX+PM children, then the len(genomes) best of parents and charged
     children by objective survive; ties keep parents, then index order."""
     children = _ga_offspring(genomes, objectives, config, pm_prob, rng)
-    values, kept = evaluate(tid, children)
+    values, kept = _evaluate(env, tid, children)
     merged_g = np.vstack([genomes, children[:kept]])
     merged_o = np.concatenate([objectives, values[:kept]])
     order = np.argsort(merged_o, kind="stable")[: genomes.shape[0]]
     return merged_g[order], merged_o[order]
 
 
-def _single_task_ga(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob: float):
+def _single_task_ga(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
     """(mu+lambda) GA on the expensive task alone."""
     genomes = rng.random((n, env.dataset.dim))
-    objectives, _ = evaluate(TaskId.EXPENSIVE, genomes)
+    objectives, _ = _evaluate(env, TaskId.EXPENSIVE, genomes)
     while True:
         yield None, False
-        genomes, objectives = _ga_generation(genomes, objectives, TaskId.EXPENSIVE, evaluate, config, pm_prob, rng)
+        genomes, objectives = _ga_generation(env, genomes, objectives, TaskId.EXPENSIVE, config, pm_prob, rng)
 
 
 def _mfea_offspring(
@@ -373,7 +351,7 @@ def _maybe_adjust(env: Environment, generation: int) -> bool:
     return True
 
 
-def _mfea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob: float):
+def _mfea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
     """Multifactorial EA over both tasks with a fixed random-mating
     probability and periodic cheap-task adjustment.
 
@@ -385,7 +363,7 @@ def _mfea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob
     """
     cheap = TaskId.CHEAP.value
     genomes = rng.random((n, env.dataset.dim))
-    values, _ = evaluate(np.repeat(_BOTH_TASKS, n), np.vstack([genomes, genomes]))
+    values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), np.vstack([genomes, genomes]))
     costs = values.reshape(2, n).T
     _, skills, _ = _population_stats(costs)
     adjust_event = False
@@ -395,12 +373,12 @@ def _mfea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob
         if adjust_event:
             costs[:, cheap] = np.inf
             refresh = np.flatnonzero(skills == cheap)
-            costs[refresh, cheap], _ = evaluate(TaskId.CHEAP, genomes[refresh])
+            costs[refresh, cheap], _ = _evaluate(env, TaskId.CHEAP, genomes[refresh])
             _, skills, _ = _population_stats(costs)
 
         if not env.ledger.exhausted:
             child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
-            values, kept = evaluate(child_skills, child_genomes)
+            values, kept = _evaluate(env, child_skills, child_genomes)
             child_costs = np.full((n, 2), np.inf)
             child_costs[np.arange(n), child_skills] = values
             merged_genomes = np.vstack([genomes, child_genomes[:kept]])
@@ -412,7 +390,7 @@ def _mfea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob
             _, skills, _ = _population_stats(costs)
 
 
-def _emea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob: float):
+def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
     """Two per-task GA populations with explicit transfer.
 
     Every ``transfer_interval`` generations a linear map is fit between the
@@ -425,20 +403,20 @@ def _emea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob
     dim = env.dataset.dim
     # Row i of ``genomes`` and ``objectives`` is the population of TaskId(i).
     genomes = rng.random((2, n, dim))
-    values, _ = evaluate(np.repeat(_BOTH_TASKS, n), genomes.reshape(2 * n, dim))
+    values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), genomes.reshape(2 * n, dim))
     objectives = values.reshape(2, n)
     adjust_event = False
     for t in itertools.count(1):
         yield _finite_min(objectives[0]), adjust_event
         adjust_event = _maybe_adjust(env, t)
         if adjust_event:
-            objectives[0], _ = evaluate(TaskId.CHEAP, genomes[0])
+            objectives[0], _ = _evaluate(env, TaskId.CHEAP, genomes[0])
 
         for tid in TaskId:
             if ledger.exhausted:
                 break
             genomes[tid], objectives[tid] = _ga_generation(
-                genomes[tid], objectives[tid], tid, evaluate, config, pm_prob, rng
+                env, genomes[tid], objectives[tid], tid, config, pm_prob, rng
             )
 
         if not ledger.exhausted and config.transfer_count > 0 and t % config.transfer_interval == 0:
@@ -451,7 +429,7 @@ def _emea(env: Environment, config: SolverConfig, rng, evaluate, n: int, pm_prob
                 source = 1 - target
                 mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
                 candidates = mapping.apply(top_genomes[source])
-                values, kept = evaluate(target, candidates)
+                values, kept = _evaluate(env, target, candidates)
                 slots = np.argsort(objectives[target], kind="stable")[::-1][:kept]
                 genomes[target][slots] = candidates[:kept]
                 objectives[target][slots] = values[:kept]
@@ -464,7 +442,8 @@ def dispatch_solver(env: Environment, config: SolverConfig, jobs: int = 1) -> Ru
     """Run the configured solver against an environment and trace it.
 
     The single-task baseline optimizes the expensive task directly at the
-    same budget so comparisons are cost-fair.
+    same budget so comparisons are cost-fair. Every evaluation runs on the
+    calling thread; ``jobs`` is accepted and has no effect.
     """
     solver = _SOLVERS.get(config.kind)
     if solver is None:
@@ -472,12 +451,9 @@ def dispatch_solver(env: Environment, config: SolverConfig, jobs: int = 1) -> Ru
     rng = np.random.default_rng(config.seed)
     pm_prob = config.pm_prob if config.pm_prob is not None else 1.0 / env.dataset.dim
     trace = []
-    pool_cm = ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="emtauc-eval") if jobs > 1 else nullcontext()
-    with pool_cm as pool:
-        evaluate = partial(_evaluate, env, jobs=jobs, pool=pool)
-        generations = solver(env, config, rng, evaluate, config.resolved_pop_size(), pm_prob)
-        for generation, (best_cheap, adjust_event) in enumerate(generations):
-            trace.append(_archive_trace_point(env, generation, best_cheap, adjust_event))
-            if env.ledger.exhausted:
-                break
+    generations = solver(env, config, rng, config.resolved_pop_size(), pm_prob)
+    for generation, (best_cheap, adjust_event) in enumerate(generations):
+        trace.append(_archive_trace_point(env, generation, best_cheap, adjust_event))
+        if env.ledger.exhausted:
+            break
     return RunResult(config.kind, env.best_expensive_weights, env.best_expensive_objective, trace)

@@ -313,6 +313,40 @@ def test_landscape_constant_objective_is_a_data_error(tmp_path, capsys):
     assert err.startswith("data error: ") and "objective is constant over the sampled weights" in err
 
 
+# name: (LIBSVM text or None for the 70-instance toy set, budget, solver keys)
+EDGE_CASES = {
+    "one-per-class": ("+1 1:0.3 2:0.7\n-1 1:0.1 2:0.2\n", 3000, {}),
+    "dim-1": (serialize_libsvm(make_gaussian_dataset(3, n_pos=20, n_neg=25, dim=1)), 3000, {}),
+    "constant-features": ("".join(f"{y} 1:0.5 2:1\n" for y in ("+1",) * 6 + ("-1",) * 9), 3000, {}),
+    "budget-below-one-expensive": (None, "1/3", {}),
+    "pop-over-n": (serialize_libsvm(make_gaussian_dataset(4, n_pos=8, n_neg=12, dim=3)), 3000, {"pop_size": 40}),
+}
+
+
+@pytest.mark.parametrize("kind", ["single_task_ga", "mfea", "emea"])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_run_degenerate_input_gives_a_clean_result(tmp_path, dataset_file, case, kind):
+    text, budget, solver = EDGE_CASES[case]
+    data = dataset_file
+    if text is not None:
+        data = tmp_path / "edge.libsvm"
+        data.write_text(text)
+    out = tmp_path / "out"
+    payload = run_config(data, solver={"kind": kind, **solver}, budget=budget, output_dir=str(out))
+    assert main(["run", "--config", str(write_config(tmp_path, payload))]) == 0
+    manifest = (out / "manifest.json").read_text()
+    assert "NaN" not in manifest and "Infinity" not in manifest
+    results = validate_manifest(out / "manifest.json")["results"]
+    if case == "budget-below-one-expensive":
+        # The first evaluation crosses the budget and completes; only the GA's
+        # first evaluation is expensive, so only the GA has a best objective.
+        assert sum(results["evaluations"].values()) == 1
+        assert (results["final_best_objective"] is None) == (kind != "single_task_ga")
+    else:
+        assert results["final_best_objective"] is not None
+    assert "nan" not in (out / "trace.csv").read_text().lower()
+
+
 def test_costmodel_theoretical_column_exact(tmp_path, dataset_file):
     out = tmp_path / "cost"
     cfg = write_config(

@@ -70,6 +70,10 @@ def test_parse_rejects_decreasing_indices():
 def test_parse_rejects_nonfinite():
     with pytest.raises(DataError, match="line 2"):
         parse_libsvm("+1 1:1.0\n-1 1:inf\n")
+    with pytest.raises(DataError, match="line 1: invalid label 'nan'"):
+        parse_libsvm("nan 1:1\n-1 1:2\n+1 1:3\n")
+    ds = parse_libsvm("inf 1:1\n-1 1:2\n1e400 1:3\n")
+    assert ds.labels.tolist() == [1, -1, 1]
 
 
 def test_parse_requires_both_classes():

@@ -100,7 +100,8 @@ def test_objective_batch_matches_scalar(toy_dataset):
 
 
 def test_objective_batch_chunking_bit_equal(toy_dataset):
-    # the jobs>1 path splits the batch; chunks must reproduce the full batch
+    # objective_batch's documented contract: rows are independent, so any
+    # split of a batch reproduces the full batch bit for bit
     rng = np.random.default_rng(4)
     view = toy_dataset.full_view()
     W = rng.uniform(-1, 1, size=(23, toy_dataset.dim))
