@@ -381,14 +381,27 @@ def test_run_pool_joined_when_evaluation_raises(monkeypatch):
         assert not workers
 
 
-def test_serial_run_starts_no_thread(monkeypatch):
+def test_run_owns_one_pool_joined_on_return(monkeypatch):
+    # At any jobs the run's one evaluation worker is the calling thread: no
+    # other thread runs objective_batch, and none is left alive on return.
     ds = make_gaussian_dataset(11)
     for kind in ("single_task_ga", "mfea", "emea"):
-        for jobs in (1, 2, 4):
+        for jobs in (2, 4):
+            before = set(threading.enumerate())
             workers = _record_worker_threads(monkeypatch)
             env = build_environment(ds, budget=4000, delta=5, seed=26)
             dispatch_solver(env, SolverConfig(kind=kind, seed=27), jobs=jobs)
             assert not workers, (kind, jobs)
+            assert set(threading.enumerate()) <= before, (kind, jobs)
+
+
+def test_serial_run_starts_no_thread(monkeypatch):
+    ds = make_gaussian_dataset(13)
+    for kind in ("single_task_ga", "mfea", "emea"):
+        workers = _record_worker_threads(monkeypatch)
+        env = build_environment(ds, budget=3000, delta=5, seed=30)
+        dispatch_solver(env, SolverConfig(kind=kind, seed=31), jobs=1)
+        assert not workers, kind
 
 
 def test_jobs_two_trace_equals_serial_across_adjustments():
