@@ -10,7 +10,8 @@ and the measured columns of ``costmodel.csv`` and its manifest rows.
 The cases are every config error in ``tests/test_config.py`` run through
 the subcommand of its kind, then valid runs of all four subcommands with
 and without flag overrides, ``validate-config``, unreadable config files
-and bad dataset files. A diff of the output is the gate for changes to
+and bad dataset files (malformed, or with a feature index too large to
+parse or to scale). A diff of the output is the gate for changes to
 config parsing and to the CLI:
 
     PYTHONPATH=<other tree>/src python scripts/cli_digest.py > before.txt
@@ -99,6 +100,13 @@ VALID_CASES = {
     "data-missing": (["run"], config("run", {"dataset": "absent.libsvm"})),
     "data-malformed": (["run"], config("run", {"dataset": "bad.libsvm"})),
     "data-missing-bench": (["benchmark"], config("benchmark", {"datasets": ["toy.libsvm", "absent.libsvm"]})),
+    "data-index-too-large": (["run"], config("run", {"dataset": "huge-index.libsvm"})),
+    "data-too-large-to-scale": (["run"], config("run", {"dataset": "huge-dim.libsvm"})),
+}
+BAD_DATASETS = {
+    "bad.libsvm": "+1 1:0.5 oops\n-1 1:0.1\n",
+    "huge-index.libsvm": "+1 1:0.5 9223372036854775808:1\n-1 1:0.1\n",
+    "huge-dim.libsvm": "+1 1:0.5 4611686018427387904:1\n-1 1:0.1\n",
 }
 
 
@@ -121,7 +129,7 @@ def _artifact_bytes(path: Path) -> bytes:
 
 def run_case(workdir: Path, argv: list[str], raw) -> str:
     workdir.mkdir()
-    inputs = dict(DATASETS, **{"bad.libsvm": "+1 1:0.5 oops\n-1 1:0.1\n"})
+    inputs = dict(DATASETS, **BAD_DATASETS)
     if raw is not None:
         inputs["config.json"] = raw if isinstance(raw, str) else json.dumps(raw)
     for name, text in inputs.items():

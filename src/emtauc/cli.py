@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import replace
@@ -31,6 +30,7 @@ from .config import (
     CostModelConfig,
     LandscapeConfig,
     RunConfig,
+    _safe_name,
     echo,
 )
 from .data import DataError, parse_libsvm_path, scale_features, stratified_sample
@@ -98,7 +98,10 @@ def _resolve_output_dir(configured: str | None) -> Path:
 
 def _load_dataset(path: str):
     ds = parse_libsvm_path(path)
-    return scale_features(ds)
+    try:
+        return scale_features(ds)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _dataset_stats(path: str, ds) -> dict:
@@ -231,15 +234,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
-
-
 def cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = _parse_config(args)
     out_dir = _resolve_output_dir(cfg.output_dir)
 
-    # config parsing has checked that the file stems are distinct
+    # config parsing has checked that file stems and solver labels stay
+    # distinct as directory names
     datasets = {}
     stats = {}
     for path in cfg.datasets:

@@ -10,6 +10,7 @@ write the manifest's ``config`` block.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -187,6 +188,24 @@ class RunConfig:
         return _parse_fields(cls, d, "run config")
 
 
+def _safe_name(name: str) -> str:
+    """``name`` as a file name: each run of other characters than letters,
+    digits, ``.``, ``_`` and ``-`` becomes one ``_``."""
+    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+
+
+def _check_safe_names(names, what: str, where: str) -> None:
+    """Distinct ``names`` must stay distinct as file names: a benchmark
+    names its cell directories after dataset names and solver labels."""
+    seen = {}
+    for name in names:
+        other = seen.setdefault(_safe_name(name), name)
+        if other != name:
+            raise ConfigError(
+                f"{where}: {what} {other!r} and {name!r} share the directory name {_safe_name(name)!r}"
+            )
+
+
 def _parse_benchmark_solver(d, where: str) -> BenchmarkEntry:
     """``label``, ``delta`` (else the top-level one) and the solver keys."""
     if not isinstance(d, dict):
@@ -202,12 +221,13 @@ def _parse_benchmark_solvers(value, where: str) -> tuple[BenchmarkEntry, ...]:
     solvers = _list_of(_parse_benchmark_solver)(value, where)
     if len({spec.label for spec in solvers}) != len(solvers):
         raise ConfigError(f"{where}: duplicate labels; set a distinct 'label' per entry")
+    _check_safe_names([spec.label for spec in solvers], "labels", where)
     return solvers
 
 
 def _parse_datasets(value, where: str) -> tuple[str, ...]:
     """Distinct paths with distinct file stems: a stem names the dataset
-    in ``summary.csv`` and in the cell directories."""
+    in ``summary.csv`` and, made safe, in the cell directories."""
     datasets = _list_of(_as_str)(value, where)
     if len(set(datasets)) != len(datasets):
         raise ConfigError(f"{where}: duplicate entries")
@@ -217,6 +237,7 @@ def _parse_datasets(value, where: str) -> tuple[str, ...]:
         if name in names:
             raise ConfigError(f"{where}: duplicate dataset name {name!r}")
         names.add(name)
+    _check_safe_names([Path(path).stem for path in datasets], "dataset names", where)
     return datasets
 
 

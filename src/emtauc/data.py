@@ -189,6 +189,10 @@ class DatasetView:
         return f"DatasetView(n={self.n}, t_pos={self.t_pos}, t_neg={self.t_neg})"
 
 
+# the largest feature index a CSR matrix can hold as its int64 dimension
+_MAX_INDEX = np.iinfo(np.int64).max
+
+
 def parse_libsvm(source: str | bytes) -> Dataset:
     """Parse LIBSVM text: ``<label> <index>:<value> ...`` per line.
 
@@ -241,6 +245,8 @@ def parse_libsvm(source: str | bytes) -> Dataset:
                 raise DataError(f"line {line_no}: invalid feature value {part[1]!r}") from exc
             if idx < 1:
                 raise DataError(f"line {line_no}: feature index {idx} is not 1-based")
+            if idx > _MAX_INDEX:
+                raise DataError(f"line {line_no}: feature index {idx} is too large")
             if idx <= prev:
                 raise DataError(
                     f"line {line_no}: feature indices must be strictly increasing "
@@ -307,6 +313,10 @@ def scale_features(ds: Dataset) -> Dataset:
     input. Constant features collapse to 0. Columns already spanning exactly
     [-1, 1] are left untouched, which makes scaling idempotent.
     """
+    n, dim = ds.X.shape
+    # numpy refuses such a shape outright, before any allocation
+    if n * dim * 8 > np.iinfo(np.intp).max:
+        raise DataError(f"dense {n} x {dim} feature matrix is too large to scale")
     dense = np.asarray(ds.X.todense())
     out = np.empty_like(dense)
     for j in range(dense.shape[1]):

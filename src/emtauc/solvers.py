@@ -10,6 +10,11 @@ polynomial mutation) and one decode rule w = 2*keys - 1:
   generations through a learned linear map between the tasks' sorted
   populations.
 
+Variation is one draw pass per mating policy (``_ga_offspring``,
+``_mfea_offspring``) that takes every parent and uniform in stream order,
+then one SBX and PM pass over the whole block (``_offspring``). No draw
+depends on a child's value, and the two kernels take no generator.
+
 ``dispatch_solver`` is the one entry point and the one driver loop. Each
 solver is a generator that keeps only its policy (mating, selection,
 adjustment, transfer) and yields its best cheap objective and adjust flag
@@ -85,14 +90,12 @@ def decode_weights(keys) -> np.ndarray:
     return 2.0 * np.asarray(keys, dtype=np.float64) - 1.0
 
 
-def sbx_crossover(p1, p2, eta: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover, children clamped to [0, 1].
+def sbx_crossover(p1, p2, u, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover gene by gene on the uniforms ``u``, which
+    have the parents' shape; children clamped to [0, 1].
 
     Identical parents produce bit-identical children.
     """
-    p1 = np.asarray(p1, dtype=np.float64)
-    p2 = np.asarray(p2, dtype=np.float64)
-    u = rng.random(p1.shape)
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** (1.0 / (eta + 1.0)),
@@ -100,28 +103,16 @@ def sbx_crossover(p1, p2, eta: float, rng) -> tuple[np.ndarray, np.ndarray]:
     )
     mean = 0.5 * (p1 + p2)
     spread = 0.5 * beta * (p1 - p2)
-    c1 = np.clip(mean + spread, 0.0, 1.0)
-    c2 = np.clip(mean - spread, 0.0, 1.0)
-    return c1, c2
+    return np.clip(mean + spread, 0.0, 1.0), np.clip(mean - spread, 0.0, 1.0)
 
 
-def pm_mutation(genome, eta: float, prob: float, rng) -> np.ndarray:
-    """Polynomial mutation per gene with probability ``prob``, in [0, 1].
-
-    Draws two uniforms per gene regardless of the mask so the stream
-    advance is independent of outcomes.
-    """
-    g = np.asarray(genome, dtype=np.float64)
-    mask = rng.random(g.shape) < prob
-    u = rng.random(g.shape)
+def pm_mutation(g, mask_u, u, eta: float, prob: float) -> np.ndarray:
+    """Polynomial mutation gene by gene, in [0, 1]: a gene mutates where its
+    ``mask_u`` uniform is below ``prob`` and takes its step from ``u``."""
     toward_zero = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
     toward_one = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
-    child = g.copy()
-    low = mask & (u <= 0.5)
-    high = mask & (u > 0.5)
-    child = np.where(low, g + toward_zero * g, child)
-    child = np.where(high, g + toward_one * (1.0 - g), child)
-    return np.clip(child, 0.0, 1.0)
+    child = np.where(u <= 0.5, g + toward_zero * g, g + toward_one * (1.0 - g))
+    return np.clip(np.where(mask_u < prob, child, g), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -265,21 +256,36 @@ def _tournament(rng, objectives: np.ndarray) -> int:
     return int(i) if objectives[i] <= objectives[j] else int(j)
 
 
+def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float) -> np.ndarray:
+    """Children of parent pairs: SBX on the crossing pairs, then PM on every
+    child, each in one pass over the whole block.
+
+    ``parents`` holds (pairs, 2) indices into ``genomes`` and ``cross`` one
+    flag per pair. ``u`` is (pairs, 5, dim) and holds each pair's uniforms in
+    draw order: row 0 for SBX, rows 1 and 2 for child 1's mutation mask and
+    step, rows 3 and 4 for child 2's. A pair that does not cross draws rows
+    1-4 and its children are its parents; an unpaired last parent draws rows
+    1-2 and only its first child is kept. Children 2i and 2i + 1 come from
+    pair i, and the first len(genomes) are returned.
+    """
+    first = genomes[parents[:, 0]]
+    second = genomes[parents[:, 1]]
+    first[cross], second[cross] = sbx_crossover(first[cross], second[cross], u[cross, 0], config.sbx_eta)
+    children = pm_mutation(np.stack([first, second], axis=1), u[:, 1::2], u[:, 2::2], config.pm_eta, pm_prob)
+    return children.reshape(-1, genomes.shape[1])[: genomes.shape[0]]
+
+
 def _ga_offspring(genomes: np.ndarray, objectives: np.ndarray, config: SolverConfig, pm_prob: float, rng) -> np.ndarray:
-    n = genomes.shape[0]
-    children = np.empty_like(genomes)
-    k = 0
-    while k + 1 < n:
-        a = _tournament(rng, objectives)
-        b = _tournament(rng, objectives)
-        c1, c2 = sbx_crossover(genomes[a], genomes[b], config.sbx_eta, rng)
-        children[k] = pm_mutation(c1, config.pm_eta, pm_prob, rng)
-        children[k + 1] = pm_mutation(c2, config.pm_eta, pm_prob, rng)
-        k += 2
-    if k < n:
-        a = _tournament(rng, objectives)
-        children[k] = pm_mutation(genomes[a], config.pm_eta, pm_prob, rng)
-    return children
+    n, dim = genomes.shape
+    parents = np.empty(((n + 1) // 2, 2), dtype=np.int64)
+    u = np.zeros((parents.shape[0], 5, dim))
+    for i in range(n // 2):
+        parents[i] = _tournament(rng, objectives), _tournament(rng, objectives)
+        u[i] = rng.random((5, dim))
+    if n % 2:
+        parents[-1] = _tournament(rng, objectives)
+        u[-1, 1:3] = rng.random((2, dim))
+    return _offspring(genomes, parents, np.arange(parents.shape[0]) < n // 2, u, config, pm_prob)
 
 
 def _ga_generation(
@@ -316,30 +322,23 @@ def _mfea_offspring(
     parent mutates alone and passes its skill on. Crossover children
     inherit either parent's skill with equal probability.
     """
-    n = genomes.shape[0]
-    child_genomes = np.empty_like(genomes)
-    child_skills = np.empty(n, dtype=np.int64)
+    n, dim = genomes.shape
     perm = rng.permutation(n)
-    k = 0
-    while k + 1 < n:
-        a, b = perm[k], perm[k + 1]
-        if skills[a] == skills[b] or rng.random() < config.rmp:
-            c1, c2 = sbx_crossover(genomes[a], genomes[b], config.sbx_eta, rng)
-            child_genomes[k] = pm_mutation(c1, config.pm_eta, pm_prob, rng)
-            child_genomes[k + 1] = pm_mutation(c2, config.pm_eta, pm_prob, rng)
-            child_skills[k] = skills[a] if rng.random() < 0.5 else skills[b]
-            child_skills[k + 1] = skills[a] if rng.random() < 0.5 else skills[b]
+    parents = np.resize(perm, ((n + 1) // 2, 2))
+    cross = np.zeros(parents.shape[0], dtype=bool)
+    u = np.zeros((parents.shape[0], 5, dim))
+    child_skills = skills[perm]
+    for i, (a, b) in enumerate(parents[: n // 2]):
+        cross[i] = skills[a] == skills[b] or rng.random() < config.rmp
+        if cross[i]:
+            u[i] = rng.random((5, dim))
+            child_skills[2 * i] = skills[a] if rng.random() < 0.5 else skills[b]
+            child_skills[2 * i + 1] = skills[a] if rng.random() < 0.5 else skills[b]
         else:
-            child_genomes[k] = pm_mutation(genomes[a], config.pm_eta, pm_prob, rng)
-            child_genomes[k + 1] = pm_mutation(genomes[b], config.pm_eta, pm_prob, rng)
-            child_skills[k] = skills[a]
-            child_skills[k + 1] = skills[b]
-        k += 2
-    if k < n:
-        a = perm[k]
-        child_genomes[k] = pm_mutation(genomes[a], config.pm_eta, pm_prob, rng)
-        child_skills[k] = skills[a]
-    return child_genomes, child_skills
+            u[i, 1:] = rng.random((4, dim))
+    if n % 2:
+        u[-1, 1:3] = rng.random((2, dim))
+    return _offspring(genomes, parents, cross, u, config, pm_prob), child_skills
 
 
 def _maybe_adjust(env: Environment, generation: int) -> bool:

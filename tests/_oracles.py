@@ -74,3 +74,87 @@ def rank_sum_exact_p(a, b) -> float:
         if w >= observed:
             ge += 1
     return min(1.0, 2.0 * min(le, ge) / total)
+
+
+# Variation the literal way: each mating loop interleaves its draws with
+# per-pair SBX and PM calls that draw their uniforms from the generator.
+
+
+def sbx_crossover_naive(p1, p2, eta: float, rng):
+    p1 = np.asarray(p1, dtype=np.float64)
+    p2 = np.asarray(p2, dtype=np.float64)
+    u = rng.random(p1.shape)
+    beta = np.where(
+        u <= 0.5,
+        (2.0 * u) ** (1.0 / (eta + 1.0)),
+        (0.5 / (1.0 - u)) ** (1.0 / (eta + 1.0)),
+    )
+    mean = 0.5 * (p1 + p2)
+    spread = 0.5 * beta * (p1 - p2)
+    c1 = np.clip(mean + spread, 0.0, 1.0)
+    c2 = np.clip(mean - spread, 0.0, 1.0)
+    return c1, c2
+
+
+def pm_mutation_naive(genome, eta: float, prob: float, rng):
+    """Draws a mask uniform per gene, then a step uniform per gene."""
+    g = np.asarray(genome, dtype=np.float64)
+    mask = rng.random(g.shape) < prob
+    u = rng.random(g.shape)
+    toward_zero = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
+    toward_one = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
+    child = g.copy()
+    low = mask & (u <= 0.5)
+    high = mask & (u > 0.5)
+    child = np.where(low, g + toward_zero * g, child)
+    child = np.where(high, g + toward_one * (1.0 - g), child)
+    return np.clip(child, 0.0, 1.0)
+
+
+def _tournament_naive(rng, objectives) -> int:
+    i, j = rng.integers(objectives.shape[0], size=2)
+    return int(i) if objectives[i] <= objectives[j] else int(j)
+
+
+def ga_offspring_naive(genomes, objectives, config, pm_prob, rng):
+    n = genomes.shape[0]
+    children = np.empty_like(genomes)
+    k = 0
+    while k + 1 < n:
+        a = _tournament_naive(rng, objectives)
+        b = _tournament_naive(rng, objectives)
+        c1, c2 = sbx_crossover_naive(genomes[a], genomes[b], config.sbx_eta, rng)
+        children[k] = pm_mutation_naive(c1, config.pm_eta, pm_prob, rng)
+        children[k + 1] = pm_mutation_naive(c2, config.pm_eta, pm_prob, rng)
+        k += 2
+    if k < n:
+        a = _tournament_naive(rng, objectives)
+        children[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, rng)
+    return children
+
+
+def mfea_offspring_naive(genomes, skills, config, pm_prob, rng):
+    n = genomes.shape[0]
+    child_genomes = np.empty_like(genomes)
+    child_skills = np.empty(n, dtype=np.int64)
+    perm = rng.permutation(n)
+    k = 0
+    while k + 1 < n:
+        a, b = perm[k], perm[k + 1]
+        if skills[a] == skills[b] or rng.random() < config.rmp:
+            c1, c2 = sbx_crossover_naive(genomes[a], genomes[b], config.sbx_eta, rng)
+            child_genomes[k] = pm_mutation_naive(c1, config.pm_eta, pm_prob, rng)
+            child_genomes[k + 1] = pm_mutation_naive(c2, config.pm_eta, pm_prob, rng)
+            child_skills[k] = skills[a] if rng.random() < 0.5 else skills[b]
+            child_skills[k + 1] = skills[a] if rng.random() < 0.5 else skills[b]
+        else:
+            child_genomes[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, rng)
+            child_genomes[k + 1] = pm_mutation_naive(genomes[b], config.pm_eta, pm_prob, rng)
+            child_skills[k] = skills[a]
+            child_skills[k + 1] = skills[b]
+        k += 2
+    if k < n:
+        a = perm[k]
+        child_genomes[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, rng)
+        child_skills[k] = skills[a]
+    return child_genomes, child_skills

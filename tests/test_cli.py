@@ -165,6 +165,15 @@ def test_exit_codes(tmp_path, dataset_file):
     )
     assert main(["run", "--config", str(bad_data)]) == 3
 
+    # feature indices too large to parse, and a shape too large to scale
+    for index in ("9223372036854775808", "4611686018427387904"):
+        huge = tmp_path / f"huge{index}.libsvm"
+        huge.write_text(f"+1 1:0.5 {index}:1\n-1 1:0.1\n")
+        huge_config = write_config(
+            tmp_path, run_config(huge, output_dir=str(tmp_path / "z")), name="huge.json"
+        )
+        assert main(["run", "--config", str(huge_config)]) == 3
+
 
 def test_validate_config_subcommand(tmp_path, dataset_file):
     good = write_config(tmp_path, run_config(dataset_file))
@@ -249,6 +258,28 @@ def test_benchmark_layout_and_manifests(tmp_path, dataset_file):
     assert top["command"] == "benchmark"
     assert top["results"]["failed_cells"] == 0
     assert len(top["results"]["rows"]) == 2
+
+
+def test_benchmark_rejects_names_that_share_a_cell_directory(tmp_path, dataset_file, capsys):
+    # "ga/1" and "ga_1" both become cells/toy__ga_1__t0_f0; "a b" and "a_b" likewise
+    out = tmp_path / "bench"
+    base = {
+        "datasets": [str(dataset_file)],
+        "solvers": [{"label": "ga/1", "kind": "single_task_ga"}, {"label": "ga_1", "kind": "mfea"}],
+        "trials": 1,
+        "folds": 2,
+        "budget": 1000,
+        "seed": 3,
+        "output_dir": str(out),
+    }
+    spaced = dict(base, datasets=[str(tmp_path / "a b.libsvm"), str(tmp_path / "a_b.libsvm")])
+    spaced["solvers"] = [{"kind": "mfea"}]
+    for payload, message in ((base, "labels 'ga/1' and 'ga_1'"), (spaced, "dataset names 'a b' and 'a_b'")):
+        cfg = write_config(tmp_path, payload, name="bench.json")
+        assert main(["benchmark", "--config", str(cfg)]) == 2
+        assert main(["validate-config", "--config", str(cfg), "--kind", "benchmark"]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+    assert not out.exists()
 
 
 def test_benchmark_byte_identical_with_jobs(tmp_path, dataset_file):

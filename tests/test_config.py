@@ -190,6 +190,9 @@ ERROR_CASES = [
     ("run", config("run", {"lambda": 10**400}), f"run config.lambda: {TOO_LARGE}"),
     ("run", solver("mfea", rmp=10**400), f"run config.solver.rmp: {TOO_LARGE}"),
     ("benchmark", config("benchmark", {"datasets": ["toy.libsvm", "./toy.libsvm"]}), "benchmark config.datasets: duplicate dataset name 'toy'"),
+    # labels and dataset names that differ but share a cell directory name
+    ("benchmark", config("benchmark", {"solvers": [{"kind": "single_task_ga", "label": "ga/1"}, {"kind": "mfea", "label": "ga_1"}]}), "benchmark config.solvers: labels 'ga/1' and 'ga_1' share the directory name 'ga_1'"),
+    ("benchmark", config("benchmark", {"datasets": ["a b.libsvm", "a_b.libsvm"]}), "benchmark config.datasets: dataset names 'a b' and 'a_b' share the directory name 'a_b'"),
 ]
 
 

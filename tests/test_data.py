@@ -76,6 +76,13 @@ def test_parse_rejects_nonfinite():
     assert ds.labels.tolist() == [1, -1, 1]
 
 
+def test_parse_rejects_oversized_index():
+    # 2**63 does not fit the int64 dimension of a CSR matrix
+    with pytest.raises(DataError, match="line 2: feature index 9223372036854775808 is too large"):
+        parse_libsvm("-1 1:1.0\n+1 1:0.5 9223372036854775808:1\n")
+    assert parse_libsvm("+1 9223372036854775807:1\n-1 1:1\n").dim == 2**63 - 1
+
+
 def test_parse_requires_both_classes():
     with pytest.raises(DataError):
         parse_libsvm("+1 1:1.0\n+1 1:2.0\n")
@@ -130,6 +137,14 @@ def test_scaling_endpoints_exact():
     for j in range(dense.shape[1]):
         assert dense[:, j].min() == -1.0
         assert dense[:, j].max() == 1.0
+
+
+def test_scaling_rejects_a_shape_numpy_refuses():
+    # 2 x 2**62 float64 values exceed the address space: numpy refuses the
+    # shape before allocating anything
+    ds = parse_libsvm("+1 1:0.5 4611686018427387904:1\n-1 1:0.1\n")
+    with pytest.raises(DataError, match="dense 2 x 4611686018427387904 feature matrix is too large"):
+        scale_features(ds)
 
 
 def test_as_rate_exact():

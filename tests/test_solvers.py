@@ -14,6 +14,8 @@ from emtauc.solvers import (
     pm_mutation,
     sbx_crossover,
     _evaluate,
+    _ga_offspring,
+    _mfea_offspring,
     _population_stats,
 )
 
@@ -52,7 +54,7 @@ def test_decode_weights_endpoints():
 def test_sbx_identical_parents_bit_exact():
     rng = np.random.default_rng(0)
     p = rng.random(12)
-    c1, c2 = sbx_crossover(p, p.copy(), 15.0, rng)
+    c1, c2 = sbx_crossover(p, p.copy(), rng.random(12), 15.0)
     assert np.array_equal(c1, p)
     assert np.array_equal(c2, p)
 
@@ -62,7 +64,7 @@ def test_sbx_children_in_bounds():
     for _ in range(100):
         p1 = rng.random(8)
         p2 = rng.random(8)
-        c1, c2 = sbx_crossover(p1, p2, 15.0, rng)
+        c1, c2 = sbx_crossover(p1, p2, rng.random(8), 15.0)
         for c in (c1, c2):
             assert np.all(c >= 0.0) and np.all(c <= 1.0)
 
@@ -71,7 +73,7 @@ def test_sbx_mean_preserved_without_clipping():
     rng = np.random.default_rng(2)
     p1 = np.full(6, 0.45)
     p2 = np.full(6, 0.55)
-    c1, c2 = sbx_crossover(p1, p2, 15.0, rng)
+    c1, c2 = sbx_crossover(p1, p2, rng.random(6), 15.0)
     # children are symmetric around the parent mean when no clamp triggers
     assert np.allclose((c1 + c2) / 2, 0.5, atol=1e-12)
 
@@ -79,22 +81,29 @@ def test_sbx_mean_preserved_without_clipping():
 def test_pm_bounds_and_mask():
     rng = np.random.default_rng(3)
     g = rng.random(20)
-    child = pm_mutation(g, 15.0, 1.0, rng)
+    child = pm_mutation(g, rng.random(20), rng.random(20), 15.0, 1.0)
     assert np.all(child >= 0.0) and np.all(child <= 1.0)
     assert np.any(child != g)
 
 
 def test_pm_draw_count_independent_of_prob():
-    # prob=0 must consume the same stream as prob=1 (mask + u per gene)
+    # pm_prob 0 keeps every gene, and the draw passes take the same stream
+    # at pm_prob 0 and 1 (a mask and a step uniform per gene either way)
     g = np.linspace(0.1, 0.9, 7)
     rng = np.random.default_rng(4)
-    unchanged = pm_mutation(g, 15.0, 0.0, rng)
-    after_zero = rng.random()
-    rng = np.random.default_rng(4)
-    pm_mutation(g, 15.0, 1.0, rng)
-    after_one = rng.random()
+    unchanged = pm_mutation(g, rng.random(7), rng.random(7), 15.0, 0.0)
     assert np.array_equal(unchanged, g)
-    assert after_zero == after_one
+    genomes = np.random.default_rng(5).random((7, 4))
+    objectives = np.arange(7.0)
+    skills = np.array([0, 1, 0, 1, 1, 0, 0])
+    config = SolverConfig(kind="mfea", rmp=0.5)
+    after = {}
+    for pm_prob in (0.0, 1.0):
+        rng = np.random.default_rng(4)
+        _ga_offspring(genomes, objectives, config, pm_prob, rng)
+        _mfea_offspring(genomes, skills, config, pm_prob, rng)
+        after[pm_prob] = rng.random()
+    assert after[0.0] == after[1.0]
 
 
 def test_population_stats_ranks_and_skills():
