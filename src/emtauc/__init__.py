@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     BenchmarkCell,
-    BenchmarkEntry,
     BenchmarkRow,
     BenchmarkSummary,
     LandscapeReport,
@@ -23,10 +22,12 @@ from .analysis import (
 )
 from .config import (
     BenchmarkConfig,
+    BenchmarkEntry,
     ConfigError,
     CostModelConfig,
     LandscapeConfig,
     RunConfig,
+    SolverConfig,
 )
 from .data import (
     DataError,
@@ -57,7 +58,6 @@ from .evaluation import (
 )
 from .solvers import (
     RunResult,
-    SolverConfig,
     TracePoint,
     decode_weights,
     dispatch_solver,
@@ -67,7 +67,6 @@ from .solvers import (
 __all__ = [
     "__version__",
     "BenchmarkCell",
-    "BenchmarkEntry",
     "BenchmarkRow",
     "BenchmarkSummary",
     "LandscapeReport",
@@ -76,10 +75,12 @@ __all__ = [
     "run_benchmark",
     "spearman_rho",
     "BenchmarkConfig",
+    "BenchmarkEntry",
     "ConfigError",
     "CostModelConfig",
     "LandscapeConfig",
     "RunConfig",
+    "SolverConfig",
     "DataError",
     "Dataset",
     "DatasetView",
@@ -102,7 +103,6 @@ __all__ = [
     "pairwise_loss_count",
     "select_hardest",
     "RunResult",
-    "SolverConfig",
     "TracePoint",
     "decode_weights",
     "dispatch_solver",

@@ -11,10 +11,11 @@ from math import comb, sqrt
 import numpy as np
 from scipy import stats
 
+from .config import BenchmarkEntry
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
 from .environment import TaskId, as_budget, build_environment
 from .evaluation import auc_metric, objective_batch
-from .solvers import SolverConfig, decode_weights, dispatch_solver
+from .solvers import decode_weights, dispatch_solver
 
 VERDICT_BETTER = "+"
 VERDICT_SIMILAR = "≈"
@@ -155,16 +156,6 @@ def stable_seed(*parts) -> int:
     key = "\x1f".join(str(p) for p in parts)
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
-
-
-@dataclass(frozen=True)
-class BenchmarkEntry:
-    """One solver column in a sweep; ``delta`` is this entry's adjustment
-    period (None disables adjustment)."""
-
-    label: str
-    config: SolverConfig
-    delta: int | None = 30
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ name (``lam`` is ``"lambda"``); a field without a default is required.
 ``from_dict`` walks this table strictly (unknown and missing keys are
 errors, and every ConfigError names the key path) and ``echo`` walks it to
 write the manifest's ``config`` block.
+
+``SolverConfig`` is in the same table, and its ``__post_init__`` runs each
+key's parser, so JSON and Python construction reject the same values; its
+``seed`` is not a key. This module imports only the data and environment
+layers, and the solver and analysis layers take their config types from it.
 """
 from __future__ import annotations
 
@@ -13,12 +18,15 @@ import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from pathlib import Path
 
-from .analysis import BenchmarkEntry
 from .data import DataError, as_rate
 from .environment import as_budget
-from .solvers import SOLVER_KINDS, SolverConfig
+
+SOLVER_KINDS = ("single_task_ga", "mfea", "emea")
+_DEFAULT_POP = {"single_task_ga": 10, "mfea": 20, "emea": 10}
 
 
 class ConfigError(ValueError):
@@ -47,6 +55,20 @@ def _as_number(value, where: str) -> float:
         ) from None
     if not math.isfinite(number):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _in_unit_interval(value, where: str) -> float:
+    number = _as_number(value, where)
+    if not 0.0 <= number <= 1.0:
+        raise ConfigError(f"{where}: must lie in [0, 1], got {value}")
+    return number
+
+
+def _positive(value, where: str) -> float:
+    number = _as_number(value, where)
+    if number <= 0:
+        raise ConfigError(f"{where}: must be positive, got {value}")
     return number
 
 
@@ -86,52 +108,14 @@ def _list_of(parse_item):
     return parse
 
 
-def _parse_keys(d, parsers: dict, required, where: str) -> dict:
-    """Check ``d`` against a JSON key -> parser table; parse in table order."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {d!r}")
-    unknown = sorted(set(d) - set(parsers))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    values = {}
-    for key, parse in parsers.items():
-        if key in d:
-            values[key] = parse(d[key], f"{where}.{key}")
-        elif key in required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-    return values
-
-
-def _solver_kind(value, where: str) -> str:
-    kind = _as_str(value, where)
-    if kind not in SOLVER_KINDS:
-        raise ConfigError(f"{where}: expected one of {', '.join(SOLVER_KINDS)}, got {kind!r}")
-    return kind
-
-
-_SOLVER_KEYS = {
-    "kind": _solver_kind,
-    "pop_size": _int(2),
-    "rmp": _as_number,
-    "transfer_interval": _int(1),
-    "transfer_count": _int(0),
-    "sbx_eta": _as_number,
-    "pm_eta": _as_number,
-    "pm_prob": _optional(_as_number),
-}
-
-
-def parse_solver(d, where: str = "solver") -> SolverConfig:
-    kwargs = _parse_keys(d, _SOLVER_KEYS, {"kind"}, where)
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def _key(parse, default=MISSING, key: str | None = None):
     """A config field; without a default it is a required key."""
     return field(default=default, metadata={"parse": parse, "key": key})
+
+
+def _key_fields(cls) -> list:
+    """The fields of ``cls`` (a class or an instance) that are JSON keys."""
+    return [f for f in fields(cls) if "parse" in f.metadata]
 
 
 def _json_key(f) -> str:
@@ -141,20 +125,25 @@ def _json_key(f) -> str:
 def _parse_fields(cls, d, where: str):
     """Parse ``d`` into ``cls``. Fields are parsed in declaration order,
     which decides the error reported for a config with several."""
-    table = {_json_key(f): f for f in fields(cls)}
-    values = _parse_keys(
-        d,
-        {key: f.metadata["parse"] for key, f in table.items()},
-        {key for key, f in table.items() if f.default is MISSING},
-        where,
-    )
-    return cls(**{table[key].name: value for key, value in values.items()})
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
+    table = {_json_key(f): f for f in _key_fields(cls)}
+    unknown = sorted(set(d) - set(table))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    values = {}
+    for key, f in table.items():
+        if key in d:
+            values[f.name] = f.metadata["parse"](d[key], f"{where}.{key}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return cls(**values)
 
 
 def echo(cfg) -> dict:
     """The manifest's ``config`` block, in a form ``from_dict`` reads back;
     solver blocks carry the resolved ``pop_size``."""
-    return {_json_key(f): _echo_value(getattr(cfg, f.name)) for f in fields(cfg)}
+    return {_json_key(f): _echo_value(getattr(cfg, f.name)) for f in _key_fields(cfg)}
 
 
 def _echo_value(value):
@@ -163,16 +152,67 @@ def _echo_value(value):
     if isinstance(value, tuple):
         return [_echo_value(v) for v in value]
     if isinstance(value, SolverConfig):
-        return dict({key: getattr(value, key) for key in _SOLVER_KEYS}, pop_size=value.resolved_pop_size())
+        return dict(echo(value), pop_size=value.resolved_pop_size())
     if isinstance(value, BenchmarkEntry):
         return dict(_echo_value(value.config), label=value.label, delta=value.delta)
     return value
 
 
+def _solver_kind(value, where: str) -> str:
+    kind = _as_str(value, where)
+    if kind not in SOLVER_KINDS:
+        raise ConfigError(f"{where}: expected one of {', '.join(SOLVER_KINDS)}, got {kind!r}")
+    return kind
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Algorithmic knobs shared by all solvers.
+
+    ``pop_size`` of None picks the solver's default (20 for mfea, else 10);
+    JSON may leave the key out but not write null. ``pm_prob`` of None
+    resolves to 1/dim at run time. ``seed`` is not a JSON key and accepts
+    anything ``numpy.random.default_rng`` does.
+    """
+
+    kind: str = _key(_solver_kind)
+    pop_size: int | None = _key(_int(2), None)
+    rmp: float = _key(_in_unit_interval, 0.3)
+    transfer_interval: int = _key(_int(1), 5)
+    transfer_count: int = _key(_int(0), 2)
+    sbx_eta: float = _key(_positive, 15.0)
+    pm_eta: float = _key(_positive, 15.0)
+    pm_prob: float | None = _key(_optional(_in_unit_interval), None)
+    seed: object = None
+
+    def __post_init__(self) -> None:
+        # a key left at its default is valid, even a None that JSON may not write
+        for f in _key_fields(self):
+            value = getattr(self, f.name)
+            if value is not f.default:
+                f.metadata["parse"](value, f"SolverConfig.{f.name}")
+
+    def resolved_pop_size(self) -> int:
+        return self.pop_size if self.pop_size is not None else _DEFAULT_POP[self.kind]
+
+
+_parse_solver = partial(_parse_fields, SolverConfig)
+
+
+@dataclass(frozen=True)
+class BenchmarkEntry:
+    """One solver column in a sweep; ``delta`` is this entry's adjustment
+    period (None disables adjustment)."""
+
+    label: str
+    config: SolverConfig
+    delta: int | None = 30
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dataset: str = _key(_as_str)
-    solver: SolverConfig = _key(parse_solver)
+    solver: SolverConfig = _key(_parse_solver)
     # no wall-clock fallback: a run must name its seed (file or --seed)
     seed: int = _key(_int(0))
     s: Fraction = _key(_parse_rate, Fraction(1, 10))
@@ -194,16 +234,16 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
 
-def _check_safe_names(names, what: str, where: str) -> None:
-    """Distinct ``names`` must stay distinct as file names: a benchmark
-    names its cell directories after dataset names and solver labels."""
+def _check_safe_names(keys, what: str, where: str, name=str) -> None:
+    """Distinct ``keys`` must keep distinct file names ``_safe_name(name(key))``:
+    a benchmark names its cell directories after dataset names and solver
+    labels."""
     seen = {}
-    for name in names:
-        other = seen.setdefault(_safe_name(name), name)
-        if other != name:
-            raise ConfigError(
-                f"{where}: {what} {other!r} and {name!r} share the directory name {_safe_name(name)!r}"
-            )
+    for key in keys:
+        safe = _safe_name(name(key))
+        other = seen.setdefault(safe, key)
+        if other != key:
+            raise ConfigError(f"{where}: {what} {other!r} and {key!r} share the directory name {safe!r}")
 
 
 def _parse_benchmark_solver(d, where: str) -> BenchmarkEntry:
@@ -213,7 +253,7 @@ def _parse_benchmark_solver(d, where: str) -> BenchmarkEntry:
     inner = dict(d)
     label = _as_str(inner.pop("label"), f"{where}.label") if "label" in inner else None
     delta = _delta(inner.pop("delta"), f"{where}.delta") if "delta" in inner else None
-    config = parse_solver(inner, where)
+    config = _parse_solver(inner, where)
     return BenchmarkEntry(label=label or config.kind, config=config, delta=delta)
 
 
@@ -231,13 +271,11 @@ def _parse_datasets(value, where: str) -> tuple[str, ...]:
     datasets = _list_of(_as_str)(value, where)
     if len(set(datasets)) != len(datasets):
         raise ConfigError(f"{where}: duplicate entries")
-    names = set()
-    for path in datasets:
-        name = Path(path).stem
-        if name in names:
-            raise ConfigError(f"{where}: duplicate dataset name {name!r}")
-        names.add(name)
-    _check_safe_names([Path(path).stem for path in datasets], "dataset names", where)
+    stems = [Path(path).stem for path in datasets]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise ConfigError(f"{where}: duplicate dataset name {stem!r}")
+    _check_safe_names(stems, "dataset names", where)
     return datasets
 
 
@@ -260,10 +298,14 @@ class BenchmarkConfig:
     @classmethod
     def from_dict(cls, d) -> "BenchmarkConfig":
         cfg = _parse_fields(cls, d, "benchmark config")
-        if cfg.baseline is not None and cfg.baseline not in {spec.label for spec in cfg.solvers}:
+        labels = [spec.label for spec in cfg.solvers]
+        if cfg.baseline is not None and cfg.baseline not in labels:
             raise ConfigError(
                 f"benchmark config.baseline: {cfg.baseline!r} does not match any solver label"
             )
+        # cells/{stem}__{label}__t{trial}_f{fold}: the suffix reads back from the end
+        pairs = product([Path(path).stem for path in cfg.datasets], labels)
+        _check_safe_names(pairs, "(dataset, label) pairs", "benchmark config", name="__".join)
         solvers = tuple(
             spec if "delta" in raw else replace(spec, delta=cfg.delta)
             for spec, raw in zip(cfg.solvers, d["solvers"])

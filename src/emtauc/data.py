@@ -10,6 +10,7 @@ id k is stored in matrix column k - 1.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -314,8 +315,10 @@ def scale_features(ds: Dataset) -> Dataset:
     [-1, 1] are left untouched, which makes scaling idempotent.
     """
     n, dim = ds.X.shape
-    # numpy refuses such a shape outright, before any allocation
-    if n * dim * 8 > np.iinfo(np.intp).max:
+    # the dense input and its scaled copy must fit in physical memory, or the
+    # run ends in MemoryError or the OOM killer
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else np.iinfo(np.intp).max
+    if 2 * n * dim * 8 > memory:
         raise DataError(f"dense {n} x {dim} feature matrix is too large to scale")
     dense = np.asarray(ds.X.todense())
     out = np.empty_like(dense)
@@ -332,16 +335,21 @@ def scale_features(ds: Dataset) -> Dataset:
     return Dataset(sp.csr_matrix(out), ds.labels)
 
 
+def class_view_sizes(ds: Dataset, rate: Fraction) -> tuple[int, int]:
+    """Positives and negatives in a cheap view at ``rate``: max(1, floor(rate * T))
+    per class, for the uniform and the hardest-instance views alike."""
+    return max(1, int(rate * ds.t_pos)), max(1, int(rate * ds.t_neg))
+
+
 def stratified_sample(ds: Dataset, s, seed) -> DatasetView:
     """Uniform class-stratified subsample at rate ``s``.
 
-    Picks max(1, floor(s * T)) instances per class without replacement;
+    Picks ``class_view_sizes`` instances per class without replacement;
     the view lists the chosen indices in ascending order.
     """
     rate = as_rate(s, "sampling rate")
     rng = np.random.default_rng(seed)
-    n_pos = max(1, int(rate * ds.t_pos))
-    n_neg = max(1, int(rate * ds.t_neg))
+    n_pos, n_neg = class_view_sizes(ds, rate)
     chosen_pos = rng.choice(ds.pos_idx, size=n_pos, replace=False)
     chosen_neg = rng.choice(ds.neg_idx, size=n_neg, replace=False)
     return DatasetView(ds, np.sort(np.concatenate([chosen_pos, chosen_neg])))

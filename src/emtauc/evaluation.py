@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetView, as_rate
+from .data import Dataset, DatasetView, as_rate, class_view_sizes
 
 
 def _as_weights(w, dim: int) -> np.ndarray:
@@ -152,7 +152,7 @@ def hardness_scores(w, ds: Dataset) -> HardnessScores:
 
 
 def select_hardest(scores: HardnessScores, ds: Dataset, s) -> DatasetView:
-    """View of the max(1, floor(s*T)) hardest instances per class.
+    """View of the ``class_view_sizes`` hardest instances per class.
 
     Within a class, higher score wins; ties break toward the lower original
     index. The view lists its indices ascending.
@@ -160,8 +160,7 @@ def select_hardest(scores: HardnessScores, ds: Dataset, s) -> DatasetView:
     rate = as_rate(s, "sampling rate")
     if scores.pos_scores.shape[0] != ds.t_pos or scores.neg_scores.shape[0] != ds.t_neg:
         raise ValueError("scores do not match the dataset's class sizes")
-    n_pos = max(1, int(rate * ds.t_pos))
-    n_neg = max(1, int(rate * ds.t_neg))
+    n_pos, n_neg = class_view_sizes(ds, rate)
     # lexsort: primary key descending score, secondary ascending position
     pos_order = np.lexsort((np.arange(ds.t_pos), -scores.pos_scores))[:n_pos]
     neg_order = np.lexsort((np.arange(ds.t_neg), -scores.neg_scores))[:n_neg]

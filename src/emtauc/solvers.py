@@ -1,7 +1,8 @@
 """Evolutionary solvers over a shared [0, 1]^D random-key space.
 
 Three solvers share one variation pipeline (SBX crossover followed by
-polynomial mutation) and one decode rule w = 2*keys - 1:
+polynomial mutation) and one decode rule w = 2*keys - 1, and read their
+knobs from ``config.SolverConfig`` (re-exported here):
 
 * ``single_task_ga``: (mu+lambda) GA on the expensive task alone.
 * ``mfea``: one unified population, implicit transfer through
@@ -37,52 +38,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import SolverConfig
 from .environment import Environment, TaskId, TaskSpec
 
-SOLVER_KINDS = ("single_task_ga", "mfea", "emea")
-_DEFAULT_POP = {"single_task_ga": 10, "mfea": 20, "emea": 10}
 _BOTH_TASKS = [TaskId.CHEAP, TaskId.EXPENSIVE]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Algorithmic knobs shared by all solvers.
-
-    ``pop_size`` of None picks the solver's default (20 for mfea, else 10).
-    ``pm_prob`` of None resolves to 1/dim at run time. ``seed`` accepts
-    anything ``numpy.random.default_rng`` does.
-    """
-
-    kind: str
-    pop_size: int | None = None
-    rmp: float = 0.3
-    transfer_interval: int = 5
-    transfer_count: int = 2
-    sbx_eta: float = 15.0
-    pm_eta: float = 15.0
-    pm_prob: float | None = None
-    seed: object = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in SOLVER_KINDS:
-            raise ValueError(f"unknown solver kind {self.kind!r}; expected one of {SOLVER_KINDS}")
-        if self.pop_size is not None and (
-            not isinstance(self.pop_size, int) or isinstance(self.pop_size, bool) or self.pop_size < 2
-        ):
-            raise ValueError(f"pop_size must be an integer >= 2, got {self.pop_size!r}")
-        if not 0.0 <= self.rmp <= 1.0:
-            raise ValueError(f"rmp must lie in [0, 1], got {self.rmp!r}")
-        if not isinstance(self.transfer_interval, int) or isinstance(self.transfer_interval, bool) or self.transfer_interval < 1:
-            raise ValueError(f"transfer_interval must be an integer >= 1, got {self.transfer_interval!r}")
-        if not isinstance(self.transfer_count, int) or isinstance(self.transfer_count, bool) or self.transfer_count < 0:
-            raise ValueError(f"transfer_count must be an integer >= 0, got {self.transfer_count!r}")
-        if not self.sbx_eta > 0 or not self.pm_eta > 0:
-            raise ValueError("distribution indices must be positive")
-        if self.pm_prob is not None and not 0.0 <= self.pm_prob <= 1.0:
-            raise ValueError(f"pm_prob must lie in [0, 1], got {self.pm_prob!r}")
-
-    def resolved_pop_size(self) -> int:
-        return self.pop_size if self.pop_size is not None else _DEFAULT_POP[self.kind]
 
 
 def decode_weights(keys) -> np.ndarray:

@@ -282,6 +282,41 @@ def test_benchmark_rejects_names_that_share_a_cell_directory(tmp_path, dataset_f
     assert not out.exists()
 
 
+def test_benchmark_rejects_dataset_label_pairs_that_share_a_cell_directory(tmp_path, dataset_file, capsys):
+    # dataset "a" with label "b__c" and dataset "a__b" with label "c" would
+    # both write cells/a__b__c__t0_f0
+    for stem in ("a", "a__b"):
+        (tmp_path / f"{stem}.libsvm").write_text(dataset_file.read_text())
+    out = tmp_path / "bench"
+    cfg = write_config(
+        tmp_path,
+        {
+            "datasets": [str(tmp_path / "a.libsvm"), str(tmp_path / "a__b.libsvm")],
+            "solvers": [{"label": "b__c", "kind": "single_task_ga"}, {"label": "c", "kind": "mfea"}],
+            "trials": 1,
+            "folds": 2,
+            "budget": 1000,
+            "seed": 3,
+            "output_dir": str(out),
+        },
+        name="bench.json",
+    )
+    assert main(["benchmark", "--config", str(cfg)]) == 2
+    assert main(["validate-config", "--config", str(cfg), "--kind", "benchmark"]) == 2
+    assert capsys.readouterr().err.count("('a', 'b__c') and ('a__b', 'c') share the directory name 'a__b__c'") == 2
+    assert not (out / "cells").exists()
+
+
+def test_scaling_past_physical_memory_exits_3(tmp_path, dataset_file, monkeypatch, capsys):
+    # a machine of 4 pages of 1 KiB: the toy set's two 70 x 4 dense copies exceed it
+    pages = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 1024}
+    monkeypatch.setattr("emtauc.data.os.sysconf", pages.__getitem__)
+    cfg = write_config(tmp_path, run_config(dataset_file, output_dir=str(tmp_path / "o")))
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "dense 70 x 4 feature matrix is too large to scale" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_benchmark_byte_identical_with_jobs(tmp_path, dataset_file):
     payload = {
         "datasets": [str(dataset_file)],

@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -10,6 +12,7 @@ from emtauc.config import (
     CostModelConfig,
     LandscapeConfig,
     RunConfig,
+    SolverConfig,
     echo,
 )
 from emtauc.data import serialize_libsvm
@@ -108,13 +111,13 @@ ERROR_CASES = [
     ("run", solver("mfea", pop_size=1), "run config.solver.pop_size: must be >= 2, got 1"),
     ("run", solver("mfea", pop_size=4.0), "run config.solver.pop_size: expected an integer, got 4.0"),
     ("run", solver("mfea", rmp="a"), "run config.solver.rmp: expected a number, got 'a'"),
-    ("run", solver("mfea", rmp=1.5), "run config.solver: rmp must lie in [0, 1], got 1.5"),
+    ("run", solver("mfea", rmp=1.5), "run config.solver.rmp: must lie in [0, 1], got 1.5"),
     ("run", solver("emea", transfer_interval=0), "run config.solver.transfer_interval: must be >= 1, got 0"),
     ("run", solver("emea", transfer_count=-1), "run config.solver.transfer_count: must be >= 0, got -1"),
-    ("run", solver("mfea", sbx_eta=0), "run config.solver: distribution indices must be positive"),
-    ("run", solver("mfea", pm_eta=-1), "run config.solver: distribution indices must be positive"),
+    ("run", solver("mfea", sbx_eta=0), "run config.solver.sbx_eta: must be positive, got 0"),
+    ("run", solver("mfea", pm_eta=-1), "run config.solver.pm_eta: must be positive, got -1"),
     ("run", solver("mfea", pm_eta=None), "run config.solver.pm_eta: expected a number, got None"),
-    ("run", solver("mfea", pm_prob=2), "run config.solver: pm_prob must lie in [0, 1], got 2.0"),
+    ("run", solver("mfea", pm_prob=2), "run config.solver.pm_prob: must lie in [0, 1], got 2"),
     ("run", solver("mfea", pm_prob="x"), "run config.solver.pm_prob: expected a number, got 'x'"),
     # booleans and non-finite numbers
     ("run", config("run", {"budget": True}), "run config.budget: expected a positive number, got True"),
@@ -144,7 +147,7 @@ ERROR_CASES = [
     ("benchmark", config("benchmark", {"solvers": [{"kind": "mfea", "delta": 0}]}), "benchmark config.solvers[0].delta: must be >= 1, got 0"),
     ("benchmark", config("benchmark", {"solvers": [{"kind": "mfea"}, {"label": "x"}]}), "benchmark config.solvers[1]: missing required key 'kind'"),
     ("benchmark", config("benchmark", {"solvers": [{"kind": "mfea", "seed": 3}]}), "benchmark config.solvers[0]: unknown key(s) 'seed'"),
-    ("benchmark", config("benchmark", {"solvers": [{"kind": "emea", "rmp": -0.1}]}), "benchmark config.solvers[0]: rmp must lie in [0, 1], got -0.1"),
+    ("benchmark", config("benchmark", {"solvers": [{"kind": "emea", "rmp": -0.1}]}), "benchmark config.solvers[0].rmp: must lie in [0, 1], got -0.1"),
     ("benchmark", config("benchmark", {"solvers": [{"kind": "mfea"}, {"kind": "mfea"}]}), "benchmark config.solvers: duplicate labels; set a distinct 'label' per entry"),
     ("benchmark", config("benchmark", {"solvers": [{"kind": "mfea", "label": "single_task_ga"}, {"kind": "single_task_ga"}]}), "benchmark config.solvers: duplicate labels; set a distinct 'label' per entry"),
     ("benchmark", config("benchmark", {"baseline": "emea"}), "benchmark config.baseline: 'emea' does not match any solver label"),
@@ -193,6 +196,8 @@ ERROR_CASES = [
     # labels and dataset names that differ but share a cell directory name
     ("benchmark", config("benchmark", {"solvers": [{"kind": "single_task_ga", "label": "ga/1"}, {"kind": "mfea", "label": "ga_1"}]}), "benchmark config.solvers: labels 'ga/1' and 'ga_1' share the directory name 'ga_1'"),
     ("benchmark", config("benchmark", {"datasets": ["a b.libsvm", "a_b.libsvm"]}), "benchmark config.datasets: dataset names 'a b' and 'a_b' share the directory name 'a_b'"),
+    # distinct (dataset, label) pairs that share a cell directory name
+    ("benchmark", config("benchmark", {"datasets": ["a.libsvm", "a__b.libsvm"], "solvers": [{"kind": "single_task_ga", "label": "b__c"}, {"kind": "mfea", "label": "c"}]}), "benchmark config: (dataset, label) pairs ('a', 'b__c') and ('a__b', 'c') share the directory name 'a__b__c'"),
 ]
 
 
@@ -201,6 +206,33 @@ def test_config_error_messages(kind, raw, message):
     with pytest.raises(ConfigError) as info:
         PARSERS[kind](raw)
     assert str(info.value) == message
+
+
+def _solver_value_cases():
+    """(solver block, key, message after the key path) for every error case
+    that rejects the value of one solver key."""
+    keys = {f.name for f in fields(SolverConfig)} - {"seed"}
+    for _, raw, message in ERROR_CASES:
+        match = re.fullmatch(r"(?:run config\.solver|benchmark config\.solvers\[(\d+)\])\.(\w+): (.*)", message)
+        if match and match[2] in keys:
+            block = raw["solver"] if match[1] is None else raw["solvers"][int(match[1])]
+            yield {k: v for k, v in block.items() if k in keys}, match[2], match[3]
+
+
+@pytest.mark.parametrize("block, key, reason", list(_solver_value_cases()))
+def test_python_construction_rejects_what_json_rejects(block, key, reason):
+    with pytest.raises(ValueError) as info:
+        SolverConfig(**block)
+    assert str(info.value) == f"SolverConfig.{key}: {reason}"
+
+
+def test_solver_defaults_are_valid_but_json_may_not_write_null_pop_size():
+    assert SolverConfig(kind="mfea", pop_size=None).resolved_pop_size() == 20
+    for bad in ({"rmp": True}, {"sbx_eta": INF}, {"pm_eta": NAN}, {"pop_size": True}):
+        with pytest.raises(ValueError):
+            SolverConfig(kind="mfea", **bad)
+    with pytest.raises(ConfigError, match=r"^run config\.solver\.pop_size: expected an integer, got None$"):
+        RunConfig.from_dict(solver("mfea", pop_size=None))
 
 
 @pytest.mark.parametrize("kind", sorted(BASE_CONFIGS))

@@ -147,6 +147,17 @@ def test_scaling_rejects_a_shape_numpy_refuses():
         scale_features(ds)
 
 
+def test_scaling_rejects_a_shape_past_physical_memory(monkeypatch):
+    # a 2 x 4 set needs two 64-byte dense copies; the machine reports 100 bytes
+    pages = {"SC_PHYS_PAGES": 25, "SC_PAGE_SIZE": 4}
+    monkeypatch.setattr("emtauc.data.os.sysconf", pages.__getitem__)
+    ds = parse_libsvm("+1 1:0.5 4:1\n-1 1:0.1\n")
+    with pytest.raises(DataError, match=r"^dense 2 x 4 feature matrix is too large to scale$"):
+        scale_features(ds)
+    pages["SC_PHYS_PAGES"] = 32
+    assert scale_features(ds).X.shape == (2, 4)
+
+
 def test_as_rate_exact():
     assert as_rate(0.1) == as_rate("1/10") == as_rate("0.1")
     assert as_rate(1) == 1
