@@ -128,6 +128,13 @@ def _write_artifact(path: Path, chunks) -> None:
         raise
 
 
+def _drop_manifest(out_dir: Path) -> None:
+    """Remove ``out_dir``'s manifest.json, if any. Each command calls this
+    before it writes its first artifact, so a failure before the new
+    manifest lands never leaves new artifacts beside an old manifest."""
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     """``header``, then one line per row of string cells."""
     _write_artifact(path, chain((header + "\n",), (",".join(cells) + "\n" for cells in rows)))
@@ -209,6 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = dispatch_solver(env, replace(cfg.solver, seed=solver_seed), jobs=cfg.jobs)
     finished_at = _utc_now()
 
+    _drop_manifest(out_dir)
     write_trace(out_dir / "trace.csv", result.trace, cfg.trace_stride)
 
     if result.best_weights is None:
@@ -264,6 +272,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
     # summary.csv's columns are also the keys of the manifest's rows
     rows = [(r.dataset, r.solver, r.mean, r.std, r.n, r.verdict) for r in summary.rows]
+    _drop_manifest(out_dir)
     _write_csv(
         out_dir / "summary.csv",
         SUMMARY_HEADER,
@@ -313,6 +322,7 @@ def cmd_landscape(args: argparse.Namespace) -> int:
     finished_at = _utc_now()
 
     rows = [(str(i), repr(rho)) for i, rho in enumerate(report.rhos)]
+    _drop_manifest(out_dir)
     _write_csv(out_dir / "landscape.csv", LANDSCAPE_HEADER, rows + [("mean", repr(report.mean))])
     _write_manifest(
         out_dir / "manifest.json", "landscape", echo(cfg), out_dir, cfg.seed, (started_at, finished_at),
@@ -348,6 +358,7 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
         (str(rate), str((rate / _BASE_RATE) ** 2), sec, sec / base_seconds if base_seconds > 0 else float("nan"))
         for rate, sec in timed
     ]
+    _drop_manifest(out_dir)
     _write_csv(
         out_dir / "costmodel.csv",
         COSTMODEL_HEADER,

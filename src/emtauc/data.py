@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,13 +203,93 @@ def parse_libsvm(source: str | bytes) -> Dataset:
     must be strictly increasing within a line. Any label parsing as a
     positive number (``inf`` included) maps to +1, any other number to -1;
     ``nan`` is an invalid label.
+
+    Regular input takes a vectorised path that reads the numbers block by
+    block with numpy. Anything it does not handle exactly sends the whole
+    input to the literal token-by-token parser instead: a ``#``, a label or
+    value with a character outside ``[-+0-9.eE]``, an index that is not 1 to
+    15 ASCII digits, a feature token other than ``index:value``, features
+    separated by whitespace other than spaces and tabs, a number numpy
+    cannot read to its end, an index below 1 or out of order, a non-finite
+    value, or no instances. Either way the ``Dataset``, and every
+    ``DataError`` message, is the literal parser's.
     """
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not valid UTF-8: {exc}") from exc
+    ds = _parse_libsvm_fast(source)
+    return ds if ds is not None else _parse_libsvm_literal(source)
 
+
+# Lines per block of the fast parser: no Python object spans more than one
+# block's tokens, so the text's numbers never exist as one list of strings.
+_BLOCK_LINES = 1024
+# Possessive quantifiers (Python 3.11) keep no backtracking state per token,
+# which makes the match about 3x faster. Indices of at most 15 digits are
+# exact in float64.
+_LABELS = re.compile(r"[-+0-9.eE]++(?: [-+0-9.eE]++)*+")
+_FEATURES = re.compile(r"(?:[0-9]{1,15}+:[-+0-9.eE]++(?:[ \t]++|\Z))*+")
+
+
+def _parse_libsvm_fast(source: str) -> Dataset | None:
+    """The Dataset ``_parse_libsvm_literal(source)`` returns, or None for
+    input outside the regular form ``parse_libsvm`` describes."""
+    if "#" in source:  # comments are the literal parser's
+        return None
+    lines = source.splitlines()
+    labels: list[float] = []
+    counts: list[int] = []
+    numbers: list[np.ndarray] = []
+    for start in range(0, len(lines), _BLOCK_LINES):
+        heads, features = [], []
+        for line in lines[start:start + _BLOCK_LINES]:
+            parts = line.split(None, 1)
+            if parts:
+                heads.append(parts[0])
+                features.append(parts[1] if len(parts) == 2 else "")
+        if not heads:
+            continue
+        # a rest of the line that split() leaves is nonempty and starts with
+        # a token; numpy reads a string of whitespace alone as [-1.0]
+        body = " ".join(filter(None, features))
+        if _LABELS.fullmatch(" ".join(heads)) is None or _FEATURES.fullmatch(body) is None:
+            return None
+        with warnings.catch_warnings():
+            # older numpy warns, rather than raising, when it stops short
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                numbers.append(np.fromstring(body.replace(":", " "), sep=" "))
+                labels.extend(map(float, heads))
+            except (ValueError, DeprecationWarning):
+                return None
+        counts.extend(f.count(":") for f in features)
+    if not labels:
+        return None
+
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    pairs = np.concatenate(numbers)
+    # two numbers per token means every token was read as one index and one value
+    if pairs.size != 2 * indptr[-1]:
+        return None
+    idx = pairs[0::2].astype(np.int64)
+    values = pairs[1::2]
+    row_start = np.zeros(idx.size, dtype=bool)
+    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    if idx.size and (idx.min() < 1 or not (row_start[1:] | (np.diff(idx) > 0)).all()):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    dim = int(idx.max()) if idx.size else 1
+    X = sp.csr_matrix((values, idx - 1, indptr), shape=(len(labels), dim))
+    return Dataset(X, np.where(np.asarray(labels) > 0, 1, -1))
+
+
+def _parse_libsvm_literal(source: str) -> Dataset:
+    """``parse_libsvm`` token by token: the reference the fast path is
+    checked against, and the parser of every input the fast path declines."""
     labels: list[int] = []
     rows_idx: list[list[int]] = []
     rows_val: list[list[float]] = []
@@ -321,17 +403,18 @@ def scale_features(ds: Dataset) -> Dataset:
     if 2 * n * dim * 8 > memory:
         raise DataError(f"dense {n} x {dim} feature matrix is too large to scale")
     dense = np.asarray(ds.X.todense())
-    out = np.empty_like(dense)
-    for j in range(dense.shape[1]):
-        col = dense[:, j]
-        lo = col.min()
-        hi = col.max()
-        if lo == hi:
-            out[:, j] = 0.0
-        elif lo == -1.0 and hi == 1.0:
-            out[:, j] = col
-        else:
-            out[:, j] = 2.0 * (col - lo) / (hi - lo) - 1.0
+    lo = dense.min(axis=0)
+    hi = dense.max(axis=0)
+    constant = lo == hi
+    # 2 * (x - lo) / (hi - lo) - 1 in its evaluation order, so each element
+    # is rounded as before, one in-place step at a time, so no temporary as
+    # large as the matrix is made
+    out = np.subtract(dense, lo)
+    out *= 2.0
+    out /= np.where(constant, 1.0, hi - lo)
+    out -= 1.0
+    out[:, constant] = 0.0
+    np.copyto(out, dense, where=(lo == -1.0) & (hi == 1.0))
     return Dataset(sp.csr_matrix(out), ds.labels)
 
 

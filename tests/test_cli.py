@@ -449,12 +449,33 @@ def test_failed_manifest_leaves_no_partial_or_temporary_file(tmp_path, dataset_f
     assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
     assert (out / "trace.csv").read_text().startswith("generation,")
 
-    # a rerun that fails leaves the earlier manifest whole
+    # a rerun that fails removes the earlier manifest, which would
+    # otherwise describe a run other than the one that wrote trace.csv
     assert main(["run", "--config", str(cfg)]) == 0
-    before = (out / "manifest.json").read_bytes()
     fail_after_trace()
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trace.csv"]
-    assert (out / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+
+
+@pytest.mark.parametrize("command", ["run", "benchmark", "landscape", "costmodel"])
+def test_failed_command_leaves_no_stale_manifest(tmp_path, dataset_file, monkeypatch, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"from": "an earlier run"}\n')
+    payload = {
+        "run": run_config(dataset_file),
+        "benchmark": {"datasets": [str(dataset_file)], "solvers": [{"kind": "single_task_ga"}],
+                      "trials": 1, "folds": 2, "budget": 1000, "seed": 3},
+        "landscape": {"dataset": str(dataset_file), "n_points": 10, "repeats": 2, "seed": 5},
+        "costmodel": {"dataset": str(dataset_file), "repetitions": 1, "seed": 6},
+    }[command]
+
+    def crash(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_manifest", crash)
+    cfg = write_config(tmp_path, dict(payload, output_dir=str(out)))
+    assert main([command, "--config", str(cfg)]) == 4
+    assert not (out / "manifest.json").exists()
 
 
 CONFIG_CLASSES = {
