@@ -13,7 +13,14 @@ is the byte-compare gate for refactors of the solvers:
 The grid is 3 solvers x seeds 0-2 x jobs 1, 2 x 12 budgets (several of
 which run out during initialisation, mid-generation or during transfer)
 x delta {None, 3} x two solver configurations, over two synthetic Gaussian
-sets from ``tests/conftest.py``: 1728 runs. It takes no flags.
+sets from ``tests/conftest.py``: 1728 runs. A second slice covers full
+views large enough for the certified BLAS path of ``objective_batch``:
+3 solvers x seeds 0-1 x jobs 1 x budgets {2021, 8000, 40000} x delta
+{None, 3} over a 2400/3600 x 20 Gaussian set, where rows certify, and a
+copy with 100 positive rows repeated as negatives, where every row ties
+and falls back to CSR: 72 runs. Run it at more than one BLAS thread count
+(``OPENBLAS_NUM_THREADS``) to check that the output does not depend on it.
+It takes no flags.
 """
 from __future__ import annotations
 
@@ -25,14 +32,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+import numpy as np  # noqa: E402
 from conftest import make_gaussian_dataset  # noqa: E402
+from scipy import sparse  # noqa: E402
 
-from emtauc import SolverConfig, TaskId, build_environment, cli, dispatch_solver  # noqa: E402
+from emtauc import Dataset, SolverConfig, TaskId, build_environment, cli, dispatch_solver  # noqa: E402
+
+
+def with_positives_as_negatives(ds: Dataset, count: int) -> Dataset:
+    """``ds`` plus its first ``count`` positive rows again, labelled negative."""
+    X = sparse.vstack([ds.X, ds.X[ds.pos_idx[:count]]])
+    return Dataset(X, np.concatenate([ds.labels, -np.ones(count, dtype=np.int64)]))
+
 
 DATASETS = {
     "gauss0": make_gaussian_dataset(0),
     "gauss1": make_gaussian_dataset(1, n_pos=37, n_neg=91, dim=8),
 }
+LARGE_DATASETS = {"gauss5-6000x20": make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)}
+LARGE_DATASETS["gauss5-6000x20-ties"] = with_positives_as_negatives(LARGE_DATASETS["gauss5-6000x20"], 100)
 KINDS = ("single_task_ga", "mfea", "emea")
 SEEDS = (0, 1, 2)
 JOBS = (1, 2)
@@ -42,6 +60,10 @@ VARIANTS = {
     "default": {},
     "pop7": {"pop_size": 7, "transfer_interval": 2, "transfer_count": 3},
 }
+GRIDS = (
+    (DATASETS, KINDS, SEEDS, JOBS, BUDGETS, DELTAS, VARIANTS),
+    (LARGE_DATASETS, KINDS, (0, 1), (1,), (2021, 8000, 40000), DELTAS, ("default",)),
+)
 
 
 def run_digest(ds, kind, seed, jobs, budget, delta, variant, trace_path: Path) -> str:
@@ -63,11 +85,11 @@ def run_digest(ds, kind, seed, jobs, budget, delta, variant, trace_path: Path) -
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "trace.csv"
-        grid = itertools.product(DATASETS, KINDS, SEEDS, JOBS, BUDGETS, DELTAS, VARIANTS)
-        for name, kind, seed, jobs, budget, delta, variant in grid:
-            digest = run_digest(DATASETS[name], kind, seed, jobs, budget, delta, variant, trace_path)
-            key = f"{name}/{kind}/seed{seed}/jobs{jobs}/budget{budget}/delta{delta}/{variant}"
-            print(key, digest, flush=True)
+        for datasets, *axes in GRIDS:
+            for name, kind, seed, jobs, budget, delta, variant in itertools.product(datasets, *axes):
+                digest = run_digest(datasets[name], kind, seed, jobs, budget, delta, variant, trace_path)
+                key = f"{name}/{kind}/seed{seed}/jobs{jobs}/budget{budget}/delta{delta}/{variant}"
+                print(key, digest, flush=True)
     return 0
 
 

@@ -1,8 +1,26 @@
 """Pairwise ranking metric, regularized objective, and hardness scoring.
 
 The ranking loss counts positive/negative pairs whose decision values are
-misordered, with ties counted as losses. All float comparisons are exact;
-no epsilon is applied anywhere.
+misordered, with ties counted as losses. Every count is an exact
+comparison count on the CSR decision values (``_decision_rows``): no
+epsilon ever decides whether a pair is a loss.
+
+Large views (``DatasetView.dense_rows``) compute decision values faster,
+with one BLAS product on a dense copy of their rows, but BLAS rounds
+differently from CSR, and differently again per build and thread count.
+So each weight row's BLAS count is certified before it is used. By
+Higham's bound (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+sec. 3.1), a length-d dot product computed as a sum of its d products, in
+any order and with or without FMA, lies within gamma_d * ||w||_2 *
+||x||_2 of the exact one, gamma_d = d*u / (1 - d*u) and u = 2^-53. A BLAS
+value is thus within 2 * gamma_d * ||w|| * max ||x|| of its CSR value, and
+the difference of a positive and a negative value within 4 * gamma_d *
+||w|| * max ||x|| of its CSR difference. If every positive lies further
+than that (with slack, ``_rounding_margin``) from its nearest negatives,
+no pair compares differently on the CSR values, and the BLAS count is the
+CSR count. Rows that fail (ties, zero weights, near-ties) are recounted on
+CSR. Every count, and so every objective and trace, is the same whatever
+the BLAS.
 """
 from __future__ import annotations
 
@@ -10,22 +28,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetView, as_rate, class_view_sizes
+from .data import Dataset, DatasetView, _row_norms, as_rate, class_view_sizes
+
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = np.finfo(np.float64).tiny
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def _as_weights(w, dim: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != dim:
         raise ValueError(f"weight vector must have shape ({dim},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     return w
 
 
 def _decision_rows(W: np.ndarray, view: DatasetView) -> tuple[np.ndarray, np.ndarray]:
-    """Decision values of every row of ``W`` (shape (k, dim)), row-major.
+    """CSR decision values of every row of ``W`` (shape (k, dim)), row-major.
 
     Returns C-contiguous (k, T+) and (k, T-) arrays in view order. The
     values come from the CSR products ``pos_matrix @ W.T`` and
-    ``neg_matrix @ W.T``; the transpose only moves them.
+    ``neg_matrix @ W.T``; the transpose only moves them. These are the
+    reference values every count is exact on, whichever path computed it.
     """
     f_pos = np.ascontiguousarray((view.pos_matrix @ W.T).T)
     f_neg = np.ascontiguousarray((view.neg_matrix @ W.T).T)
@@ -35,12 +60,12 @@ def _decision_rows(W: np.ndarray, view: DatasetView) -> tuple[np.ndarray, np.nda
 def _count_below(ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """The package's one pairwise counting kernel.
 
-    ``ref`` (k, m) and ``queries`` (k, q) are row-major; row r of the
-    (k, q) int64 result holds #{j : ref[r, j] < queries[r, i]} for every i.
-    Each row of ``ref`` is sorted and searched once with a vectorized
-    binary search. Comparisons are exact; no epsilon is applied.
+    ``ref`` (k, m), each row sorted ascending, and ``queries`` (k, q) are
+    row-major; row r of the (k, q) int64 result holds
+    #{j : ref[r, j] < queries[r, i]} for every i. Each row of ``ref`` is
+    searched once with a vectorized binary search. Comparisons are exact;
+    no epsilon is applied.
     """
-    ref = np.sort(ref, axis=1)
     out = np.empty(queries.shape, dtype=np.int64)
     for r in range(ref.shape[0]):
         out[r] = np.searchsorted(ref[r], queries[r], side="left")
@@ -54,8 +79,50 @@ def _loss_counts(f_pos: np.ndarray, f_neg: np.ndarray) -> np.ndarray:
     Both inputs are row-major, (k, T+) and (k, T-). The positives are
     sorted before the search, so consecutive queries probe nearby memory.
     """
-    below = _count_below(f_neg, np.sort(f_pos, axis=1))
+    below = _count_below(np.sort(f_neg, axis=1), np.sort(f_pos, axis=1))
     return f_pos.shape[1] * f_neg.shape[1] - below.sum(axis=1)
+
+
+def _certified_loss_counts(g_pos: np.ndarray, g_neg: np.ndarray, margin: np.ndarray):
+    """``_loss_counts(g_pos, g_neg)`` and one bool per row r: True where
+    every positive lies more than margin[r] from both of its
+    ``searchsorted`` neighbours among the sorted negatives, so no pair
+    changes order when each value moves by less than margin[r] / 2.
+    """
+    k, m = g_neg.shape
+    # each row's sorted negatives between a -inf and a +inf sentinel, so
+    # that every positive has a neighbour on both sides
+    padded = np.empty((k, m + 2))
+    padded[:, 0], padded[:, -1] = -np.inf, np.inf
+    ref = padded[:, 1:-1]
+    ref[...] = g_neg
+    ref.sort(axis=1)
+    queries = np.sort(g_pos, axis=1)
+    below = _count_below(ref, queries)
+    # flat index of each positive's left neighbour, padded[r, below]
+    left_at = below + np.arange(0, padded.size, m + 2)[:, np.newaxis]
+    flat = padded.ravel()
+    left_gap = (queries - flat[left_at]).min(axis=1)
+    right_gap = (flat[left_at + 1] - queries).min(axis=1)
+    return g_pos.shape[1] * m - below.sum(axis=1), np.minimum(left_gap, right_gap) > margin
+
+
+def _rounding_margin(W: np.ndarray, dim: int, xmax: float) -> np.ndarray:
+    """Per row of ``W``, a gap between BLAS decision values above which the
+    CSR values of the same pair are ordered the same way.
+
+    Each of the two values of a pair is off its CSR value by at most
+    2 * gamma_d * ||w|| * xmax, so 4 * gamma_d * ||w|| * xmax suffices; the
+    factor 8 covers the rounding of the norms, of this product and of the
+    gap subtraction, and the absolute term covers underflow. Rows whose
+    products could overflow get an infinite margin and always fall back.
+    """
+    gamma = dim * _U / (1 - dim * _U)
+    with np.errstate(over="ignore"):
+        bound = _row_norms(W) * xmax
+        margin = np.nextafter(8 * gamma * bound + 8 * dim * _TINY, np.inf)
+    margin[~(bound <= _HALF_MAX)] = np.inf
+    return margin
 
 
 def decision_values(w, view: DatasetView) -> tuple[np.ndarray, np.ndarray]:
@@ -76,12 +143,16 @@ def pairwise_loss_count(f_pos, f_neg) -> int:
     positives are binary-searched among the sorted negatives. That equals
     enumerating all T+ * T- pairs, in O((T+ + T-) log(T+ + T-)). Sorting
     the positives is exact: the count is an integer sum with one term per
-    positive, and sorting only reorders the terms.
+    positive, and sorting only reorders the terms. NaN compares false both
+    ways, which the sorted search does not reproduce, so NaN values raise
+    ValueError.
     """
     f_pos = np.asarray(f_pos, dtype=np.float64)
     f_neg = np.asarray(f_neg, dtype=np.float64)
     if f_pos.size == 0 or f_neg.size == 0:
         raise ValueError("both classes need at least one decision value")
+    if np.isnan(f_pos).any() or np.isnan(f_neg).any():
+        raise ValueError("decision values must not be NaN")
     return int(_loss_counts(f_pos.reshape(1, -1), f_neg.reshape(1, -1))[0])
 
 
@@ -113,16 +184,31 @@ def objective_batch(W, view: DatasetView, lam: float) -> np.ndarray:
     ``_loss_counts`` returns one exact integer loss per row; the objective
     is that count over T+ * T- plus the penalty. Sorting the positives
     changes no result, because the loss is a sum of integer counts, one per
-    positive, over a permutation of the same positives. Every row is
-    computed independently of the others, so evaluating in chunks yields
-    bit-equal results to one full batch.
+    positive, over a permutation of the same positives.
+
+    A view with ``dense_rows`` takes its values from one BLAS product and
+    keeps each row's count only if the certificate (module docstring)
+    proves it equal to the CSR count; the other rows are recounted on CSR.
+    Every count is thus the CSR count of its row alone, so evaluating in
+    chunks yields bit-equal results to one full batch.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != view.base.dim:
         raise ValueError(f"weight batch must have shape (k, {view.base.dim})")
+    if not np.isfinite(W).all():
+        raise ValueError("weights must be finite")
     if view.t_pos == 0 or view.t_neg == 0:
         raise ValueError("both classes need at least one instance in the view")
-    out = _loss_counts(*_decision_rows(W, view)) / (view.t_pos * view.t_neg)
+    dense = view.dense_rows()
+    if dense is None:
+        losses = _loss_counts(*_decision_rows(W, view))
+    else:
+        pos, neg, xmax = dense
+        margin = _rounding_margin(W, view.base.dim, xmax)
+        losses, certified = _certified_loss_counts(W @ pos.T, W @ neg.T, margin)
+        if not certified.all():
+            losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
+    out = losses / (view.t_pos * view.t_neg)
     out += 0.5 * lam * np.einsum("ij,ij->i", W, W)
     return out
 
@@ -142,12 +228,14 @@ class HardnessScores:
 
 
 def hardness_scores(w, ds: Dataset) -> HardnessScores:
-    """Both classes' per-instance counts over the full data, from the same
-    row-major decision values and counting kernel as ``objective_batch``."""
+    """Both classes' per-instance counts over the full data, from the CSR
+    decision values every ``objective_batch`` count is exact on, and the
+    same counting kernel. It runs once per cheap-task rebuild, so it never
+    takes the BLAS path."""
     f_pos, f_neg = _decision_rows(_as_weights(w, ds.dim)[np.newaxis, :], ds.full_view())
     return HardnessScores(
-        pos_scores=ds.t_neg - _count_below(f_neg, f_pos)[0],
-        neg_scores=_count_below(f_pos, f_neg)[0],
+        pos_scores=ds.t_neg - _count_below(np.sort(f_neg, axis=1), f_pos)[0],
+        neg_scores=_count_below(np.sort(f_pos, axis=1), f_neg)[0],
     )
 
 

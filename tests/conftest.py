@@ -1,10 +1,12 @@
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from emtauc import data, evaluation
 from emtauc.data import Dataset, scale_features
 
 # Real LIBSVM files are looked up here for the desk-scale reproduction tests.
@@ -75,6 +77,42 @@ def random_small_dataset(rng, max_per_class=40, max_dim=6, grid=None) -> Dataset
     X = rng.choice(grid, size=(n_pos + n_neg, dim))
     labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n_neg, dtype=np.int64)])
     return Dataset(sparse.csr_matrix(X), labels)
+
+
+@contextmanager
+def dense_gate(min_instances: int):
+    """Views built or evaluated inside take the certified BLAS path of
+    ``objective_batch`` from ``min_instances`` instances on."""
+    saved = data._DENSE_MIN_INSTANCES
+    data._DENSE_MIN_INSTANCES = min_instances
+    try:
+        yield
+    finally:
+        data._DENSE_MIN_INSTANCES = saved
+
+
+@contextmanager
+def count_path_rows():
+    """Count the weight rows ``objective_batch`` keeps from the certified
+    BLAS path (``"certified"``) and those whose CSR decision values it
+    computes (``"csr"``): a small view's rows, or a large view's fallback."""
+    rows = {"certified": 0, "csr": 0}
+    certified_loss_counts, decision_rows = evaluation._certified_loss_counts, evaluation._decision_rows
+
+    def spy_certified_loss_counts(g_pos, g_neg, margin):
+        losses, certified = certified_loss_counts(g_pos, g_neg, margin)
+        rows["certified"] += int(certified.sum())
+        return losses, certified
+
+    def spy_decision_rows(W, view):
+        rows["csr"] += W.shape[0]
+        return decision_rows(W, view)
+
+    evaluation._certified_loss_counts, evaluation._decision_rows = spy_certified_loss_counts, spy_decision_rows
+    try:
+        yield rows
+    finally:
+        evaluation._certified_loss_counts, evaluation._decision_rows = certified_loss_counts, decision_rows
 
 
 @pytest.fixture

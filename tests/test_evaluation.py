@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from emtauc import data
 from emtauc.data import Dataset, DatasetView
 from emtauc.evaluation import (
+    _rounding_margin,
     auc_metric,
     decision_values,
     hardness_scores,
@@ -16,7 +18,7 @@ from emtauc.evaluation import (
     select_hardest,
 )
 
-from conftest import make_gaussian_dataset, random_small_dataset
+from conftest import count_path_rows, dense_gate, make_gaussian_dataset, random_small_dataset
 from _oracles import hardness_naive, pair_loss_broadcast, pair_loss_naive, select_hardest_naive
 
 
@@ -44,6 +46,31 @@ def test_pair_count_separable():
 def test_pair_count_rejects_empty():
     with pytest.raises(ValueError):
         pairwise_loss_count([], [1.0])
+
+
+def test_pair_count_rejects_nan():
+    # NaN compares false both ways, so no pair with a NaN is a loss, but
+    # the sorted search would count (0.5, nan) as one
+    assert pair_loss_naive([0.5], [np.nan, 0.1]) == pair_loss_broadcast([0.5], [np.nan, 0.1]) == 0
+    with pytest.raises(ValueError, match="NaN"):
+        pairwise_loss_count([0.5], [np.nan, 0.1])
+    with pytest.raises(ValueError, match="NaN"):
+        pairwise_loss_count([np.nan], [0.1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(toy_dataset, bad):
+    w = np.zeros(toy_dataset.dim)
+    w[1] = bad
+    view = toy_dataset.full_view()
+    for evaluate in (
+        lambda: objective(w, view, 0.0),
+        lambda: auc_metric(w, view),
+        lambda: objective_batch(np.vstack([np.zeros_like(w), w]), view, 0.0),
+        lambda: hardness_scores(w, toy_dataset),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate()
 
 
 def test_pair_count_matches_oracles():
@@ -192,3 +219,67 @@ def test_weight_shape_validation(toy_dataset):
         objective(np.zeros(toy_dataset.dim + 1), toy_dataset.full_view(), 0.125)
     with pytest.raises(ValueError):
         objective_batch(np.zeros((3, toy_dataset.dim + 1)), toy_dataset.full_view(), 0.125)
+
+
+def test_rounding_margin_bounds():
+    dim, xmax = 50, 3.0
+    gamma = dim * 2.0**-53 / (1 - dim * 2.0**-53)
+    W = np.array([np.linspace(-1, 1, dim), np.full(dim, 1e-170), np.zeros(dim), np.full(dim, 1e307)])
+    margin = _rounding_margin(W, dim, xmax)
+    # twice the 4 * gamma_d * ||w|| * xmax that a pair's rounding can reach;
+    # the scaled norm keeps the tiny row's squares from underflowing
+    assert margin[0] >= 8 * gamma * np.linalg.norm(W[0]) * xmax
+    assert margin[1] >= 8 * gamma * 1e-170 * np.sqrt(dim) * xmax
+    assert 0 < margin[2] < 1e-300
+    assert margin[3] == np.inf  # the products could overflow: always fall back
+
+
+def test_tie_heavy_rows_fall_back_to_csr():
+    # features in {-1, 0, 1} at dim 2: 40 instances over 9 distinct rows,
+    # so rows repeat across the classes and every weight vector ties
+    rng = np.random.default_rng(4)
+    X = rng.integers(-1, 2, size=(40, 2)).astype(np.float64)
+    labels = np.where(np.arange(40) % 3 == 0, 1, -1)
+    ds = Dataset(sparse.csr_matrix(X), labels)
+    W = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [0.3, 0.7], [-0.9, 0.2]])
+    want = objective_batch(W, DatasetView(ds, np.arange(ds.n)), 0.125)
+    with dense_gate(0), count_path_rows() as rows:
+        view = ds.full_view()
+        got = objective_batch(W, view, 0.125)
+        assert view.dense_rows() is not None
+    assert rows == {"certified": 0, "csr": W.shape[0]}
+    assert np.array_equal(got, want)
+    losses = [pair_loss_naive(*decision_values(w, view)) for w in W]
+    assert np.array_equal(got, np.array(losses) / (view.t_pos * view.t_neg) + 0.0625 * np.einsum("ij,ij->i", W, W))
+
+
+def test_large_gaussian_view_certifies_every_row():
+    # at the size gate itself, so the test fails if the BLAS path is not taken
+    n = data._DENSE_MIN_INSTANCES
+    ds = make_gaussian_dataset(8, n_pos=n // 2, n_neg=n - n // 2, dim=6)
+    W = np.random.default_rng(8).uniform(-1, 1, size=(12, ds.dim))
+    view = ds.full_view()
+    with count_path_rows() as rows:
+        got = objective_batch(W, view, 0.125)
+    assert rows == {"certified": W.shape[0], "csr": 0}
+    with dense_gate(ds.n + 1):
+        assert np.array_equal(got, objective_batch(W, DatasetView(ds, np.arange(ds.n)), 0.125))
+    losses = [pair_loss_broadcast(*decision_values(w, view)) for w in W]
+    want = np.array(losses) / (view.t_pos * view.t_neg) + 0.0625 * np.einsum("ij,ij->i", W, W)
+    assert np.array_equal(got, want)
+
+
+def test_sparse_high_dim_view_never_densifies():
+    # 5000 x 200000 with 10 nonzeros per row: a dense copy would take 8 GB
+    rng = np.random.default_rng(9)
+    n, dim, per_row = 5000, 200_000, 10
+    cols = np.concatenate([np.sort(rng.choice(dim, per_row, replace=False)) for _ in range(n)])
+    X = sparse.csr_matrix((rng.normal(size=n * per_row), cols, np.arange(0, n * per_row + 1, per_row)), shape=(n, dim))
+    ds = Dataset(X, np.where(np.arange(n) % 2 == 0, 1, -1))
+    view = ds.full_view()
+    assert view.n >= data._DENSE_MIN_INSTANCES
+    W = rng.uniform(-1, 1, size=(3, dim))
+    with count_path_rows() as rows:
+        objective_batch(W, view, 0.125)
+    assert rows == {"certified": 0, "csr": 3}
+    assert view.dense_rows() is None and view._dense is None

@@ -1,16 +1,19 @@
 """Property tests: the ranking kernel against the literal loops in _oracles.
 
-Features and weights come from small grids of exactly representable values,
-so decision values tie often and the dense oracle products are exact.
+Features and weights mostly come from small grids of exactly representable
+values, so decision values tie often and the dense oracle products are
+exact. The certified BLAS path is checked on those, where most rows fall
+back to CSR, and on continuous values, where every row certifies.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from emtauc.data import Dataset
-from emtauc.evaluation import hardness_scores, objective_batch, pairwise_loss_count
+from emtauc.data import Dataset, DatasetView
+from emtauc.evaluation import _certified_loss_counts, decision_values, hardness_scores, objective_batch, pairwise_loss_count
 
+from conftest import count_path_rows, dense_gate
 from _oracles import hardness_naive, pair_loss_broadcast, pair_loss_naive
 
 FEATURES = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -33,6 +36,30 @@ def tie_heavy_problem(draw):
     return X, labels, W
 
 
+@st.composite
+def continuous_problem(draw):
+    """Gaussian features and a (k, dim) uniform weight batch, 1 <= k <= 25:
+    decision values almost surely never tie."""
+    n_pos = draw(st.integers(1, 30))
+    n_neg = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n_pos + n_neg, dim))
+    labels = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int64), [n_pos, n_neg]))
+    return X, labels, rng.uniform(-1, 1, size=(k, dim))
+
+
+def _certified_and_csr(X, labels, W, lam):
+    """``objective_batch`` with every view on the certified BLAS path, the
+    same on the CSR path, and the rows each path counted in the first."""
+    ds = Dataset(sparse.csr_matrix(X), labels)
+    csr = objective_batch(W, ds.full_view(), lam)
+    with dense_gate(0), count_path_rows() as rows:
+        got = objective_batch(W, DatasetView(ds, np.arange(ds.n)), lam)
+    return got, csr, rows
+
+
 def _oracle_decisions(X, labels, w):
     f = X @ w  # exact on the grids
     return f[labels == 1], f[labels == -1]
@@ -50,6 +77,30 @@ def test_objective_batch_matches_oracles(problem, lam):
         assert counts[-1] == pair_loss_broadcast(f_pos, f_neg)
     want = np.array(counts) / (view.t_pos * view.t_neg) + 0.5 * lam * (W * W).sum(axis=1)
     assert np.array_equal(objective_batch(W, view, lam), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_problem(), st.sampled_from((0.0, 0.125, 1.0)))
+def test_certified_path_matches_csr_and_oracle_on_ties(problem, lam):
+    X, labels, W = problem
+    got, csr, _ = _certified_and_csr(X, labels, W, lam)
+    assert np.array_equal(got, csr)
+    counts = [pair_loss_naive(*_oracle_decisions(X, labels, w)) for w in W]
+    pairs = (labels == 1).sum() * (labels == -1).sum()
+    assert np.array_equal(got, np.array(counts) / pairs + 0.5 * lam * (W * W).sum(axis=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(continuous_problem(), st.sampled_from((0.0, 0.125, 1.0)))
+def test_certified_path_matches_csr_and_oracle_on_continuous_values(problem, lam):
+    X, labels, W = problem
+    got, csr, rows = _certified_and_csr(X, labels, W, lam)
+    assert rows == {"certified": W.shape[0], "csr": 0}
+    assert np.array_equal(got, csr)
+    view = Dataset(sparse.csr_matrix(X), labels).full_view()
+    counts = [pair_loss_naive(*decision_values(w, view)) for w in W]
+    want = np.array(counts) / (view.t_pos * view.t_neg) + 0.5 * lam * np.einsum("ij,ij->i", W, W)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,3 +135,19 @@ def test_pairwise_loss_count_matches_oracles(f_pos, f_neg):
     got = pairwise_loss_count(f_pos, f_neg)
     assert type(got) is int
     assert got == pair_loss_naive(f_pos, f_neg) == pair_loss_broadcast(f_pos, f_neg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1e-9, 1e-3, 0.25, 1.0)))
+def test_certificate_is_the_smallest_pair_gap(seed, margin):
+    # near-ties on a half-integer grid; the certificate looks only at each
+    # positive's two neighbours, which must equal a check of every pair
+    rng = np.random.default_rng(seed)
+    k, n_pos, n_neg = rng.integers(1, 4), rng.integers(1, 30), rng.integers(1, 30)
+    offsets = np.array([0.0, 0.0, 1e-6, -1e-6, 0.1, 0.3])
+    f_pos = rng.integers(-4, 5, size=(k, n_pos)) / 2 + rng.choice(offsets, size=(k, n_pos))
+    f_neg = rng.integers(-4, 5, size=(k, n_neg)) / 2 + rng.choice(offsets, size=(k, n_neg))
+    losses, certified = _certified_loss_counts(f_pos, f_neg, np.full(k, margin))
+    for r in range(k):
+        assert losses[r] == pair_loss_naive(f_pos[r], f_neg[r])
+        assert certified[r] == (np.abs(f_pos[r][:, None] - f_neg[r][None, :]).min() > margin)
