@@ -11,10 +11,10 @@ The cases are every config error in ``tests/test_config.py`` run through
 the subcommand of its kind, then valid runs of all four subcommands with
 and without flag overrides, ``validate-config``, unreadable config files,
 bad dataset files (malformed, or with a feature index too large to
-parse or to scale), and dataset files that only the literal LIBSVM parser
-reads (comments and CRLF, Python-only number forms, malformed numbers and
-tokens). A diff of the output is the gate for changes to
-config parsing and to the CLI:
+parse or to scale), and dataset files at the edges of the LIBSVM grammar
+(comments with CRLF or a form feed, Python-only number forms, a non-ASCII
+digit, malformed numbers and tokens). A diff of the output is the gate for
+changes to config parsing, to the LIBSVM parser and to the CLI:
 
     PYTHONPATH=<other tree>/src python scripts/cli_digest.py > before.txt
     PYTHONPATH=src python scripts/cli_digest.py > after.txt
@@ -108,22 +108,28 @@ VALID_CASES = {
     "data-python-numbers": (["run"], config("run", {"dataset": "python-numbers.libsvm"})),
     "data-hex-value": (["run"], config("run", {"dataset": "hex-value.libsvm"})),
     "data-two-colons": (["run"], config("run", {"dataset": "two-colons.libsvm"})),
+    "data-comment-form-feed": (["run"], config("run", {"dataset": "comment-form-feed.libsvm"})),
+    "data-unicode-digit-index": (["run"], config("run", {"dataset": "unicode-digit-index.libsvm"})),
 }
 BAD_DATASETS = {
     "bad.libsvm": "+1 1:0.5 oops\n-1 1:0.1\n",
     "huge-index.libsvm": "+1 1:0.5 9223372036854775808:1\n-1 1:0.1\n",
     "huge-dim.libsvm": "+1 1:0.5 4611686018427387904:1\n-1 1:0.1\n",
 }
-# files the vectorised parser declines, so the literal parser reads them
+# files at the edges of the grammar: comments, line ends other than \n,
+# whitespace other than spaces, and numbers Python reads but LIBSVM does not
 _CRLF_ROWS = serialize_libsvm(make_gaussian_dataset(2, n_pos=20, n_neg=25, dim=3)).splitlines()
 _NUMBER_ROWS = serialize_libsvm(make_gaussian_dataset(3, n_pos=20, n_neg=25, dim=3)).splitlines()
-LITERAL_ONLY_DATASETS = {
+GRAMMAR_EDGE_DATASETS = {
     "crlf-comments.libsvm": "# generated\r\n" + "".join(f"{row} # row {i}\r\n" for i, row in enumerate(_CRLF_ROWS)),
     "python-numbers.libsvm": "".join(
         row.replace("+1 ", "1_0 ", 1).replace(" 3:", " +3:") + "\n" for row in _NUMBER_ROWS
     ),
     "hex-value.libsvm": "+1 1:0x1p3\n-1 1:0.1\n",
     "two-colons.libsvm": "+1 1:2:3\n-1 1:0.1\n",
+    # \f, which str.splitlines() takes for a line break, inside a comment
+    "comment-form-feed.libsvm": "# generated\fby hand\n" + "".join(row + "\n" for row in _CRLF_ROWS),
+    "unicode-digit-index.libsvm": "+1 1:0.5 \u0662:1\n-1 1:0.1\n",
 }
 
 
@@ -146,11 +152,11 @@ def _artifact_bytes(path: Path) -> bytes:
 
 def run_case(workdir: Path, argv: list[str], raw) -> str:
     workdir.mkdir()
-    inputs = dict(DATASETS, **BAD_DATASETS, **LITERAL_ONLY_DATASETS)
+    inputs = dict(DATASETS, **BAD_DATASETS, **GRAMMAR_EDGE_DATASETS)
     if raw is not None:
         inputs["config.json"] = raw if isinstance(raw, str) else json.dumps(raw)
     for name, text in inputs.items():
-        (workdir / name).write_text(text)
+        (workdir / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     os.chdir(workdir)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

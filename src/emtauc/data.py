@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,170 +233,162 @@ class DatasetView:
 # the largest feature index a CSR matrix can hold as its int64 dimension
 _MAX_INDEX = np.iinfo(np.int64).max
 
+# The LIBSVM grammar, token by token. A label or value is a decimal (an
+# optional sign, ASCII digits with an optional point, an optional exponent)
+# or inf, infinity or nan in any case; an index is ASCII digits. Possessive
+# quantifiers (Python 3.11) keep no backtracking state per token.
+_NUMBER = r"[-+]?+(?:(?:[0-9]++\.?+[0-9]*+|\.[0-9]++)(?:[eE][-+]?+[0-9]++)?+|(?i:inf(?:inity)?+|nan))"
+_INDEX = r"[0-9]++"
+# any str.isspace() character but the line break separates tokens
+_SPACE = r"[^\S\n]"
+_LINE = rf"{_SPACE}*+(?:(?:{_NUMBER})(?:{_SPACE}++{_INDEX}:(?:{_NUMBER}))*+{_SPACE}*+)?+"
+_LINES = re.compile(rf"{_LINE}(?:\n{_LINE})*+")
+_NUMBER_TOKEN = re.compile(_NUMBER)
+_INDEX_TOKEN = re.compile(_INDEX)
+_INDEX_FIELD = re.compile(rf"({_INDEX}):")
+_COMMENT = re.compile(r"#[^\n]*+")
+# Characters per block, cut at the next line break: no Python object spans
+# more than one block's tokens, so the text's numbers never exist as one
+# list of strings.
+_BLOCK_CHARS = 1 << 20
+
 
 def parse_libsvm(source: str | bytes) -> Dataset:
     """Parse LIBSVM text: ``<label> <index>:<value> ...`` per line.
 
-    ``#`` starts a comment, blank lines are skipped, indices are 1-based and
-    must be strictly increasing within a line. Any label parsing as a
-    positive number (``inf`` included) maps to +1, any other number to -1;
-    ``nan`` is an invalid label.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. ``#`` starts a comment, and
+    any other character ``str.isspace()`` accepts separates tokens; blank
+    lines are skipped. A label or value is a decimal (optional sign, ASCII
+    digits with an optional point, optional ``e``/``E`` exponent) or
+    ``inf``, ``infinity`` or ``nan`` in any case. A label parsing as a
+    positive number (``inf`` included) maps to +1, any other to -1, and
+    ``nan`` is an invalid label. An index is ASCII digits, 1 to 2**63 - 1,
+    strictly increasing within a line; values must be finite.
 
-    Regular input takes a vectorised path that reads the numbers block by
-    block with numpy. Anything it does not handle exactly sends the whole
-    input to the literal token-by-token parser instead: a ``#``, a label or
-    value with a character outside ``[-+0-9.eE]``, an index that is not 1 to
-    15 ASCII digits, a feature token other than ``index:value``, features
-    separated by whitespace other than spaces and tabs, a number numpy
-    cannot read to its end, an index below 1 or out of order, a non-finite
-    value, or no instances. Either way the ``Dataset``, and every
-    ``DataError`` message, is the literal parser's.
+    Anything else raises a ``DataError`` naming the first faulty line:
+    a feature before the label, a token other than ``index:value``, a
+    number outside this grammar (Python-only forms such as ``1_0``, a sign
+    on an index or a non-ASCII digit included), an index below 1, too
+    large or out of order, a non-finite value, or no instances at all.
     """
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from exc
-    ds = _parse_libsvm_fast(source)
-    return ds if ds is not None else _parse_libsvm_literal(source)
+            head = source[:exc.start]
+            line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise DataError(
+                f"line {line_no}: input is not valid UTF-8 (byte 0x{source[exc.start]:02x})"
+            ) from exc
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    ds = _parse_blocks(source)
+    if ds is None:
+        raise _diagnose(source)
+    return ds
 
 
-# Lines per block of the fast parser: no Python object spans more than one
-# block's tokens, so the text's numbers never exist as one list of strings.
-_BLOCK_LINES = 1024
-# Possessive quantifiers (Python 3.11) keep no backtracking state per token,
-# which makes the match about 3x faster. Indices of at most 15 digits are
-# exact in float64.
-_LABELS = re.compile(r"[-+0-9.eE]++(?: [-+0-9.eE]++)*+")
-_FEATURES = re.compile(r"(?:[0-9]{1,15}+:[-+0-9.eE]++(?:[ \t]++|\Z))*+")
-
-
-def _parse_libsvm_fast(source: str) -> Dataset | None:
-    """The Dataset ``_parse_libsvm_literal(source)`` returns, or None for
-    input outside the regular form ``parse_libsvm`` describes."""
-    if "#" in source:  # comments are the literal parser's
+def _read_block(block: str):
+    """Labels, features per line, indices and values of whole lines of
+    text, or None if a line breaks the grammar."""
+    if "#" in block:
+        block = _COMMENT.sub("", block)
+    if _LINES.fullmatch(block) is None:
         return None
-    lines = source.splitlines()
-    labels: list[float] = []
-    counts: list[int] = []
-    numbers: list[np.ndarray] = []
-    for start in range(0, len(lines), _BLOCK_LINES):
-        heads, features = [], []
-        for line in lines[start:start + _BLOCK_LINES]:
-            parts = line.split(None, 1)
-            if parts:
-                heads.append(parts[0])
-                features.append(parts[1] if len(parts) == 2 else "")
-        if not heads:
-            continue
-        # a rest of the line that split() leaves is nonempty and starts with
-        # a token; numpy reads a string of whitespace alone as [-1.0]
-        body = " ".join(filter(None, features))
-        if _LABELS.fullmatch(" ".join(heads)) is None or _FEATURES.fullmatch(body) is None:
+    counts = np.array(
+        [line.count(":") for line in block.split("\n") if line and not line.isspace()], dtype=np.int64
+    )
+    text = block.replace(":", " ")
+    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        # numpy separates numbers only at ASCII C whitespace
+        text = " ".join(text.split())
+    # a label per line, then an index and a value per feature; numpy reads a
+    # string of whitespace alone as [-1.0]
+    numbers = np.fromstring(text, sep=" ") if counts.size else np.empty(0)
+    lengths = 2 * counts + 1
+    if numbers.size != lengths.sum():
+        return None
+    starts = np.cumsum(lengths) - lengths
+    is_pair = np.ones(numbers.size, dtype=bool)
+    is_pair[starts] = False
+    idx, values = numbers[is_pair].reshape(-1, 2).T
+    if (idx >= 2.0**53).any():  # float64 holds every integer below 2**53 exactly
+        try:
+            idx = np.array([int(t) for t in _INDEX_FIELD.findall(block)], dtype=np.int64)
+        except (OverflowError, ValueError):  # above 2**63 - 1, or past int()'s digit limit
             return None
-        with warnings.catch_warnings():
-            # older numpy warns, rather than raising, when it stops short
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                numbers.append(np.fromstring(body.replace(":", " "), sep=" "))
-                labels.extend(map(float, heads))
-            except (ValueError, DeprecationWarning):
-                return None
-        counts.extend(f.count(":") for f in features)
-    if not labels:
-        return None
+    return numbers[starts], counts, idx.astype(np.int64), values
 
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    pairs = np.concatenate(numbers)
-    # two numbers per token means every token was read as one index and one value
-    if pairs.size != 2 * indptr[-1]:
+
+def _parse_blocks(source: str) -> Dataset | None:
+    """The Dataset of ``source`` read block by block, or None if any line
+    breaks the grammar ``parse_libsvm`` describes."""
+    blocks = []
+    pos = 0
+    while pos < len(source):
+        end = source.find("\n", pos + _BLOCK_CHARS)
+        end = len(source) if end < 0 else end + 1
+        block = _read_block(source[pos:end])
+        if block is None:
+            return None
+        blocks.append(block)
+        pos = end
+    if not blocks:
         return None
-    idx = pairs[0::2].astype(np.int64)
-    values = pairs[1::2]
+    labels, counts, idx, values = (np.concatenate(parts) for parts in zip(*blocks))
+    if not labels.size or np.isnan(labels).any():
+        return None
+    indptr = np.zeros(labels.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     row_start = np.zeros(idx.size, dtype=bool)
-    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    row_start[indptr[:-1][counts > 0]] = True
     if idx.size and (idx.min() < 1 or not (row_start[1:] | (np.diff(idx) > 0)).all()):
         return None
     if not np.isfinite(values).all():
         return None
     dim = int(idx.max()) if idx.size else 1
-    X = sp.csr_matrix((values, idx - 1, indptr), shape=(len(labels), dim))
-    return Dataset(X, np.where(np.asarray(labels) > 0, 1, -1))
+    X = sp.csr_matrix((values, idx - 1, indptr), shape=(labels.size, dim))
+    return Dataset(X, np.where(labels > 0, 1, -1))
 
 
-def _parse_libsvm_literal(source: str) -> Dataset:
-    """``parse_libsvm`` token by token: the reference the fast path is
-    checked against, and the parser of every input the fast path declines."""
-    labels: list[int] = []
-    rows_idx: list[list[int]] = []
-    rows_val: list[list[float]] = []
-    max_index = 0
-
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def _diagnose(source: str) -> DataError:
+    """The DataError for the first line of ``source`` that breaks the
+    grammar ``parse_libsvm`` describes, or for input with no instances."""
+    for line_no, line in enumerate(source.split("\n"), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        label_tok = tokens[0]
-        if ":" in label_tok:
-            raise DataError(f"line {line_no}: missing label before features")
-        try:
-            label_val = float(label_tok)
-        except ValueError:
-            label_val = np.nan
-        if np.isnan(label_val):
-            raise DataError(f"line {line_no}: invalid label {label_tok!r}")
-        labels.append(1 if label_val > 0 else -1)
-
-        idxs: list[int] = []
-        vals: list[float] = []
+        label, *features = tokens
+        if ":" in label:
+            return DataError(f"line {line_no}: missing label before features")
+        if _NUMBER_TOKEN.fullmatch(label) is None or np.isnan(float(label)):
+            return DataError(f"line {line_no}: invalid label {label!r}")
         prev = 0
-        for tok in tokens[1:]:
+        for tok in features:
             part = tok.split(":")
             if len(part) != 2:
-                raise DataError(f"line {line_no}: malformed feature {tok!r}")
-            try:
-                idx = int(part[0])
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: invalid feature index {part[0]!r}") from exc
-            try:
-                val = float(part[1])
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: invalid feature value {part[1]!r}") from exc
-            if idx < 1:
-                raise DataError(f"line {line_no}: feature index {idx} is not 1-based")
-            if idx > _MAX_INDEX:
-                raise DataError(f"line {line_no}: feature index {idx} is too large")
+                return DataError(f"line {line_no}: malformed feature {tok!r}")
+            index, value = part
+            if _INDEX_TOKEN.fullmatch(index) is None:
+                return DataError(f"line {line_no}: invalid feature index {index!r}")
+            if _NUMBER_TOKEN.fullmatch(value) is None:
+                return DataError(f"line {line_no}: invalid feature value {value!r}")
+            digits = index.lstrip("0")
+            if not digits:
+                return DataError(f"line {line_no}: feature index 0 is not 1-based")
+            # int() refuses strings of more than 4300 digits
+            if len(digits) > 19 or int(digits) > _MAX_INDEX:
+                return DataError(f"line {line_no}: feature index {digits} is too large")
+            idx = int(digits)
             if idx <= prev:
-                raise DataError(
+                return DataError(
                     f"line {line_no}: feature indices must be strictly increasing "
                     f"({idx} after {prev})"
                 )
-            if not np.isfinite(val):
-                raise DataError(f"line {line_no}: non-finite feature value {part[1]!r}")
+            if not np.isfinite(float(value)):
+                return DataError(f"line {line_no}: non-finite feature value {value!r}")
             prev = idx
-            idxs.append(idx - 1)
-            vals.append(val)
-        max_index = max(max_index, prev)
-        rows_idx.append(idxs)
-        rows_val.append(vals)
-
-    if not labels:
-        raise DataError("no instances found")
-
-    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    for i, idxs in enumerate(rows_idx):
-        indptr[i + 1] = indptr[i] + len(idxs)
-    indices = np.fromiter(
-        (j for idxs in rows_idx for j in idxs), dtype=np.int64, count=indptr[-1]
-    )
-    data = np.fromiter(
-        (v for vals in rows_val for v in vals), dtype=np.float64, count=indptr[-1]
-    )
-    dim = max(max_index, 1)
-    X = sp.csr_matrix((data, indices, indptr), shape=(len(labels), dim))
-    return Dataset(X, np.asarray(labels))
+    return DataError("no instances found")
 
 
 def parse_libsvm_path(path) -> Dataset:

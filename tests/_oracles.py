@@ -3,10 +3,14 @@
 Everything here is written the dumb way on purpose: literal double loops
 and full enumerations, no sorting tricks shared with the code under test.
 """
+import re
 from itertools import combinations
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
+
+from emtauc.data import DataError, Dataset
 
 
 def pair_loss_naive(f_pos, f_neg) -> int:
@@ -158,3 +162,84 @@ def mfea_offspring_naive(genomes, skills, config, pm_prob, rng):
         child_genomes[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, rng)
         child_skills[k] = skills[a]
     return child_genomes, child_skills
+
+
+def parse_libsvm_literal(source: str) -> Dataset:
+    """``emtauc.data.parse_libsvm`` token by token with Python's ``int`` and
+    ``float``, minus the forms only Python reads: a ``_`` in a number, a
+    non-ASCII digit, or a sign on an index."""
+    labels: list[int] = []
+    rows_idx: list[list[int]] = []
+    rows_val: list[list[float]] = []
+    max_index = 0
+
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", source), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        label_tok = tokens[0]
+        if ":" in label_tok:
+            raise DataError(f"line {line_no}: missing label before features")
+        try:
+            if not label_tok.isascii() or "_" in label_tok:
+                raise ValueError(label_tok)
+            label_val = float(label_tok)
+        except ValueError:
+            label_val = np.nan
+        if np.isnan(label_val):
+            raise DataError(f"line {line_no}: invalid label {label_tok!r}")
+        labels.append(1 if label_val > 0 else -1)
+
+        idxs: list[int] = []
+        vals: list[float] = []
+        prev = 0
+        for tok in tokens[1:]:
+            part = tok.split(":")
+            if len(part) != 2:
+                raise DataError(f"line {line_no}: malformed feature {tok!r}")
+            try:
+                if not (part[0].isascii() and part[0].isdigit()):
+                    raise ValueError(part[0])
+                idx = int(part[0])
+            except ValueError as exc:
+                raise DataError(f"line {line_no}: invalid feature index {part[0]!r}") from exc
+            try:
+                if not part[1].isascii() or "_" in part[1]:
+                    raise ValueError(part[1])
+                val = float(part[1])
+            except ValueError as exc:
+                raise DataError(f"line {line_no}: invalid feature value {part[1]!r}") from exc
+            if idx < 1:
+                raise DataError(f"line {line_no}: feature index {idx} is not 1-based")
+            if idx > np.iinfo(np.int64).max:
+                raise DataError(f"line {line_no}: feature index {idx} is too large")
+            if idx <= prev:
+                raise DataError(
+                    f"line {line_no}: feature indices must be strictly increasing "
+                    f"({idx} after {prev})"
+                )
+            if not np.isfinite(val):
+                raise DataError(f"line {line_no}: non-finite feature value {part[1]!r}")
+            prev = idx
+            idxs.append(idx - 1)
+            vals.append(val)
+        max_index = max(max_index, prev)
+        rows_idx.append(idxs)
+        rows_val.append(vals)
+
+    if not labels:
+        raise DataError("no instances found")
+
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    for i, idxs in enumerate(rows_idx):
+        indptr[i + 1] = indptr[i] + len(idxs)
+    indices = np.fromiter(
+        (j for idxs in rows_idx for j in idxs), dtype=np.int64, count=indptr[-1]
+    )
+    data = np.fromiter(
+        (v for vals in rows_val for v in vals), dtype=np.float64, count=indptr[-1]
+    )
+    dim = max(max_index, 1)
+    X = sp.csr_matrix((data, indices, indptr), shape=(len(labels), dim))
+    return Dataset(X, np.asarray(labels))

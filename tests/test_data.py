@@ -43,6 +43,14 @@ def test_parse_accepts_bytes():
     assert ds.n == 4
 
 
+def test_parse_names_the_line_of_invalid_utf8():
+    with pytest.raises(DataError, match=r"^line 3: input is not valid UTF-8 \(byte 0xff\)$"):
+        parse_libsvm(b"+1 1:1\n-1 1:2\n+1 1:\xff\n")
+    # \r\n and a lone \r each end one line
+    with pytest.raises(DataError, match=r"^line 4: input is not valid UTF-8 \(byte 0xc3\)$"):
+        parse_libsvm(b"+1 1:1\r\n-1 1:2\r\r+1 1:\xc3(\n")
+
+
 def test_round_trip_canonical():
     ds = parse_libsvm(SAMPLE)
     text = serialize_libsvm(ds)
@@ -81,6 +89,10 @@ def test_parse_rejects_oversized_index():
     with pytest.raises(DataError, match="line 2: feature index 9223372036854775808 is too large"):
         parse_libsvm("-1 1:1.0\n+1 1:0.5 9223372036854775808:1\n")
     assert parse_libsvm("+1 9223372036854775807:1\n-1 1:1\n").dim == 2**63 - 1
+    # past the 4300 digits int() reads, and leading zeros that count for nothing
+    with pytest.raises(DataError, match=r"^line 1: feature index 10{5000} is too large$"):
+        parse_libsvm("+1 1" + "0" * 5000 + ":1\n-1 1:1\n")
+    assert parse_libsvm("+1 " + "0" * 5000 + "2:1\n-1 1:1\n").dim == 2
 
 
 def test_parse_requires_both_classes():

@@ -1,9 +1,13 @@
-"""The vectorised LIBSVM parser against the literal token-by-token one.
+"""``parse_libsvm`` against the literal token-by-token oracle.
 
-``parse_libsvm`` reads regular text with numpy and hands anything else to
-``_parse_libsvm_literal``. Both must give the same Dataset, or raise the
-same DataError message, on every input.
+``parse_libsvm`` reads text block by block with one grammar and, when a
+block breaks it, runs ``data._diagnose`` over the lines to name the fault.
+``_oracles.parse_libsvm_literal`` reads the same language with Python's
+``int`` and ``float``. Both must give the same Dataset, or raise the same
+DataError message, on every input.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from scipy import sparse
 from emtauc import data
 from emtauc.data import DataError, Dataset, parse_libsvm, serialize_libsvm
 
+from _oracles import parse_libsvm_literal
 from conftest import make_gaussian_dataset
 from test_data import SAMPLE
 
@@ -22,6 +27,10 @@ def outcome(parse, text):
         return parse(text)
     except DataError as exc:
         return f"DataError: {exc}"
+
+
+def refuse(source):
+    raise AssertionError("the diagnoser ran")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -36,43 +45,90 @@ values = st.one_of(
     st.tuples(signs, long_digits, st.sampled_from("eE"), st.integers(-340, 300)).map(
         lambda t: f"{t[0]}{t[1][0]}.{t[1][1:]}{t[2]}{t[3]}"
     ),
-    st.sampled_from(["0", "-0"]),
+    st.sampled_from(["0", "-0", "+.5", "5.", "0005"]),
+)
+labels = st.sampled_from(
+    ["+1", "-1", "0", "2.5", "1e3", "inf", "-inf", "Infinity", "-INFINITY", "1e400", "-1e400", "+.5", "7."]
 )
 indices = st.lists(
-    st.one_of(st.integers(1, 60), st.integers(1, 10**15 - 1)), unique=True, max_size=8
+    st.one_of(
+        st.integers(1, 60),
+        st.integers(1, 10**15 - 1),
+        # 16 to 19 digits: past what float64 holds exactly
+        st.integers(10**15, 2**63 - 1),
+    ),
+    unique=True,
+    max_size=8,
 ).map(sorted)
-separators = st.sampled_from([" ", "\t", "  ", " \t "])
-edges = st.sampled_from(["", " ", "\t", " \t"])
+# every str.isspace() character except the line breaks \n and \r
+spaces = st.sampled_from(
+    [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2000", "\u2028", "\u2029", "\u3000"]
+)
+separators = st.one_of(
+    st.sampled_from([" ", "\t", "  ", " \t "]), st.lists(spaces, min_size=1, max_size=3).map("".join)
+)
+edges = st.one_of(st.just(""), separators)
+comments = st.text(alphabet=st.characters(blacklist_characters="\r\n"), max_size=12).map(lambda t: "#" + t)
 
 
 @st.composite
 def libsvm_text(draw):
-    """Regular LIBSVM text: at least one instance, any mix of label forms,
-    value forms, empty feature lists, blank lines, tabs and CRLF."""
+    """Grammatical LIBSVM text: at least one instance, any mix of label
+    forms, value forms, indices up to 2**63 - 1, empty feature lines, blank
+    and comment lines, trailing comments, any in-line whitespace, and
+    \\n, \\r\\n or \\r line ends."""
     lines = []
     for i in range(draw(st.integers(1, 8))):
         if i and draw(st.integers(0, 3)) == 0:
-            lines.append(draw(edges))
+            lines.append(draw(st.one_of(edges, comments)))
             continue
-        tokens = [draw(st.sampled_from(["+1", "-1", "0", "2.5", "1e3"]))]
+        tokens = [draw(labels)]
         tokens += [f"{j}:{draw(values)}" for j in draw(indices)]
         line = tokens[0]
         for token in tokens[1:]:
             line += draw(separators) + token
-        lines.append(draw(edges) + line + draw(edges))
-    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        tail = draw(comments) if draw(st.integers(0, 4)) == 0 else ""
+        lines.append(draw(edges) + line + draw(edges) + tail)
+    endings = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if draw(st.booleans()):
         endings[-1] = ""
     return "".join(line + end for line, end in zip(lines, endings))
 
 
+# characters a one-character edit inserts or substitutes
+MUTATIONS = ":#_+-.eE\t\xa0\u0661\f 019infa\n\r"
+
+
+@st.composite
+def mutated_text(draw):
+    """Grammatical text with one character inserted, deleted or replaced."""
+    text = draw(libsvm_text())
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        return text[:at] + draw(st.sampled_from(MUTATIONS)) + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(st.sampled_from(MUTATIONS)) + text[at + 1:]
+
+
+# block sizes from one line per block to the whole text in one
+block_chars = st.sampled_from([1, 16, 64, data._BLOCK_CHARS])
+
+
 @settings(max_examples=300, deadline=None)
-@given(libsvm_text())
-def test_fast_path_matches_the_literal_parser(text):
-    literal = outcome(data._parse_libsvm_literal, text)
-    assert outcome(parse_libsvm, text) == literal
-    # regular text never needs the fallback
-    assert outcome(data._parse_libsvm_fast, text) == literal
+@given(libsvm_text(), block_chars)
+def test_fast_path_matches_the_literal_parser(text, chars):
+    # grammatical text parses in one pass: the diagnoser never runs
+    with mock.patch.object(data, "_diagnose", refuse), mock.patch.object(data, "_BLOCK_CHARS", chars):
+        assert outcome(parse_libsvm, text) == outcome(parse_libsvm_literal, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_text(), block_chars)
+def test_one_character_edits_match_the_literal_parser(text, chars):
+    with mock.patch.object(data, "_BLOCK_CHARS", chars):
+        assert outcome(parse_libsvm, text) == outcome(parse_libsvm_literal, text)
 
 
 FALLBACK_INPUTS = [
@@ -86,18 +142,13 @@ FALLBACK_INPUTS = [
     "-1 1:1.0\n+1 1:0.5 9223372036854775808:1\n",
     "+1 1:1.0\n+1 1:2.0\n",
     "+1 1:x\n",
-    # inputs test_data.py parses that the fast path declines
+    # inputs test_data.py parses with comments, inf labels or long indices
     SAMPLE,
     "inf 1:1\n-1 1:2\n1e400 1:3\n",
     "+1 9223372036854775807:1\n-1 1:1\n",
     "+1 1:0.5 4611686018427387904:1\n-1 1:0.1\n",
-    # numbers Python reads and the fast path does not
-    "1_0 1:1\n-1 1:2\n",
-    "+1 1_0:1\n-1 1:2\n",
-    "+1 1:1_0\n-1 1:2\n",
+    # numbers outside the grammar, and indices past float64's exact range
     "+1 1:0x1p3\n-1 1:1\n",
-    "+1 \u0661:1\n-1 1:2\n",  # an Arabic-Indic digit, which int() reads
-    "+1 +3:1\n-1 1:1\n",
     "+1 1000000000000000:1\n-1 1:1\n",
     "+1 9007199254740993:1\n-1 1:1\n",  # 2**53 + 1 has no float64
     "+1 1:infinity\n-1 1:1\n",
@@ -127,20 +178,58 @@ FALLBACK_INPUTS = [
 
 @pytest.mark.parametrize("text", FALLBACK_INPUTS)
 def test_fallback_inputs_match_the_literal_parser(text):
-    assert outcome(parse_libsvm, text) == outcome(data._parse_libsvm_literal, text)
+    assert outcome(parse_libsvm, text) == outcome(parse_libsvm_literal, text)
 
 
-def test_regular_input_never_reaches_the_literal_parser(monkeypatch):
-    def refuse(source):
-        raise AssertionError("the literal parser ran")
+# numbers Python's int() or float() reads that the LIBSVM grammar does not: each is
+# a DataError, which the command line reports with exit 3
+PYTHON_ONLY_INPUTS = {
+    "1_0 1:1\n-1 1:2\n": "line 1: invalid label '1_0'",
+    "+1 1_0:1\n-1 1:2\n": "line 1: invalid feature index '1_0'",
+    "+1 1:1_0\n-1 1:2\n": "line 1: invalid feature value '1_0'",
+    "+1 \u0661:1\n-1 1:2\n": "line 1: invalid feature index '\u0661'",  # an Arabic-Indic digit
+    "+1 +3:1\n-1 1:1\n": "line 1: invalid feature index '+3'",
+    "-1 1:1\n+1 -3:1\n": "line 2: invalid feature index '-3'",
+    "-1 1:1\n\u0661 1:1\n": "line 2: invalid label '\u0661'",
+    "-1 1:1\n+1 1:\u0661\n": "line 2: invalid feature value '\u0661'",
+}
 
-    monkeypatch.setattr(data, "_parse_libsvm_literal", refuse)
+
+@pytest.mark.parametrize("text", PYTHON_ONLY_INPUTS)
+def test_python_only_numbers_are_data_errors(text):
+    message = PYTHON_ONLY_INPUTS[text]
+    with pytest.raises(DataError) as exc:
+        parse_libsvm(text)
+    assert str(exc.value) == message
+    assert outcome(parse_libsvm_literal, text) == f"DataError: {message}"
+
+
+# each ends a line for str.splitlines(), and is in-line whitespace here
+IN_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", IN_LINE_BREAKS)
+def test_only_lf_crlf_and_cr_end_a_line(char):
+    text = f"# note{char}page 2\n+1 1:1{char}2:3\n-1 1:2\n"
+    expected = Dataset(sparse.csr_matrix([[1.0, 3.0], [2.0, 0.0]]), [1, -1])
+    assert parse_libsvm(text) == parse_libsvm_literal(text) == expected
+    bad = f"+1 1:1{char}\n-1 1:x\n"
+    expected = "DataError: line 2: invalid feature value 'x'"
+    assert outcome(parse_libsvm, bad) == outcome(parse_libsvm_literal, bad) == expected
+
+
+def test_valid_input_never_runs_the_diagnoser(monkeypatch):
+    monkeypatch.setattr(data, "_diagnose", refuse)
     ds = make_gaussian_dataset(5)
     assert parse_libsvm(serialize_libsvm(ds)) == ds
-    # the dense "label j:value ..." layout of the benchmark's generated files
+    # the dense "label j:value ..." layout of the benchmark's generated files,
+    # over several blocks, one of which holds only comments and blank lines
     rng = np.random.default_rng(2)
     X = rng.normal(size=(40, 6))
     y = np.where(rng.random(40) < 0.4, 1, -1)
     row_fmt = "%s " + " ".join(f"{j + 1}:%r" for j in range(X.shape[1])) + "\n"
-    text = "".join(row_fmt % ("+1" if label > 0 else "-1", *row.tolist()) for label, row in zip(y, X))
-    assert parse_libsvm(text) == Dataset(sparse.csr_matrix(X), y)
+    rows = [row_fmt % ("+1" if label > 0 else "-1", *row.tolist()) for label, row in zip(y, X)]
+    text = "# generated\n" + "".join(rows[:20]) + "# part 2\n \n" * 40 + "".join(rows[20:])
+    with mock.patch.object(data, "_BLOCK_CHARS", 300):
+        assert parse_libsvm(text) == Dataset(sparse.csr_matrix(X), y)
+    assert parse_libsvm(text.replace("\n", "\r\n").encode()) == Dataset(sparse.csr_matrix(X), y)
