@@ -13,7 +13,9 @@ and without flag overrides, ``validate-config``, unreadable config files,
 bad dataset files (malformed, or with a feature index too large to
 parse or to scale), and dataset files at the edges of the LIBSVM grammar
 (comments with CRLF or a form feed, Python-only number forms, a non-ASCII
-digit, malformed numbers and tokens). A diff of the output is the gate for
+digit, malformed numbers and tokens), and two files longer than one read
+block (a CRLF file with a ``\r\n`` split across two reads, and a fault in
+the last block). A diff of the output is the gate for
 changes to config parsing, to the LIBSVM parser and to the CLI:
 
     PYTHONPATH=<other tree>/src python scripts/cli_digest.py > before.txt
@@ -110,6 +112,8 @@ VALID_CASES = {
     "data-two-colons": (["run"], config("run", {"dataset": "two-colons.libsvm"})),
     "data-comment-form-feed": (["run"], config("run", {"dataset": "comment-form-feed.libsvm"})),
     "data-unicode-digit-index": (["run"], config("run", {"dataset": "unicode-digit-index.libsvm"})),
+    "data-crlf-across-reads": (["run"], config("run", {"dataset": "crlf-across-reads.libsvm"})),
+    "data-fault-in-last-block": (["run"], config("run", {"dataset": "fault-in-last-block.libsvm"})),
 }
 BAD_DATASETS = {
     "bad.libsvm": "+1 1:0.5 oops\n-1 1:0.1\n",
@@ -130,6 +134,18 @@ GRAMMAR_EDGE_DATASETS = {
     # \f, which str.splitlines() takes for a line break, inside a comment
     "comment-form-feed.libsvm": "# generated\fby hand\n" + "".join(row + "\n" for row in _CRLF_ROWS),
     "unicode-digit-index.libsvm": "+1 1:0.5 \u0662:1\n-1 1:0.1\n",
+}
+
+# files longer than one 1 MiB read, each written only for the case that reads it
+_READ = 1 << 20
+_FIRST_ROW = _CRLF_ROWS[0] + "\r\n"
+MULTI_BLOCK_DATASETS = {
+    # a comment sized so that the first row's \r ends the first read and its \n starts the second
+    "crlf-across-reads.libsvm": "# " + "=" * (_READ - 3 - len(_FIRST_ROW)) + "\r\n" + _FIRST_ROW
+    + "".join(f"{row}\r\n" for row in _CRLF_ROWS[1:]),
+    # 18000 valid lines ended by \n, \r\n and \r in turn, then a bad value on line 18001
+    "fault-in-last-block.libsvm": "".join(row + ("\n", "\r\n", "\r")[i % 3] for i, row in enumerate(_CRLF_ROWS * 400))
+    + "+1 1:0.5 2:x\n",
 }
 
 
@@ -153,6 +169,7 @@ def _artifact_bytes(path: Path) -> bytes:
 def run_case(workdir: Path, argv: list[str], raw) -> str:
     workdir.mkdir()
     inputs = dict(DATASETS, **BAD_DATASETS, **GRAMMAR_EDGE_DATASETS)
+    inputs.update((name, text) for name, text in MULTI_BLOCK_DATASETS.items() if name in json.dumps(raw))
     if raw is not None:
         inputs["config.json"] = raw if isinstance(raw, str) else json.dumps(raw)
     for name, text in inputs.items():

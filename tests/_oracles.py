@@ -243,3 +243,19 @@ def parse_libsvm_literal(source: str) -> Dataset:
     dim = max(max_index, 1)
     X = sp.csr_matrix((data, indices, indptr), shape=(len(labels), dim))
     return Dataset(X, np.asarray(labels))
+
+
+def scale_features_dense(ds: Dataset) -> Dataset:
+    """``emtauc.data.scale_features`` over the whole dense matrix at once:
+    the same arithmetic in the same order, then scipy's dense-to-CSR."""
+    dense = np.asarray(ds.X.todense())
+    lo = dense.min(axis=0)
+    hi = dense.max(axis=0)
+    constant = lo == hi
+    out = np.subtract(dense, lo)
+    out *= 2.0
+    out /= np.where(constant, 1.0, hi - lo)
+    out -= 1.0
+    out[:, constant] = 0.0
+    np.copyto(out, dense, where=(lo == -1.0) & (hi == 1.0))
+    return Dataset(sp.csr_matrix(out), ds.labels)

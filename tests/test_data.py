@@ -1,7 +1,14 @@
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from emtauc import data
 from emtauc.data import (
     DataError,
     Dataset,
@@ -15,6 +22,7 @@ from emtauc.data import (
     stratified_sample,
 )
 
+from _oracles import scale_features_dense
 from conftest import make_gaussian_dataset
 
 SAMPLE = """# a comment line
@@ -168,6 +176,82 @@ def test_scaling_rejects_a_shape_past_physical_memory(monkeypatch):
         scale_features(ds)
     pages["SC_PHYS_PAGES"] = 32
     assert scale_features(ds).X.shape == (2, 4)
+
+
+@st.composite
+def scaling_inputs(draw):
+    """A CSR matrix and labels (one row and one class included) whose
+    columns are each drawn as mostly implicit zeros, constant, spanning
+    exactly [-1, 1] (with points that scale to 0.0) or any finite values."""
+    n = draw(st.integers(1, 9))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["zeros", "constant", "unit", "symmetric", "any"]))
+        if kind == "constant":
+            col = [draw(st.floats(-5, 5))] * n
+        else:
+            pool = {
+                "zeros": st.sampled_from([0.0, 0.0, 0.0, 2.5, -7.0]),
+                "unit": st.sampled_from([-1.0, 1.0, 0.0, 0.5, -0.25]),
+                "symmetric": st.sampled_from([-3.0, 3.0, 0.0, 1.5, -1.5]),
+                "any": st.floats(allow_nan=False, allow_infinity=False),
+            }[kind]
+            col = [draw(pool) for _ in range(n)]
+        columns.append(col)
+    labels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    return sparse.csr_matrix(np.array(columns).T), labels
+
+
+def scaled_bytes(scale, ds):
+    try:
+        out = scale(ds)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    X = out.X
+    return X.shape, X.indices.dtype, X.indptr.dtype, X.data.tobytes(), X.indices.tobytes(), X.indptr.tobytes(), out.labels.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaling_inputs(), st.sampled_from([1, 2, 3, None]))
+def test_row_blocked_scaling_matches_the_dense_oracle(inputs, rows):
+    X, labels = inputs
+    # the input as Dataset holds it, without its both-classes check
+    ds = SimpleNamespace(X=X, labels=labels)
+    block = data._SCALE_BLOCK_BYTES if rows is None else 8 * X.shape[1] * rows
+    with mock.patch.object(data, "_SCALE_BLOCK_BYTES", block), np.errstate(over="ignore", invalid="ignore"):
+        assert scaled_bytes(scale_features, ds) == scaled_bytes(scale_features_dense, ds)
+
+
+def test_setup_memory_is_the_arrays_plus_a_few_blocks(tmp_path):
+    # a dense 4000 x 50 file in the benchmark's layout, read and scaled in
+    # 64 KiB blocks; whole-text parsing peaks near 8x and dense scaling
+    # near 4x the arrays' bytes
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(4000, 50))
+    y = np.where(rng.random(4000) < 0.4, 1, -1)
+    row_fmt = "%s " + " ".join(f"{j + 1}:%r" for j in range(50)) + "\n"
+    path = tmp_path / "dense.svm"
+    path.write_text("".join(row_fmt % ("+1" if label > 0 else "-1", *row) for label, row in zip(y, X.tolist())))
+    block = 1 << 16
+
+    def bound(ds):
+        arrays = ds.X.data.nbytes + ds.X.indices.nbytes + ds.X.indptr.nbytes + ds.labels.nbytes
+        return 2.5 * arrays + 4 * block
+
+    with mock.patch.object(data, "_BLOCK_SIZE", block), mock.patch.object(data, "_SCALE_BLOCK_BYTES", block):
+        tracemalloc.start()
+        try:
+            raw = parse_libsvm_path(path)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            scaled = scale_features(raw)
+            scale_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert raw == Dataset(sparse.csr_matrix(X), y)
+    assert parse_peak <= bound(raw)
+    assert scale_peak <= bound(scaled)
 
 
 def test_as_rate_exact():

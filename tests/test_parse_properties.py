@@ -1,10 +1,10 @@
 """``parse_libsvm`` against the literal token-by-token oracle.
 
-``parse_libsvm`` reads text block by block with one grammar and, when a
-block breaks it, runs ``data._diagnose`` over the lines to name the fault.
-``_oracles.parse_libsvm_literal`` reads the same language with Python's
-``int`` and ``float``. Both must give the same Dataset, or raise the same
-DataError message, on every input.
+``parse_libsvm`` and ``parse_libsvm_path`` read text block by block with
+one grammar and, when a block breaks it, run ``data._diagnose`` over that
+block's lines to name the fault. ``_oracles.parse_libsvm_literal`` reads
+the same language with Python's ``int`` and ``float``. All must give the
+same Dataset, or raise the same DataError message, on every input.
 """
 from unittest import mock
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from emtauc import data
-from emtauc.data import DataError, Dataset, parse_libsvm, serialize_libsvm
+from emtauc.data import DataError, Dataset, parse_libsvm, parse_libsvm_path, serialize_libsvm
 
 from _oracles import parse_libsvm_literal
 from conftest import make_gaussian_dataset
@@ -29,7 +29,14 @@ def outcome(parse, text):
         return f"DataError: {exc}"
 
 
-def refuse(source):
+def file_outcome(path):
+    """``outcome`` of parsing the file at ``path``, its path prefix dropped
+    from any error message."""
+    result = outcome(parse_libsvm_path, path)
+    return result.replace(f"DataError: {path}: ", "DataError: ", 1) if isinstance(result, str) else result
+
+
+def refuse(block, lines_before):
     raise AssertionError("the diagnoser ran")
 
 
@@ -113,22 +120,125 @@ def mutated_text(draw):
 
 
 # block sizes from one line per block to the whole text in one
-block_chars = st.sampled_from([1, 16, 64, data._BLOCK_CHARS])
+block_chars = st.sampled_from([1, 16, 64, data._BLOCK_SIZE])
 
 
 @settings(max_examples=300, deadline=None)
 @given(libsvm_text(), block_chars)
 def test_fast_path_matches_the_literal_parser(text, chars):
     # grammatical text parses in one pass: the diagnoser never runs
-    with mock.patch.object(data, "_diagnose", refuse), mock.patch.object(data, "_BLOCK_CHARS", chars):
+    with mock.patch.object(data, "_diagnose", refuse), mock.patch.object(data, "_BLOCK_SIZE", chars):
         assert outcome(parse_libsvm, text) == outcome(parse_libsvm_literal, text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_text(), block_chars)
 def test_one_character_edits_match_the_literal_parser(text, chars):
-    with mock.patch.object(data, "_BLOCK_CHARS", chars):
+    with mock.patch.object(data, "_BLOCK_SIZE", chars):
         assert outcome(parse_libsvm, text) == outcome(parse_libsvm_literal, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(libsvm_text(), mutated_text()), block_chars)
+def test_files_and_bytes_match_the_literal_parser(tmp_path_factory, text, size):
+    path = tmp_path_factory.getbasetemp() / "stream.svm"
+    # UTF-8 has no surrogates, which the comment strategy can draw
+    payload = text.encode("utf-8", "replace")
+    text = payload.decode("utf-8")
+    path.write_bytes(payload)
+    with mock.patch.object(data, "_BLOCK_SIZE", size):
+        assert file_outcome(path) == outcome(parse_libsvm, payload) == outcome(parse_libsvm_literal, text)
+
+
+# each is read at every block size from one byte to the whole file, so that
+# a read ends once at every position: inside a \r\n, right after a lone \r,
+# inside a multi-byte UTF-8 character
+BOUNDARY_FILES = [
+    "+1 1:1 2:2\r\n-1 1:3\r\n+1 2:4\r\n",
+    "+1 1:1 2:2\r-1 1:3\r\r+1 2:4\r",
+    "# caf\u00e9 \u4e2d\n+1\u00a01:1\u30002:2\n-1 1:3 # \U0001f600\r\n",
+    "+1 1:1\n-1 1:2",
+    "",
+    "# one\r# two\r\n\n",
+    "+1 1:1\r-1 1:2\r\n+1 1:x\r",
+]
+
+
+@pytest.mark.parametrize("text", BOUNDARY_FILES)
+def test_every_read_boundary_gives_the_same_result(tmp_path, text):
+    path = tmp_path / "edge.svm"
+    payload = text.encode("utf-8")
+    path.write_bytes(payload)
+    expected = outcome(parse_libsvm_literal, text)
+    for size in range(1, len(payload) + 2):
+        with mock.patch.object(data, "_BLOCK_SIZE", size):
+            assert file_outcome(path) == outcome(parse_libsvm, payload) == outcome(parse_libsvm, text) == expected
+
+
+INVALID_UTF8 = {
+    b"+1 1:1\r\n-1 1:2\r\r+1 1:\xc3(\n": "line 4: input is not valid UTF-8 (byte 0xc3)",
+    # a bad byte anywhere is reported ahead of a grammar fault on an earlier line
+    b"+1 1:x\n" + b"-1 1:2\r\n+1 1:3\r" * 20 + b"# \xe2\x82\n": "line 42: input is not valid UTF-8 (byte 0xe2)",
+    b"-1 1:2\n" * 30 + b"+1 1:1 \xff": "line 31: input is not valid UTF-8 (byte 0xff)",
+}
+
+
+@pytest.mark.parametrize("payload", INVALID_UTF8)
+@pytest.mark.parametrize("size", [1, 7, 16, 64, data._BLOCK_SIZE])
+def test_invalid_utf8_is_named_by_its_absolute_line(tmp_path, payload, size):
+    path = tmp_path / "bad.svm"
+    path.write_bytes(payload)
+    with mock.patch.object(data, "_BLOCK_SIZE", size):
+        assert file_outcome(path) == outcome(parse_libsvm, payload) == f"DataError: {INVALID_UTF8[payload]}"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_blocks_are_whole_lines_of_bounded_size(end):
+    text = "".join(f"{i % 2 * 2 - 1} 1:{i}{end}" for i in range(400))
+    for source in (text, text.encode()):
+        for size in (16, 64, 1000):
+            chunks = [source[i:i + size] for i in range(0, len(source), size)]
+            blocks = list(data._line_blocks(chunks))
+            assert source[:0].join(blocks) == source
+            assert max(map(len, blocks)) < 2 * size
+            texts = [block if isinstance(block, str) else block.decode() for block in blocks]
+            assert all(t.endswith(("\n", "\r")) for t in texts[:-1])
+            assert not any(a.endswith("\r") and b.startswith("\n") for a, b in zip(texts, texts[1:]))
+
+
+def test_block_arrays_own_their_memory():
+    # a view into the block's interleaved numbers would keep them all alive
+    # until the Dataset is built
+    breaks, *arrays = data._read_block("+1 1:1 2:2\n\n-1 3:0.5\n")
+    assert breaks == 3
+    assert all(a.flags.owndata and a.flags.c_contiguous for a in arrays)
+
+
+def test_a_fault_in_the_last_block_is_diagnosed_from_that_block_alone(tmp_path, monkeypatch):
+    # 200 lines ended by \n, \r\n and \r in turn, the last one faulty, read in
+    # 64-byte blocks
+    rows = [f"{'+1' if i % 2 else '-1'} 1:{i}.5 2:-{i}.25" for i in range(200)]
+    rows[-1] += " 3:x"
+    text = "".join(row + ("\n", "\r\n", "\r")[i % 3] for i, row in enumerate(rows))
+    path = tmp_path / "late-fault.svm"
+    path.write_bytes(text.encode())
+    assert len(text) >= 50 * 64
+    seen, diagnose = [], data._diagnose
+
+    def spy(block, lines_before):
+        seen.append((block, lines_before))
+        return diagnose(block, lines_before)
+
+    monkeypatch.setattr(data, "_diagnose", spy)
+    monkeypatch.setattr(data, "_BLOCK_SIZE", 64)
+    with pytest.raises(DataError) as exc:
+        parse_libsvm_path(path)
+    assert str(exc.value) == f"{path}: line 200: invalid feature value 'x'"
+    [(block, lines_before)] = seen
+    lines = text.replace("\r\n", "\n").replace("\r", "\n")
+    assert lines.endswith(block) and len(block) < 2 * 64
+    assert lines_before == lines[: len(lines) - len(block)].count("\n")
+    assert lines_before >= 195
 
 
 FALLBACK_INPUTS = [
@@ -230,6 +340,6 @@ def test_valid_input_never_runs_the_diagnoser(monkeypatch):
     row_fmt = "%s " + " ".join(f"{j + 1}:%r" for j in range(X.shape[1])) + "\n"
     rows = [row_fmt % ("+1" if label > 0 else "-1", *row.tolist()) for label, row in zip(y, X)]
     text = "# generated\n" + "".join(rows[:20]) + "# part 2\n \n" * 40 + "".join(rows[20:])
-    with mock.patch.object(data, "_BLOCK_CHARS", 300):
+    with mock.patch.object(data, "_BLOCK_SIZE", 300):
         assert parse_libsvm(text) == Dataset(sparse.csr_matrix(X), y)
     assert parse_libsvm(text.replace("\n", "\r\n").encode()) == Dataset(sparse.csr_matrix(X), y)
