@@ -1,4 +1,11 @@
-"""Landscape similarity, benchmark sweeps, and rank-based comparisons."""
+"""Landscape similarity, benchmark sweeps, and rank-based comparisons.
+
+Only ``spearman_rho`` and ``compare_cells`` need ``scipy.stats``, and they
+import it in their bodies, so it loads on the first call of either. Importing
+this module, and with it ``emtauc``, loads numpy and ``scipy.sparse`` only:
+``scipy.stats`` about doubles the resident memory of a process, and most
+processes (``emtauc run``, a benchmark's worker processes) never rank.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -9,7 +16,6 @@ from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
-from scipy import stats
 
 from .config import BenchmarkEntry
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
@@ -29,6 +35,8 @@ def spearman_rho(a, b) -> float:
     Raises ValueError on length mismatch, fewer than two samples, or a
     constant input (the statistic is undefined there, never NaN).
     """
+    from scipy import stats
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
@@ -123,6 +131,8 @@ def compare_cells(a, b, alpha: float = 0.05) -> str:
     8 values, and the normal approximation with tie correction beyond that.
     Requires at least 5 values per sample.
     """
+    from scipy import stats
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:

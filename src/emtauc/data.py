@@ -59,11 +59,21 @@ class Dataset:
     __slots__ = ("X", "labels", "pos_idx", "neg_idx", "_full_view")
 
     def __init__(self, X, labels) -> None:
-        X = sp.csr_matrix(X, dtype=np.float64, copy=True)
+        self._own(sp.csr_matrix(X, dtype=np.float64, copy=True), np.asarray(labels, dtype=np.int64).copy())
+
+    @classmethod
+    def _adopt(cls, X: sp.csr_matrix, labels: np.ndarray) -> "Dataset":
+        """The Dataset of a float64 CSR matrix and int64 labels that nothing
+        else holds, taken over without the copy ``Dataset(X, labels)`` makes."""
+        ds = cls.__new__(cls)
+        ds._own(X, labels)
+        return ds
+
+    def _own(self, X: sp.csr_matrix, labels: np.ndarray) -> None:
+        """Canonicalise ``X`` in place, check both arrays and keep them."""
         X.sum_duplicates()
         X.eliminate_zeros()
         X.sort_indices()
-        labels = np.asarray(labels, dtype=np.int64).copy()
         if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
             raise DataError("labels must be one per matrix row")
         if not np.all(np.isin(labels, (-1, 1))):
@@ -97,7 +107,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New Dataset from the given instance indices; keeps this dim."""
         idx = _checked_indices(indices, self.n, "subset")
-        return Dataset(self.X[idx], self.labels[idx])
+        return Dataset._adopt(self.X[idx], self.labels[idx])
 
     def full_view(self) -> "DatasetView":
         if self._full_view is None:
@@ -284,9 +294,10 @@ def parse_libsvm_path(path) -> Dataset:
 
     Each read of about a mebibyte is cut after its last line break and
     decoded, checked and turned into compact arrays on its own, so the
-    file is never held whole. Parsing peaks at about twice the bytes of the
-    Dataset's arrays (``Dataset`` copies the matrix it is given) plus a few
-    blocks: 25 MiB for a 22.5 MB, 20000 x 50 file of 1 M features, whose
+    file is never held whole. The Dataset takes the joined arrays without
+    copying them, so parsing peaks at the bytes of its arrays, plus its
+    values once more while their per-block parts are joined, plus a few
+    blocks: 19.8 MiB for a 22.5 MB, 20000 x 50 file of 1 M features, whose
     arrays take 11.6 MiB.
     """
     try:
@@ -407,20 +418,23 @@ def _csr_dataset(labels, counts, columns, values, dim: int) -> Dataset:
     entries per row, 0-based columns in row order and their values.
 
     Each final array is one copy of its parts, which are dropped from the
-    lists as they are joined. Indices take the dtype scipy would choose.
+    lists as they are joined, and the Dataset takes the joined arrays as
+    they are. Indices take the dtype scipy would choose.
     """
     n = sum(c.size for c in counts)
     nnz = sum(v.size for v in values)
     index_dtype = np.int32 if max(n, dim, nnz) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index_dtype)
     np.concatenate(counts, out=indptr[1:])
+    counts.clear()
     np.cumsum(indptr, out=indptr, dtype=index_dtype)
-    labels = np.concatenate(labels)
+    signs = np.concatenate(labels, dtype=np.int64)
+    labels.clear()
     indices = np.concatenate(columns, dtype=index_dtype)
     columns.clear()
     data = np.concatenate(values)
     values.clear()
-    return Dataset(sp.csr_matrix((data, indices, indptr), shape=(n, dim)), labels)
+    return Dataset._adopt(sp.csr_matrix((data, indices, indptr), shape=(n, dim)), signs)
 
 
 def _diagnose(block: str, lines_before: int) -> DataError:
@@ -492,9 +506,10 @@ def scale_features(ds: Dataset) -> Dataset:
     [-1, 1] are left untouched, which makes scaling idempotent.
 
     The rows are scaled in dense blocks of about a mebibyte, so the dense
-    matrix never exists whole: scaling allocates at most about twice the
-    bytes of the result's arrays plus a few blocks (26 MiB for a dense
-    20000 x 50 set, whose arrays take 11.6 MiB).
+    matrix never exists whole: as in ``parse_libsvm_path``, scaling
+    allocates at most the bytes of the result's arrays, plus its values
+    once more, plus a few blocks (20.7 MiB for a dense 20000 x 50 set,
+    whose arrays take 11.6 MiB).
     """
     n, dim = ds.X.shape
     # the result can be as dense as the whole n x dim matrix: refuse a shape

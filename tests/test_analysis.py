@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -15,7 +21,7 @@ from emtauc.analysis import (
     spearman_rho,
     stable_seed,
 )
-from emtauc.data import DataError
+from emtauc.data import DataError, serialize_libsvm
 from emtauc.solvers import SolverConfig
 
 from _oracles import rank_sum_exact_p
@@ -81,6 +87,64 @@ def test_compare_cells_normal_path():
     d = list(rng.normal(0.75, 0.01, size=20))
     assert compare_cells(c, d) in (VERDICT_SIMILAR, VERDICT_BETTER, VERDICT_WORSE)
     assert compare_cells(c, c) == VERDICT_SIMILAR
+
+
+# Runs a solve through the CLI in a fresh interpreter, then ranks: prints
+# whether scipy.stats was loaded before and after ranking, and the results.
+_LAZY_STATS_SCRIPT = """
+import json, sys
+import emtauc, emtauc.cli
+config, cases = sys.argv[1], json.loads(sys.argv[2])
+status = emtauc.cli.main(["run", "--config", config])
+before = "scipy.stats" in sys.modules
+rho = emtauc.spearman_rho(*cases["rho"])
+verdicts = [emtauc.compare_cells(a, b) for a, b in cases["cells"]]
+print(json.dumps([status, before, rho, verdicts, "scipy.stats" in sys.modules]))
+"""
+
+
+def _reference_verdict(a, b, alpha=0.05):
+    method = "exact" if max(len(a), len(b)) <= 8 else "asymptotic"
+    res = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method=method, use_continuity=False)
+    if res.pvalue >= alpha:
+        return VERDICT_SIMILAR
+    return VERDICT_BETTER if res.statistic > len(a) * len(b) / 2 else VERDICT_WORSE
+
+
+def test_scipy_stats_loads_only_when_ranking(tmp_path):
+    data_path = tmp_path / "toy.libsvm"
+    data_path.write_text(serialize_libsvm(make_gaussian_dataset(0, n_pos=30, n_neg=40, dim=4)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": str(data_path), "solver": {"kind": "mfea"}, "budget": 3000, "delta": 5,
+        "seed": 7, "output_dir": str(tmp_path / "out"),
+    }))
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 6, size=30).astype(float)
+    y = x + rng.integers(0, 4, size=30)
+    cells = [
+        # exact path: one clear win, one loss with ties, one draw
+        ([0.6, 0.7, 0.75, 0.8, 0.9, 0.95], [0.1, 0.2, 0.3, 0.4, 0.5, 0.65]),
+        ([0.1, 0.2, 0.2, 0.3, 0.4], [0.3, 0.5, 0.6, 0.6, 0.7, 0.8]),
+        (rng.random(7), rng.random(7)),
+        # normal path with tied values: one win, one draw
+        (np.round(rng.normal(0.8, 0.05, 20), 2), np.round(rng.normal(0.75, 0.05, 25), 2)),
+        (np.round(rng.normal(0.7, 0.05, 12), 2), np.round(rng.normal(0.7, 0.05, 30), 2)),
+    ]
+    cells = [(list(map(float, a)), list(map(float, b))) for a, b in cells]
+    src = str(Path(emtauc.analysis.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_STATS_SCRIPT, str(config), json.dumps({"rho": [x.tolist(), y.tolist()], "cells": cells})],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    )
+    status, before, rho, verdicts, after = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0 and (tmp_path / "out" / "trace.csv").is_file()
+    assert not before
+    assert after
+    assert rho == pytest.approx(scipy.stats.spearmanr(x, y).statistic, abs=1e-12)
+    assert verdicts == [_reference_verdict(a, b) for a, b in cells]
+    assert set(verdicts) == {VERDICT_BETTER, VERDICT_WORSE, VERDICT_SIMILAR}
 
 
 def test_stable_seed_properties():

@@ -254,6 +254,46 @@ def test_setup_memory_is_the_arrays_plus_a_few_blocks(tmp_path):
     assert scale_peak <= bound(scaled)
 
 
+def test_builders_hand_their_fresh_arrays_to_the_dataset(tmp_path):
+    # parsing and scaling hold the result's arrays once, plus its values
+    # again while their per-block parts are joined; a subset joins nothing.
+    # Copying the result into the Dataset would add all its arrays again.
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(3000, 40))
+    y = np.where(rng.random(3000) < 0.4, 1, -1)
+    row_fmt = "%s " + " ".join(f"{j + 1}:%r" for j in range(40)) + "\n"
+    path = tmp_path / "dense.svm"
+    path.write_text("".join(row_fmt % ("+1" if label > 0 else "-1", *row) for label, row in zip(y, X.tolist())))
+    block = 1 << 16
+
+    def arrays(ds):
+        return ds.X.data.nbytes + ds.X.indices.nbytes + ds.X.indptr.nbytes + ds.labels.nbytes
+
+    def traced(build, arg):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = build(arg)
+        return out, tracemalloc.get_traced_memory()[1] - held
+
+    with mock.patch.object(data, "_BLOCK_SIZE", block), mock.patch.object(data, "_SCALE_BLOCK_BYTES", block):
+        tracemalloc.start()
+        try:
+            raw, parse_peak = traced(parse_libsvm_path, path)
+            scaled, scale_peak = traced(scale_features, raw)
+            half, subset_peak = traced(scaled.subset, np.arange(0, scaled.n, 2))
+        finally:
+            tracemalloc.stop()
+    assert parse_peak <= arrays(raw) + raw.X.data.nbytes + 4 * block
+    assert scale_peak <= arrays(scaled) + scaled.X.data.nbytes + 4 * block
+    assert subset_peak <= 1.5 * arrays(half)
+    assert half == Dataset(scaled.X[::2], scaled.labels[::2])
+    assert not np.shares_memory(half.X.data, scaled.X.data)
+    # the public constructor still copies what it is given
+    clone = Dataset(half.X, half.labels)
+    assert not np.shares_memory(clone.X.data, half.X.data)
+    assert not np.shares_memory(clone.labels, half.labels)
+
+
 def test_as_rate_exact():
     assert as_rate(0.1) == as_rate("1/10") == as_rate("0.1")
     assert as_rate(1) == 1
