@@ -157,6 +157,17 @@ def _checked_indices(indices, n: int, what: str) -> np.ndarray:
 _DENSE_MIN_INSTANCES = 2000
 
 
+def _row_block(X: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """Rows ``start:stop`` of ``X`` as a CSR matrix whose data and indices
+    are views of ``X``'s. Only its indptr is new; the ``csr_matrix``
+    constructor would copy a view of less than half its base."""
+    lo, hi = X.indptr[start], X.indptr[stop]
+    block = sp.csr_matrix((stop - start, X.shape[1]), dtype=X.dtype)
+    block.data, block.indices = X.data[lo:hi], X.indices[lo:hi]
+    block.indptr = X.indptr[start:stop + 1] - lo
+    return block
+
+
 def _row_norms(A: np.ndarray) -> np.ndarray:
     """2-norm of each row of the 2-D array ``A``, scaled by the row's largest
     magnitude first, so that no square underflows or overflows."""
@@ -168,12 +179,15 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
 class DatasetView:
     """An ordered selection of instances from a base Dataset.
 
-    The view owns no data; it caches the per-class submatrices the first
-    time they are needed so repeated evaluations stay cheap. Large, dense
-    views also cache dense copies of them (``dense_rows``).
+    The view owns no data; the first time its rows are needed it caches one
+    copy of them as a CSR matrix in class order (``class_matrix``: the
+    positives, then the negatives, each in view order), so repeated
+    evaluations stay cheap. ``pos_matrix`` and ``neg_matrix`` are row blocks
+    of that matrix that share its arrays. Large, dense views also cache a
+    dense copy of it (``dense_rows``).
     """
 
-    __slots__ = ("base", "selected", "pos_selected", "neg_selected", "_mat_pos", "_mat_neg", "_dense")
+    __slots__ = ("base", "selected", "pos_selected", "neg_selected", "_matrix", "_mat_pos", "_mat_neg", "_dense")
 
     def __init__(self, base: Dataset, selected) -> None:
         self.base = base
@@ -181,6 +195,7 @@ class DatasetView:
         mask = base.labels[self.selected] == 1
         self.pos_selected = self.selected[mask]
         self.neg_selected = self.selected[~mask]
+        self._matrix = None
         self._mat_pos = None
         self._mat_neg = None
         self._dense = None
@@ -197,17 +212,31 @@ class DatasetView:
     def t_neg(self) -> int:
         return int(self.neg_selected.size)
 
+    def _class_rows(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """``class_matrix`` and its positive and negative row blocks, built
+        together on first use and cached."""
+        if self._matrix is None:
+            X = self.base.X[np.concatenate([self.pos_selected, self.neg_selected])]
+            self._mat_pos = _row_block(X, 0, self.t_pos)
+            self._mat_neg = _row_block(X, self.t_pos, self.n)
+            self._matrix = X
+        return self._matrix, self._mat_pos, self._mat_neg
+
+    @property
+    def class_matrix(self) -> sp.csr_matrix:
+        """The view's rows in class order: ``base.X`` at ``pos_selected``,
+        then at ``neg_selected``."""
+        return self._class_rows()[0]
+
     @property
     def pos_matrix(self) -> sp.csr_matrix:
-        if self._mat_pos is None:
-            self._mat_pos = self.base.X[self.pos_selected]
-        return self._mat_pos
+        """The first ``t_pos`` rows of ``class_matrix``, sharing its arrays."""
+        return self._class_rows()[1]
 
     @property
     def neg_matrix(self) -> sp.csr_matrix:
-        if self._mat_neg is None:
-            self._mat_neg = self.base.X[self.neg_selected]
-        return self._mat_neg
+        """The last ``t_neg`` rows of ``class_matrix``, sharing its arrays."""
+        return self._class_rows()[2]
 
     def dense_rows(self) -> tuple[np.ndarray, np.ndarray, float] | None:
         """Dense copies of ``pos_matrix`` and ``neg_matrix`` and the largest
@@ -216,16 +245,18 @@ class DatasetView:
         A view densifies only if it has at least ``_DENSE_MIN_INSTANCES``
         instances and its dense copy takes no more bytes than the CSR
         arrays it already holds, so small views and sparse high-dimensional
-        data never do. The copies are built on first use and cached.
+        data never do. The two copies are the row blocks of one dense copy
+        of ``class_matrix``, built on first use and cached.
         """
         if self._dense is None:
             if self.n < _DENSE_MIN_INSTANCES:
                 return None
-            mats = (self.pos_matrix, self.neg_matrix)
+            X, *mats = self._class_rows()
             csr_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in mats)
             if 8 * self.n * self.base.dim > csr_bytes:
                 return None
-            pos, neg = (m.toarray() for m in mats)
+            dense = X.toarray()
+            pos, neg = dense[: self.t_pos], dense[self.t_pos:]
             xmax = float(max(_row_norms(pos).max(initial=0.0), _row_norms(neg).max(initial=0.0)))
             self._dense = (pos, neg, xmax)
         return self._dense

@@ -8,6 +8,8 @@ terms), so accounting is exact for any rational rate.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -48,8 +50,10 @@ def as_budget(value, what: str = "budget") -> Fraction:
 class CostLedger:
     """Exact budget accounting for per-task evaluation charges.
 
-    ``charge`` may push ``spent`` past the budget once (the crossing
-    evaluation completes and is recorded); any further charge raises.
+    ``charge`` takes a whole batch of evaluations and charges them in
+    order; it may push ``spent`` past the budget once (the crossing
+    evaluation completes and is recorded, the ones after it are not
+    charged), and any further charge raises.
     """
 
     __slots__ = ("_budget", "_den", "_units", "_spent_units", "_budget_units", "evals")
@@ -86,15 +90,34 @@ class CostLedger:
     def cost_per_eval(self, task_id: TaskId) -> Fraction:
         return Fraction(self._units[TaskId(task_id)], self._den)
 
-    def charge(self, task_id: TaskId) -> None:
-        """Record one evaluation on ``task_id``."""
+    def charge(self, task_ids) -> int:
+        """Charge a batch of evaluations, one task id per evaluation, in
+        order until the ledger is exhausted, and return how many it charged.
+
+        The evaluation that crosses the budget is charged and the ones after
+        it are not, so the charged ones are always the leading ones. An
+        empty batch charges nothing; a non-empty one on an exhausted ledger
+        raises ``BudgetExhaustedError``. The running totals are Python ints,
+        so the charge is exact at any rate.
+        """
+        ids = list(task_ids)
+        try:
+            totals = list(itertools.accumulate(map(self._units.__getitem__, ids)))
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a valid TaskId") from None
+        if not totals:
+            return 0
         if self.exhausted:
             raise BudgetExhaustedError(
                 f"budget exhausted: spent {self.spent} of {self._budget}"
             )
-        task_id = TaskId(task_id)
-        self._spent_units += self._units[task_id]
-        self.evals[task_id] += 1
+        # the first running total that reaches the budget is the crossing one
+        count = min(bisect.bisect_left(totals, self._budget_units - self._spent_units) + 1, len(totals))
+        self._spent_units += totals[count - 1]
+        expensive = ids[:count].count(TaskId.EXPENSIVE)
+        self.evals[TaskId.CHEAP] += count - expensive
+        self.evals[TaskId.EXPENSIVE] += expensive
+        return count
 
 
 class TaskSpec:

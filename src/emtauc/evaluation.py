@@ -47,14 +47,16 @@ def _as_weights(w, dim: int) -> np.ndarray:
 def _decision_rows(W: np.ndarray, view: DatasetView) -> tuple[np.ndarray, np.ndarray]:
     """CSR decision values of every row of ``W`` (shape (k, dim)), row-major.
 
-    Returns C-contiguous (k, T+) and (k, T-) arrays in view order. The
-    values come from the CSR products ``pos_matrix @ W.T`` and
-    ``neg_matrix @ W.T``; the transpose only moves them. These are the
-    reference values every count is exact on, whichever path computed it.
+    Returns (k, T+) and (k, T-) arrays in view order, each row contiguous:
+    the two column blocks of one C-contiguous (k, n) array. The values come
+    from one CSR product ``class_matrix @ W.T``; the transpose only moves
+    them. Each value is the dot product of one row of the matrix, so the
+    product of the whole class-ordered matrix gives the same bits as one
+    product per class. These are the reference values every count is exact
+    on, whichever path computed it.
     """
-    f_pos = np.ascontiguousarray((view.pos_matrix @ W.T).T)
-    f_neg = np.ascontiguousarray((view.neg_matrix @ W.T).T)
-    return f_pos, f_neg
+    f = np.ascontiguousarray((view.class_matrix @ W.T).T)
+    return f[:, : view.t_pos], f[:, view.t_pos:]
 
 
 def _count_below(ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -67,8 +69,8 @@ def _count_below(ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
     no epsilon is applied.
     """
     out = np.empty(queries.shape, dtype=np.int64)
-    for r in range(ref.shape[0]):
-        out[r] = np.searchsorted(ref[r], queries[r], side="left")
+    for row, sorted_ref, query in zip(out, ref, queries):
+        row[...] = sorted_ref.searchsorted(query)
     return out
 
 
@@ -229,9 +231,9 @@ class HardnessScores:
 
 def hardness_scores(w, ds: Dataset) -> HardnessScores:
     """Both classes' per-instance counts over the full data, from the CSR
-    decision values every ``objective_batch`` count is exact on, and the
-    same counting kernel. It runs once per cheap-task rebuild, so it never
-    takes the BLAS path."""
+    decision values every ``objective_batch`` count is exact on (one product
+    over the full view's ``class_matrix``), and the same counting kernel. It
+    runs once per cheap-task rebuild, so it never takes the BLAS path."""
     f_pos, f_neg = _decision_rows(_as_weights(w, ds.dim)[np.newaxis, :], ds.full_view())
     return HardnessScores(
         pos_scores=ds.t_neg - _count_below(np.sort(f_neg, axis=1), f_pos)[0],

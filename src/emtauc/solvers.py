@@ -25,10 +25,11 @@ is generation t; it stops after the first point recorded with the budget
 exhausted.
 
 ``_evaluate`` is the only place that evaluates, charges and archives:
-every solver hands it a batch, it charges the rows serially in index
-order, the evaluation that crosses the budget completes and is recorded,
-and the run then stops. Rows past that point are never charged
-and never enter a population.
+every solver hands it a batch, it charges the batch with one
+``CostLedger.charge`` call, in index order, the evaluation that crosses the
+budget completes and is recorded, and the run then stops. Rows past that
+point are never charged and never enter a population. The draw loops
+read Python lists and ints rather than numpy scalars.
 """
 from __future__ import annotations
 
@@ -144,13 +145,11 @@ def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     m = costs.shape[0]
     ranks = np.empty((m, 2), dtype=np.int64)
-    for tid in (0, 1):
-        order = np.argsort(costs[:, tid], kind="stable")
-        ranks[order, tid] = np.arange(1, m + 1)
+    ranks[np.argsort(costs, axis=0, kind="stable"), [0, 1]] = np.arange(1, m + 1)[:, np.newaxis]
     masked = ranks.astype(np.float64)
     masked[~np.isfinite(costs)] = np.inf
-    skills = np.argmin(masked, axis=1).astype(np.int64)
-    best_rank = masked[np.arange(m), skills]
+    skills = np.argmin(masked, axis=1)
+    best_rank = masked.min(axis=1)
     fitness = np.where(np.isfinite(best_rank), 1.0 / best_rank, 0.0)
     return ranks, skills, fitness
 
@@ -160,28 +159,30 @@ def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray,
 
     ``task_ids`` is one TaskId for the whole batch or one per row. Each
     task's rows are evaluated together, cheap rows first, on the task as
-    ``env`` holds it now. The rows are then charged in index order until the
-    ledger is exhausted; the row that crosses the budget completes. Charged
-    expensive rows are archived. Returns the values and the number of
-    charged rows, which are the leading ones; rows left uncharged read inf,
-    as if never evaluated.
+    ``env`` holds it now. The batch is then charged in one
+    ``CostLedger.charge`` call, in index order until the ledger is
+    exhausted; the row that crosses the budget completes. The first
+    minimum among the charged expensive rows is archived, which is what
+    archiving them one by one would keep. Returns the values and the number
+    of charged rows, which are the leading ones; rows left uncharged read
+    inf, as if never evaluated.
     """
-    tids = np.broadcast_to(np.asarray(task_ids, dtype=np.int64), keys.shape[:1])
+    tids = np.asarray(task_ids, dtype=np.int64)
+    if tids.ndim == 0:
+        tids = tids.repeat(keys.shape[0])
     values = np.empty(keys.shape[0])
-    for tid in TaskId:
-        rows = np.flatnonzero(tids == tid)
+    for tid in (0, 1):
+        rows = (tids == tid).nonzero()[0]
         if rows.size:
-            values[rows] = _eval_batch(env.tasks[tid], keys[rows])
+            # a batch of one task is evaluated as it is, without a gather
+            values[rows] = _eval_batch(env.tasks[tid], keys if rows.size == tids.size else keys[rows])
     ledger = env.ledger
-    kept = 0
-    for tid in tids.tolist():
-        if ledger.exhausted:
-            break
-        ledger.charge(tid)
-        if tid == TaskId.EXPENSIVE:
-            env.record_expensive(decode_weights(keys[kept]), values[kept])
-        kept += 1
+    kept = 0 if ledger.exhausted else ledger.charge(tids.tolist())
     values[kept:] = np.inf
+    expensive = tids[:kept].nonzero()[0]
+    if expensive.size:
+        best = expensive[np.argmin(values[expensive])]
+        env.record_expensive(decode_weights(keys[best]), values[best])
     return values, kept
 
 
@@ -210,9 +211,9 @@ def _archive_trace_point(
     )
 
 
-def _tournament(rng, objectives: np.ndarray) -> int:
-    i, j = rng.integers(objectives.shape[0], size=2)
-    return int(i) if objectives[i] <= objectives[j] else int(j)
+def _tournament(rng, objectives: list[float]) -> int:
+    i, j = rng.integers(len(objectives), size=2).tolist()
+    return i if objectives[i] <= objectives[j] else j
 
 
 def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float) -> np.ndarray:
@@ -236,15 +237,17 @@ def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float)
 
 def _ga_offspring(genomes: np.ndarray, objectives: np.ndarray, config: SolverConfig, pm_prob: float, rng) -> np.ndarray:
     n, dim = genomes.shape
-    parents = np.empty(((n + 1) // 2, 2), dtype=np.int64)
-    u = np.zeros((parents.shape[0], 5, dim))
+    values = objectives.tolist()
+    parents = []
+    u = np.zeros(((n + 1) // 2, 5, dim))
     for i in range(n // 2):
-        parents[i] = _tournament(rng, objectives), _tournament(rng, objectives)
-        u[i] = rng.random((5, dim))
+        parents.append((_tournament(rng, values), _tournament(rng, values)))
+        rng.random(out=u[i])
     if n % 2:
-        parents[-1] = _tournament(rng, objectives)
-        u[-1, 1:3] = rng.random((2, dim))
-    return _offspring(genomes, parents, np.arange(parents.shape[0]) < n // 2, u, config, pm_prob)
+        a = _tournament(rng, values)
+        parents.append((a, a))
+        rng.random(out=u[-1, 1:3])
+    return _offspring(genomes, np.array(parents), np.arange(len(parents)) < n // 2, u, config, pm_prob)
 
 
 def _ga_generation(
@@ -284,20 +287,22 @@ def _mfea_offspring(
     n, dim = genomes.shape
     perm = rng.permutation(n)
     parents = np.resize(perm, ((n + 1) // 2, 2))
-    cross = np.zeros(parents.shape[0], dtype=bool)
+    cross = [False] * parents.shape[0]
     u = np.zeros((parents.shape[0], 5, dim))
-    child_skills = skills[perm]
-    for i, (a, b) in enumerate(parents[: n // 2]):
-        cross[i] = skills[a] == skills[b] or rng.random() < config.rmp
+    skill = skills.tolist()
+    child_skills = skills[perm].tolist()
+    for i, (a, b) in enumerate(parents[: n // 2].tolist()):
+        sa, sb = skill[a], skill[b]
+        cross[i] = sa == sb or rng.random() < config.rmp
         if cross[i]:
-            u[i] = rng.random((5, dim))
-            child_skills[2 * i] = skills[a] if rng.random() < 0.5 else skills[b]
-            child_skills[2 * i + 1] = skills[a] if rng.random() < 0.5 else skills[b]
+            rng.random(out=u[i])
+            child_skills[2 * i] = sa if rng.random() < 0.5 else sb
+            child_skills[2 * i + 1] = sa if rng.random() < 0.5 else sb
         else:
-            u[i, 1:] = rng.random((4, dim))
+            rng.random(out=u[i, 1:])
     if n % 2:
-        u[-1, 1:3] = rng.random((2, dim))
-    return _offspring(genomes, parents, cross, u, config, pm_prob), child_skills
+        rng.random(out=u[-1, 1:3])
+    return _offspring(genomes, parents, np.array(cross), u, config, pm_prob), np.array(child_skills)
 
 
 def _maybe_adjust(env: Environment, generation: int) -> bool:

@@ -11,6 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from emtauc.data import DataError, Dataset
+from emtauc.environment import TaskId
+from emtauc.solvers import _eval_batch, decode_weights
 
 
 def pair_loss_naive(f_pos, f_neg) -> int:
@@ -113,6 +115,30 @@ def pm_mutation_naive(genome, eta: float, prob: float, rng):
     child = np.where(low, g + toward_zero * g, child)
     child = np.where(high, g + toward_one * (1.0 - g), child)
     return np.clip(child, 0.0, 1.0)
+
+
+def evaluate_per_row(env, task_ids, keys):
+    """``solvers._evaluate`` as it was before it charged a whole batch at
+    once: every row is charged on its own, in index order, until the ledger
+    is exhausted, and every charged expensive row is offered to the archive
+    on its own."""
+    tids = np.broadcast_to(np.asarray(task_ids, dtype=np.int64), keys.shape[:1])
+    values = np.empty(keys.shape[0])
+    for tid in TaskId:
+        rows = np.flatnonzero(tids == tid)
+        if rows.size:
+            values[rows] = _eval_batch(env.tasks[tid], keys[rows])
+    ledger = env.ledger
+    kept = 0
+    for tid in tids.tolist():
+        if ledger.exhausted:
+            break
+        ledger.charge([tid])
+        if tid == TaskId.EXPENSIVE:
+            env.record_expensive(decode_weights(keys[kept]), values[kept])
+        kept += 1
+    values[kept:] = np.inf
+    return values, kept
 
 
 def _tournament_naive(rng, objectives) -> int:

@@ -148,7 +148,7 @@ def test_criterion_04_cost_ledger_exact(tmp_path):
             rng.shuffle(charges)
             ledger = CostLedger(budget=10**9, s=rate)
             for tid in charges:
-                ledger.charge(tid)
+                ledger.charge([tid])
             assert ledger.spent == Fraction(n_cheap) + Fraction(n_exp) / rate**2
 
     ds = make_gaussian_dataset(4, n_pos=20, n_neg=25, dim=3)

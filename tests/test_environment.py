@@ -30,9 +30,9 @@ def test_ledger_exact_at_default_budget():
     # 1000 cheap + 1000 expensive at s=0.1 spends the whole default budget
     ledger = CostLedger(101000, "0.1")
     for _ in range(1000):
-        ledger.charge(TaskId.CHEAP)
+        ledger.charge([TaskId.CHEAP])
     for _ in range(1000):
-        ledger.charge(TaskId.EXPENSIVE)
+        ledger.charge([TaskId.EXPENSIVE])
     assert ledger.spent == 101000
     assert ledger.remaining == 0
     assert ledger.exhausted
@@ -48,10 +48,10 @@ def test_ledger_interleaving_exact():
         n_exp = 0
         for _ in range(500):
             if rng.random() < 0.5:
-                ledger.charge(TaskId.CHEAP)
+                ledger.charge([TaskId.CHEAP])
                 n_cheap += 1
             else:
-                ledger.charge(TaskId.EXPENSIVE)
+                ledger.charge([TaskId.EXPENSIVE])
                 n_exp += 1
             assert ledger.spent == n_cheap + Fraction(n_exp) / rate**2
 
@@ -60,33 +60,78 @@ def test_ledger_odd_rate_stays_exact():
     # 1/0.3^2 is not a dyadic float; the ledger must not drift
     ledger = CostLedger(1000, "0.3")
     for _ in range(9):
-        ledger.charge(TaskId.EXPENSIVE)
+        ledger.charge([TaskId.EXPENSIVE])
     assert ledger.spent == 100  # 9 * 100/9
     for _ in range(7):
-        ledger.charge(TaskId.CHEAP)
+        ledger.charge([TaskId.CHEAP])
     assert ledger.spent == 107
 
 
 def test_charge_after_exhaustion_raises():
     ledger = CostLedger(5, "0.1")
     for _ in range(5):
-        ledger.charge(TaskId.CHEAP)
+        ledger.charge([TaskId.CHEAP])
     assert ledger.exhausted
     with pytest.raises(BudgetExhaustedError):
-        ledger.charge(TaskId.CHEAP)
+        ledger.charge([TaskId.CHEAP])
 
 
 def test_crossing_charge_completes():
     ledger = CostLedger(150, "0.1")
-    ledger.charge(TaskId.EXPENSIVE)  # 100, not exhausted
+    ledger.charge([TaskId.EXPENSIVE])  # 100, not exhausted
     assert not ledger.exhausted
-    ledger.charge(TaskId.EXPENSIVE)  # crosses to 200
+    ledger.charge([TaskId.EXPENSIVE])  # crosses to 200
     assert ledger.exhausted
     assert ledger.spent == 200
     # overshoot never exceeds one expensive evaluation
     assert ledger.spent - ledger.budget <= ledger.cost_per_eval(TaskId.EXPENSIVE)
     with pytest.raises(BudgetExhaustedError):
-        ledger.charge(TaskId.CHEAP)
+        ledger.charge([TaskId.CHEAP])
+
+
+def test_batch_crossing_row_completes_and_later_rows_stay_uncharged():
+    C, E = TaskId.CHEAP, TaskId.EXPENSIVE
+    ledger = CostLedger(150, "0.1")
+    # 100, 101, then row 2 crosses to 201; rows 3 and 4 are not charged
+    assert ledger.charge([E, C, E, C, E]) == 3
+    assert ledger.spent == 201
+    assert ledger.evals == {C: 1, E: 2}
+    assert ledger.exhausted
+
+
+def test_batch_on_exhausted_ledger_raises_and_charges_nothing():
+    ledger = CostLedger(5, "0.1")
+    assert ledger.charge([TaskId.CHEAP] * 5) == 5
+    with pytest.raises(BudgetExhaustedError):
+        ledger.charge([TaskId.CHEAP, TaskId.EXPENSIVE])
+    assert ledger.spent == 5
+    assert ledger.evals == {TaskId.CHEAP: 5, TaskId.EXPENSIVE: 0}
+
+
+def test_empty_batch_charges_nothing():
+    ledger = CostLedger(5, "0.1")
+    assert ledger.charge([]) == 0
+    assert ledger.spent == 0 and ledger.evals == {TaskId.CHEAP: 0, TaskId.EXPENSIVE: 0}
+    ledger.charge([TaskId.CHEAP] * 5)
+    assert ledger.charge([]) == 0  # not even on an exhausted ledger
+    assert ledger.spent == 5
+
+
+def test_batch_at_odd_rate_stays_exact():
+    ledger = CostLedger(1000, "0.3")
+    assert ledger.charge([TaskId.EXPENSIVE] * 9) == 9
+    assert ledger.spent == 100  # 9 * 100/9
+    assert ledger.charge([TaskId.CHEAP] * 7) == 7
+    assert ledger.spent == 107
+    assert ledger.charge([TaskId.EXPENSIVE] * 100) == 81  # 107 + 81 * 100/9 = 1007
+    assert ledger.spent == 1007
+
+
+def test_charge_rejects_an_unknown_task_id():
+    ledger = CostLedger(5, "0.1")
+    with pytest.raises(ValueError):
+        ledger.charge([TaskId.CHEAP, 2])
+    assert ledger.spent == 0
 
 
 def test_ledger_rejects_bad_budget():
@@ -207,11 +252,38 @@ def test_ledger_matches_fraction_reference(charges, s, budget):
     for tid in itertools.chain(charges, itertools.repeat(TaskId.CHEAP)):
         if spent >= budget:
             with pytest.raises(BudgetExhaustedError):
-                ledger.charge(tid)
+                ledger.charge([tid])
             break
-        ledger.charge(tid)  # the crossing charge completes
+        ledger.charge([tid])  # the crossing charge completes
         spent += 1 if tid == TaskId.CHEAP else 1 / s**2
         assert ledger.spent == spent
         assert ledger.remaining == budget - spent
         assert ledger.exhausted == (spent >= budget)
     assert ledger.spent == spent
+
+
+@given(
+    charges=st.lists(st.sampled_from(list(TaskId)), max_size=40),
+    s=RATES,
+    budget=st.fractions(min_value=Fraction(1, 1000), max_value=400, max_denominator=1000),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+)
+def test_batches_charge_like_single_rows(charges, s, budget, cuts):
+    # The charges cut into batches, against the same charges one by one.
+    ledger, ref = CostLedger(budget, s), CostLedger(budget, s)
+    bounds = [0, *sorted(min(c, len(charges)) for c in cuts), len(charges)]
+    for lo, hi in itertools.pairwise(bounds):
+        batch = charges[lo:hi]
+        expected = 0
+        for tid in batch:
+            if ref.exhausted:
+                break
+            ref.charge([tid])
+            expected += 1
+        if batch and ledger.exhausted:
+            with pytest.raises(BudgetExhaustedError):
+                ledger.charge(batch)
+        else:
+            assert ledger.charge(batch) == expected
+        assert ledger.spent == ref.spent
+        assert ledger.evals == ref.evals

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,3 +284,47 @@ def test_sparse_high_dim_view_never_densifies():
         objective_batch(W, view, 0.125)
     assert rows == {"certified": 0, "csr": 3}
     assert view.dense_rows() is None and view._dense is None
+
+
+def _csr_equal(a, b) -> bool:
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_class_blocks_are_the_class_rows_and_share_one_matrix(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_small_dataset(rng)
+    for view in (ds.full_view(), DatasetView(ds, rng.permutation(ds.n)[: max(2, ds.n // 2)])):
+        assert _csr_equal(view.pos_matrix, ds.X[view.pos_selected])
+        assert _csr_equal(view.neg_matrix, ds.X[view.neg_selected])
+        assert _csr_equal(view.class_matrix, ds.X[np.concatenate([view.pos_selected, view.neg_selected])])
+        for block in (view.pos_matrix, view.neg_matrix):
+            assert np.shares_memory(block.data, view.class_matrix.data)
+            assert np.shares_memory(block.indices, view.class_matrix.indices)
+
+
+def test_first_certified_evaluation_holds_one_copy_of_the_rows():
+    # The full view keeps one class-ordered CSR copy of its rows and one
+    # dense copy of it; the class blocks add only their index pointers.
+    ds = make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)
+    view = ds.full_view()
+    W = np.random.default_rng(5).uniform(-1, 1, size=(20, ds.dim))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with count_path_rows() as rows:
+            objective_batch(W, view, 0.125)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rows == {"certified": W.shape[0], "csr": 0}
+    X = view.class_matrix
+    csr_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    dense_bytes = 8 * view.n * ds.dim
+    block_indptr_bytes = view.pos_matrix.indptr.nbytes + view.neg_matrix.indptr.nbytes
+    assert held <= csr_bytes + dense_bytes + block_indptr_bytes + (16 << 10)

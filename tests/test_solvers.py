@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emtauc.environment import TaskId, TaskSpec, build_environment
 from emtauc.evaluation import auc_metric, objective
@@ -19,6 +21,7 @@ from emtauc.solvers import (
     _population_stats,
 )
 
+from _oracles import evaluate_per_row
 from conftest import make_gaussian_dataset, make_separable_dataset
 
 
@@ -210,7 +213,7 @@ def test_evaluate_charges_mixed_rows_like_a_serial_loop():
     for tid in tids:
         if ref_env.ledger.exhausted:
             break
-        ref_env.ledger.charge(tid)
+        ref_env.ledger.charge([tid])
         ref_kept += 1
 
     env = build_environment(ds, budget=budget, seed=1)
@@ -426,3 +429,78 @@ def test_jobs_two_trace_equals_serial_across_adjustments():
         assert serial.trace == pooled.trace
         assert serial.best_objective == pooled.best_objective
         assert np.array_equal(serial.best_weights, pooled.best_weights)
+
+
+EVAL_DATA = make_gaussian_dataset(21, n_pos=30, n_neg=45, dim=4)
+
+
+@st.composite
+def evaluate_batches(draw):
+    """A few batches for one environment. Keys are multiples of 1/8 and a
+    row may be a half-scaled twin of an earlier one: its weights are
+    exactly half, it ranks every pair the same, so at lam = 0 the two
+    objectives tie exactly."""
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 8))
+        keys = np.array(draw(st.lists(st.lists(st.integers(0, 8), min_size=4, max_size=4), min_size=n, max_size=n)),
+                        dtype=np.float64).reshape(n, 4) / 8
+        for i in range(1, n):
+            if draw(st.booleans()):
+                keys[i] = (2 * keys[draw(st.integers(0, i - 1))] - 1) / 4 + 0.5
+        if draw(st.booleans()):
+            task_ids = draw(st.sampled_from(list(TaskId)))
+        else:
+            task_ids = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)), dtype=np.int64)
+        batches.append((task_ids, keys))
+    return batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=evaluate_batches(),
+    budget=st.integers(1, 700),
+    s=st.sampled_from(["1/10", "3/10", "1"]),
+    lam=st.sampled_from([0.0, 0.125]),
+)
+def test_evaluate_matches_per_row_oracle(batches, budget, s, lam):
+    # Small budgets run out inside a batch or before it starts; each
+    # environment sees the same batches, one through the batched path and
+    # one through the per-row loop, and every step must agree.
+    env = build_environment(EVAL_DATA, s=s, lam=lam, budget=budget, seed=3)
+    ref = build_environment(EVAL_DATA, s=s, lam=lam, budget=budget, seed=3)
+    for task_ids, keys in batches:
+        values, kept = _evaluate(env, task_ids, keys)
+        ref_values, ref_kept = evaluate_per_row(ref, task_ids, keys)
+        assert kept == ref_kept
+        assert np.array_equal(values, ref_values)
+        assert env.ledger.spent == ref.ledger.spent
+        assert env.ledger.evals == ref.ledger.evals
+        assert env.best_expensive_objective == ref.best_expensive_objective
+        if ref.best_expensive_weights is None:
+            assert env.best_expensive_weights is None
+        else:
+            assert np.array_equal(env.best_expensive_weights, ref.best_expensive_weights)
+
+
+def test_evaluate_archives_the_earlier_of_tied_rows():
+    # rows 0 and 2 are twins (weights w and w / 2): equal objectives at
+    # lam = 0, different weights; the archive keeps row 0, the earlier one
+    env = build_environment(EVAL_DATA, lam=0.0, budget=10**6, seed=3)
+    keys = np.array([[0.875, 0.25, 0.5, 0.0], [0.5, 0.5, 0.5, 0.5], [0.6875, 0.375, 0.5, 0.25]])
+    values, kept = _evaluate(env, TaskId.EXPENSIVE, keys)
+    assert kept == 3
+    assert values[0] == values[2] < values[1]
+    assert np.array_equal(decode_weights(keys[2]), decode_weights(keys[0]) / 2)
+    assert np.array_equal(env.best_expensive_weights, decode_weights(keys[0]))
+    # a later batch with the same objective does not replace it either
+    _evaluate(env, TaskId.EXPENSIVE, keys[2:])
+    assert np.array_equal(env.best_expensive_weights, decode_weights(keys[0]))
+
+
+def test_evaluate_on_an_empty_batch_charges_nothing():
+    env = build_environment(EVAL_DATA, budget=50, seed=3)
+    for task_ids in (TaskId.CHEAP, np.zeros(0, dtype=np.int64)):
+        values, kept = _evaluate(env, task_ids, np.zeros((0, EVAL_DATA.dim)))
+        assert values.shape == (0,) and kept == 0
+    assert env.ledger.spent == 0 and env.best_expensive_weights is None
