@@ -1,6 +1,6 @@
 """Compare the solve CPU time of two source trees in one process.
 
-    python scripts/solve_ab.py OLD_SRC NEW_SRC [--rounds 10] [--n-pos 268 --n-neg 500 --dim 8] [--seed 7]
+    python scripts/solve_ab.py OLD_SRC NEW_SRC
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that hold an ``emtauc``
 package (a checkout's ``src``). Both are imported side by side, as
@@ -12,14 +12,17 @@ seconds of this process (``time.process_time``), after a garbage
 collection, over ``dispatch_solver`` alone, as the benchmark harness times
 it.
 
-The data is one Gaussian set of the given shape (default 268 + 500
-instances x 8 features, the size of diabetes) with the budget, rate,
-lambda and delta of the benchmark's paper-scale workload. The script
-prints, per solver, the median CPU seconds of each tree, the median and
-range of the paired ratios new/old, how many rounds the new tree won, and
-whether every pair of runs gave the same trace and best objective. This is
-a low-noise cross-check next to the benchmark: the two trees share every
-condition of the machine that a pair of separate processes does not.
+The data are two Gaussian sets, one per shape in ``SHAPES``: 268 + 500
+instances x 8 features (the size of diabetes, as in the benchmark's
+paper-scale workload) and 300 + 700 x 24 (the synthetic set of its
+``sweep-cv`` workload). Every solve uses the budget, rate, lambda and delta
+of the paper-scale workload. The script prints, per shape and solver, the
+median CPU seconds of each tree, the median and range of the paired ratios
+new/old, how many rounds the new tree won, and whether every pair of runs
+gave the same trace and best objective; it exits 1 if any pair differed.
+This is a low-noise cross-check next to the benchmark: the two trees
+share every condition of the machine that a pair of separate processes
+does not.
 """
 from __future__ import annotations
 
@@ -34,6 +37,9 @@ from time import process_time
 import numpy as np
 
 KINDS = ("single_task_ga", "mfea", "emea")
+SHAPES = ((268, 500, 8), (300, 700, 24))  # (positives, negatives, features)
+SEED = 7
+ROUNDS = 10
 
 
 def load_package(src: str, name: str):
@@ -68,24 +74,14 @@ def timed_solve(pkg, ds, kind: str, env_seed: int, solver_seed: int):
     return seconds, (result.best_objective, trace)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src")
-    parser.add_argument("new_src")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--n-pos", type=int, default=268)
-    parser.add_argument("--n-neg", type=int, default=500)
-    parser.add_argument("--dim", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-
-    trees = {"old": load_package(args.old_src, "emtauc_old"), "new": load_package(args.new_src, "emtauc_new")}
-    X, y = gaussian_data(args.n_pos, args.n_neg, args.dim, args.seed)
+def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
+    """Alternate the solves of both trees on one shape; True if all pairs agreed."""
+    X, y = gaussian_data(n_pos, n_neg, dim, SEED)
     data = {side: pkg.Dataset(X, y) for side, pkg in trees.items()}
     times = {(kind, side): [] for kind in KINDS for side in trees}
     same = dict.fromkeys(KINDS, True)
-    for r in range(args.rounds):
-        env_seed, solver_seed = np.random.SeedSequence([args.seed, r]).generate_state(2).tolist()
+    for r in range(ROUNDS):
+        env_seed, solver_seed = np.random.SeedSequence([SEED, r]).generate_state(2).tolist()
         for kind in KINDS:
             order = ("old", "new") if (r + KINDS.index(kind)) % 2 == 0 else ("new", "old")
             outputs = {}
@@ -94,7 +90,7 @@ def main(argv=None) -> int:
                 times[kind, side].append(seconds)
             same[kind] &= outputs["old"] == outputs["new"]
 
-    print(f"{args.rounds} rounds, {args.n_pos}+{args.n_neg} x {args.dim}, CPU seconds per solve")
+    print(f"{ROUNDS} rounds, {n_pos}+{n_neg} x {dim}, CPU seconds per solve")
     print(f"{'solver':<16}{'old p50':>10}{'new p50':>10}{'ratio p50':>11}{'ratio range':>16}{'wins':>7}  same output")
     for kind in KINDS:
         old, new = times[kind, "old"], times[kind, "new"]
@@ -105,7 +101,18 @@ def main(argv=None) -> int:
             f"{statistics.median(ratios):>11.3f}{min(ratios):>8.3f}-{max(ratios):<7.3f}"
             f"{wins:>4}/{len(ratios)}  {'yes' if same[kind] else 'NO'}"
         )
-    return 0 if all(same.values()) else 1
+    return all(same.values())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    args = parser.parse_args(argv)
+
+    trees = {"old": load_package(args.old_src, "emtauc_old"), "new": load_package(args.new_src, "emtauc_new")}
+    agreed = [compare(trees, *shape) for shape in SHAPES]
+    return 0 if all(agreed) else 1
 
 
 if __name__ == "__main__":

@@ -311,20 +311,46 @@ def test_class_blocks_are_the_class_rows_and_share_one_matrix(seed):
 def test_first_certified_evaluation_holds_one_copy_of_the_rows():
     # The full view keeps one class-ordered CSR copy of its rows and one
     # dense copy of it; the class blocks add only their index pointers.
+    # No step may build a second copy even for a moment: the peak of
+    # building the CSR copy (the first step of the first evaluation) is
+    # that copy plus a few index arrays of the view's length, and the peak
+    # of the rest of the evaluation is the dense copy plus the larger of
+    # two working sets measured on the cached view: _row_norms of the
+    # larger class block and a repeated evaluation. With one row of
+    # weights both stay under a dense copy, so that a transient second
+    # dense copy exceeds the bound.
     ds = make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)
     view = ds.full_view()
-    W = np.random.default_rng(5).uniform(-1, 1, size=(20, ds.dim))
+    W = np.random.default_rng(5).uniform(-1, 1, size=(1, ds.dim))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        X = view.class_matrix
+        built_csr, csr_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         with count_path_rows() as rows:
             objective_batch(W, view, 0.125)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, eval_peak = tracemalloc.get_traced_memory()
+        held -= before
+        eval_peak -= built_csr
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        objective_batch(W, view, 0.125)
+        rerun_peak = tracemalloc.get_traced_memory()[1] - start
+        pos, neg, _ = view.dense_rows()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        data._row_norms(max(pos, neg, key=len))
+        norms_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert rows == {"certified": W.shape[0], "csr": 0}
-    X = view.class_matrix
     csr_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
     dense_bytes = 8 * view.n * ds.dim
     block_indptr_bytes = view.pos_matrix.indptr.nbytes + view.neg_matrix.indptr.nbytes
-    assert held <= csr_bytes + dense_bytes + block_indptr_bytes + (16 << 10)
+    slack = 16 << 10
+    assert held <= csr_bytes + dense_bytes + block_indptr_bytes + slack
+    assert csr_peak - before <= csr_bytes + block_indptr_bytes + 4 * 8 * view.n + slack
+    working = max(norms_peak, rerun_peak) + slack
+    assert working < dense_bytes
+    assert eval_peak <= dense_bytes + working
