@@ -179,15 +179,14 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
 class DatasetView:
     """An ordered selection of instances from a base Dataset.
 
-    The view owns no data; the first time its rows are needed it caches one
-    copy of them as a CSR matrix in class order (``class_matrix``: the
+    The view owns no data. It caches at most two copies of its rows, each
+    built on first use: one CSR matrix in class order (``class_matrix``: the
     positives, then the negatives, each in view order), so repeated
-    evaluations stay cheap. ``pos_matrix`` and ``neg_matrix`` are row blocks
-    of that matrix that share its arrays. Large, dense views also cache a
-    dense copy of it (``dense_rows``).
+    evaluations stay cheap, and, for large dense views, one dense copy of
+    that matrix (``dense_rows``).
     """
 
-    __slots__ = ("base", "selected", "pos_selected", "neg_selected", "_matrix", "_mat_pos", "_mat_neg", "_dense")
+    __slots__ = ("base", "selected", "pos_selected", "neg_selected", "_matrix", "_dense")
 
     def __init__(self, base: Dataset, selected) -> None:
         self.base = base
@@ -196,8 +195,6 @@ class DatasetView:
         self.pos_selected = self.selected[mask]
         self.neg_selected = self.selected[~mask]
         self._matrix = None
-        self._mat_pos = None
-        self._mat_neg = None
         self._dense = None
 
     @property
@@ -212,53 +209,46 @@ class DatasetView:
     def t_neg(self) -> int:
         return int(self.neg_selected.size)
 
-    def _class_rows(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """``class_matrix`` and its positive and negative row blocks, built
-        together on first use and cached."""
-        if self._matrix is None:
-            X = self.base.X[np.concatenate([self.pos_selected, self.neg_selected])]
-            self._mat_pos = _row_block(X, 0, self.t_pos)
-            self._mat_neg = _row_block(X, self.t_pos, self.n)
-            self._matrix = X
-        return self._matrix, self._mat_pos, self._mat_neg
-
     @property
     def class_matrix(self) -> sp.csr_matrix:
         """The view's rows in class order: ``base.X`` at ``pos_selected``,
         then at ``neg_selected``."""
-        return self._class_rows()[0]
+        if self._matrix is None:
+            self._matrix = self.base.X[np.concatenate([self.pos_selected, self.neg_selected])]
+        return self._matrix
 
     @property
     def pos_matrix(self) -> sp.csr_matrix:
-        """The first ``t_pos`` rows of ``class_matrix``, sharing its arrays."""
-        return self._class_rows()[1]
+        """The first ``t_pos`` rows of ``class_matrix``, sharing its arrays;
+        a new block on every access."""
+        return _row_block(self.class_matrix, 0, self.t_pos)
 
     @property
     def neg_matrix(self) -> sp.csr_matrix:
-        """The last ``t_neg`` rows of ``class_matrix``, sharing its arrays."""
-        return self._class_rows()[2]
+        """The last ``t_neg`` rows of ``class_matrix``, sharing its arrays;
+        a new block on every access."""
+        return _row_block(self.class_matrix, self.t_pos, self.n)
 
-    def dense_rows(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """Dense copies of ``pos_matrix`` and ``neg_matrix`` and the largest
-        2-norm of any of their rows, or None for a view that stays on CSR.
+    def dense_rows(self) -> tuple[np.ndarray, float] | None:
+        """A dense copy of ``class_matrix`` and the largest 2-norm of any of
+        its rows, or None for a view that stays on CSR.
 
         A view densifies only if it has at least ``_DENSE_MIN_INSTANCES``
         instances and its dense copy takes no more bytes than the CSR
-        arrays it already holds, so small views and sparse high-dimensional
-        data never do. The two copies are the row blocks of one dense copy
-        of ``class_matrix``, built on first use and cached.
+        arrays of ``class_matrix``, so small views and sparse
+        high-dimensional data never do. Both are built on first use and
+        cached.
         """
         if self._dense is None:
             if self.n < _DENSE_MIN_INSTANCES:
                 return None
-            X, *mats = self._class_rows()
-            csr_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in mats)
-            if 8 * self.n * self.base.dim > csr_bytes:
+            X = self.class_matrix
+            if 8 * self.n * self.base.dim > X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
                 return None
             dense = X.toarray()
-            pos, neg = dense[: self.t_pos], dense[self.t_pos:]
-            xmax = float(max(_row_norms(pos).max(initial=0.0), _row_norms(neg).max(initial=0.0)))
-            self._dense = (pos, neg, xmax)
+            # one class block at a time: _row_norms makes a scaled copy of its argument
+            xmax = max(_row_norms(block).max(initial=0.0) for block in (dense[: self.t_pos], dense[self.t_pos:]))
+            self._dense = (dense, float(xmax))
         return self._dense
 
     def fingerprint(self) -> str:

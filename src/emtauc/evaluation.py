@@ -74,6 +74,20 @@ def _count_below(ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_rows(f: np.ndarray) -> np.ndarray:
+    """Each row of the (k, m) array ``f``, m >= 1, sorted ascending.
+
+    NaN compares false both ways, which a sorted search does not
+    reproduce, so NaN values raise ValueError. NaN sorts last, so only the
+    last column needs checking (``count_nonzero`` is the cheapest test of a
+    short bool array).
+    """
+    f = np.sort(f, axis=1)
+    if np.count_nonzero(np.isnan(f[:, -1])):
+        raise ValueError("decision values must not be NaN")
+    return f
+
+
 def _loss_counts(f_pos: np.ndarray, f_neg: np.ndarray) -> np.ndarray:
     """One int64 count per row r of the pairs (i, j) with
     f_pos[r, i] <= f_neg[r, j]; ties are losses.
@@ -81,7 +95,7 @@ def _loss_counts(f_pos: np.ndarray, f_neg: np.ndarray) -> np.ndarray:
     Both inputs are row-major, (k, T+) and (k, T-). The positives are
     sorted before the search, so consecutive queries probe nearby memory.
     """
-    below = _count_below(np.sort(f_neg, axis=1), np.sort(f_pos, axis=1))
+    below = _count_below(_sorted_rows(f_neg), _sorted_rows(f_pos))
     return f_pos.shape[1] * f_neg.shape[1] - below.sum(axis=1)
 
 
@@ -145,22 +159,51 @@ def pairwise_loss_count(f_pos, f_neg) -> int:
     positives are binary-searched among the sorted negatives. That equals
     enumerating all T+ * T- pairs, in O((T+ + T-) log(T+ + T-)). Sorting
     the positives is exact: the count is an integer sum with one term per
-    positive, and sorting only reorders the terms. NaN compares false both
-    ways, which the sorted search does not reproduce, so NaN values raise
+    positive, and sorting only reorders the terms. NaN values raise
     ValueError.
     """
     f_pos = np.asarray(f_pos, dtype=np.float64)
     f_neg = np.asarray(f_neg, dtype=np.float64)
     if f_pos.size == 0 or f_neg.size == 0:
         raise ValueError("both classes need at least one decision value")
-    if np.isnan(f_pos).any() or np.isnan(f_neg).any():
-        raise ValueError("decision values must not be NaN")
     return int(_loss_counts(f_pos.reshape(1, -1), f_neg.reshape(1, -1))[0])
 
 
+def _loss_fractions(W, view: DatasetView) -> np.ndarray:
+    """The pairwise loss of each row of ``W`` (shape (k, dim)) on the view:
+    its exact CSR loss count over T+ * T-.
+
+    A view with ``dense_rows`` takes its values from one BLAS product and
+    keeps each row's count only if the certificate (module docstring)
+    proves it equal to the CSR count; the other rows are recounted on CSR.
+    Every count is thus the CSR count of its row alone, so evaluating in
+    chunks yields bit-equal results to one full batch.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[1] != view.base.dim:
+        raise ValueError(f"weight batch must have shape (k, {view.base.dim})")
+    if not np.isfinite(W).all():
+        raise ValueError("weights must be finite")
+    if view.t_pos == 0 or view.t_neg == 0:
+        raise ValueError("both classes need at least one instance in the view")
+    rows = view.dense_rows()
+    if rows is None:
+        losses = _loss_counts(*_decision_rows(W, view))
+    else:
+        dense, xmax = rows
+        g = W @ dense.T
+        margin = _rounding_margin(W, view.base.dim, xmax)
+        losses, certified = _certified_loss_counts(g[:, : view.t_pos], g[:, view.t_pos:], margin)
+        if not certified.all():
+            losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
+    return losses / (view.t_pos * view.t_neg)
+
+
 def loss_fraction(w, view: DatasetView) -> float:
-    f_pos, f_neg = decision_values(w, view)
-    return pairwise_loss_count(f_pos, f_neg) / (view.t_pos * view.t_neg)
+    """Fraction of misordered pairs, ties included: ``objective_batch``'s
+    loss for one row. Below 2^53 pairs the quotient is correctly rounded."""
+    w = _as_weights(w, view.base.dim)
+    return float(_loss_fractions(w[np.newaxis, :], view)[0])
 
 
 def auc_metric(w, view: DatasetView) -> float:
@@ -179,38 +222,15 @@ def objective(w, view: DatasetView, lam: float) -> float:
 
 
 def objective_batch(W, view: DatasetView, lam: float) -> np.ndarray:
-    """Vectorized ``objective`` over the rows of ``W`` (shape (k, dim)).
+    """Vectorized ``objective`` over the rows of ``W`` (shape (k, dim)):
+    each row's ``loss_fraction`` plus its penalty.
 
-    The decision values are laid out row-major: one (T+) and one (T-) row
-    per weight vector, each contiguous. Both rows are sorted and
-    ``_loss_counts`` returns one exact integer loss per row; the objective
-    is that count over T+ * T- plus the penalty. Sorting the positives
-    changes no result, because the loss is a sum of integer counts, one per
-    positive, over a permutation of the same positives.
-
-    A view with ``dense_rows`` takes its values from one BLAS product and
-    keeps each row's count only if the certificate (module docstring)
-    proves it equal to the CSR count; the other rows are recounted on CSR.
-    Every count is thus the CSR count of its row alone, so evaluating in
-    chunks yields bit-equal results to one full batch.
+    The losses come from ``_loss_fractions``, the path every evaluation
+    counts by, so each is the exact CSR count of its row alone, whether or
+    not the view certified it on BLAS values.
     """
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[1] != view.base.dim:
-        raise ValueError(f"weight batch must have shape (k, {view.base.dim})")
-    if not np.isfinite(W).all():
-        raise ValueError("weights must be finite")
-    if view.t_pos == 0 or view.t_neg == 0:
-        raise ValueError("both classes need at least one instance in the view")
-    dense = view.dense_rows()
-    if dense is None:
-        losses = _loss_counts(*_decision_rows(W, view))
-    else:
-        pos, neg, xmax = dense
-        margin = _rounding_margin(W, view.base.dim, xmax)
-        losses, certified = _certified_loss_counts(W @ pos.T, W @ neg.T, margin)
-        if not certified.all():
-            losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
-    out = losses / (view.t_pos * view.t_neg)
+    out = _loss_fractions(W, view)
     out += 0.5 * lam * np.einsum("ij,ij->i", W, W)
     return out
 
@@ -236,8 +256,8 @@ def hardness_scores(w, ds: Dataset) -> HardnessScores:
     runs once per cheap-task rebuild, so it never takes the BLAS path."""
     f_pos, f_neg = _decision_rows(_as_weights(w, ds.dim)[np.newaxis, :], ds.full_view())
     return HardnessScores(
-        pos_scores=ds.t_neg - _count_below(np.sort(f_neg, axis=1), f_pos)[0],
-        neg_scores=_count_below(np.sort(f_pos, axis=1), f_neg)[0],
+        pos_scores=ds.t_neg - _count_below(_sorted_rows(f_neg), f_pos)[0],
+        neg_scores=_count_below(_sorted_rows(f_pos), f_neg)[0],
     )
 
 

@@ -59,6 +59,26 @@ def test_pair_count_rejects_nan():
         pairwise_loss_count([np.nan], [0.1])
 
 
+@pytest.mark.parametrize("gate", [data._DENSE_MIN_INSTANCES, 0])
+def test_overflowing_decision_values_reject_nan(gate):
+    # finite rows and weights whose decision values overflow to inf and
+    # inf - inf: the second positive's is NaN
+    X = np.array([[1e308, 1e308, 0.0], [1e308, -1e308, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    ds = Dataset(sparse.csr_matrix(X), np.array([1, 1, -1, -1]))
+    w = np.array([1e10, 1e10, 1.0])
+    with dense_gate(gate), np.errstate(over="ignore", invalid="ignore"):
+        view = ds.full_view()
+        for evaluate in (
+            lambda: auc_metric(w, view),
+            lambda: objective(w, view, 0.1),
+            lambda: objective_batch(w[np.newaxis, :], view, 0.1),
+            lambda: hardness_scores(w, ds),
+        ):
+            with pytest.raises(ValueError, match="decision values must not be NaN"):
+                evaluate()
+        assert (view.dense_rows() is not None) == (gate == 0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_weights_rejected(toy_dataset, bad):
     w = np.zeros(toy_dataset.dim)
@@ -263,8 +283,16 @@ def test_large_gaussian_view_certifies_every_row():
     with count_path_rows() as rows:
         got = objective_batch(W, view, 0.125)
     assert rows == {"certified": W.shape[0], "csr": 0}
+    metrics = (auc_metric, loss_fraction)
     with dense_gate(ds.n + 1):
-        assert np.array_equal(got, objective_batch(W, DatasetView(ds, np.arange(ds.n)), 0.125))
+        csr_view = DatasetView(ds, np.arange(ds.n))
+        assert np.array_equal(got, objective_batch(W, csr_view, 0.125))
+        csr_values = [metric(W[0], csr_view) for metric in metrics]
+    # the AUC of a large view is counted by the same certified path
+    for metric, csr_value in zip(metrics, csr_values):
+        with count_path_rows() as rows:
+            assert metric(W[0], view).hex() == csr_value.hex()
+        assert rows == {"certified": 1, "csr": 0}
     losses = [pair_loss_broadcast(*decision_values(w, view)) for w in W]
     want = np.array(losses) / (view.t_pos * view.t_neg) + 0.0625 * np.einsum("ij,ij->i", W, W)
     assert np.array_equal(got, want)
@@ -310,15 +338,14 @@ def test_class_blocks_are_the_class_rows_and_share_one_matrix(seed):
 
 def test_first_certified_evaluation_holds_one_copy_of_the_rows():
     # The full view keeps one class-ordered CSR copy of its rows and one
-    # dense copy of it; the class blocks add only their index pointers.
-    # No step may build a second copy even for a moment: the peak of
-    # building the CSR copy (the first step of the first evaluation) is
-    # that copy plus a few index arrays of the view's length, and the peak
-    # of the rest of the evaluation is the dense copy plus the larger of
-    # two working sets measured on the cached view: _row_norms of the
-    # larger class block and a repeated evaluation. With one row of
-    # weights both stay under a dense copy, so that a transient second
-    # dense copy exceeds the bound.
+    # dense copy of it, and nothing else. No step may build a second copy
+    # even for a moment: the peak of building the CSR copy (the first step
+    # of the first evaluation) is that copy plus a few index arrays of the
+    # view's length, and the peak of the rest of the evaluation is the
+    # dense copy plus the larger of two working sets measured on the
+    # cached view: _row_norms of the larger class block of the dense copy
+    # and a repeated evaluation. With one row of weights both stay under a
+    # dense copy, so that a transient second dense copy exceeds the bound.
     ds = make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)
     view = ds.full_view()
     W = np.random.default_rng(5).uniform(-1, 1, size=(1, ds.dim))
@@ -337,20 +364,19 @@ def test_first_certified_evaluation_holds_one_copy_of_the_rows():
         start = tracemalloc.get_traced_memory()[0]
         objective_batch(W, view, 0.125)
         rerun_peak = tracemalloc.get_traced_memory()[1] - start
-        pos, neg, _ = view.dense_rows()
+        dense, _ = view.dense_rows()
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        data._row_norms(max(pos, neg, key=len))
+        data._row_norms(max(dense[: view.t_pos], dense[view.t_pos:], key=len))
         norms_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert rows == {"certified": W.shape[0], "csr": 0}
     csr_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
     dense_bytes = 8 * view.n * ds.dim
-    block_indptr_bytes = view.pos_matrix.indptr.nbytes + view.neg_matrix.indptr.nbytes
     slack = 16 << 10
-    assert held <= csr_bytes + dense_bytes + block_indptr_bytes + slack
-    assert csr_peak - before <= csr_bytes + block_indptr_bytes + 4 * 8 * view.n + slack
+    assert held <= csr_bytes + dense_bytes + slack
+    assert csr_peak - before <= csr_bytes + 4 * 8 * view.n + slack
     working = max(norms_peak, rerun_peak) + slack
     assert working < dense_bytes
     assert eval_peak <= dense_bytes + working
