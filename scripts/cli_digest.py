@@ -9,7 +9,8 @@ and the measured columns of ``costmodel.csv`` and its manifest rows.
 
 The cases are every config error in ``tests/test_config.py`` run through
 the subcommand of its kind, then valid runs of all four subcommands with
-and without flag overrides, ``validate-config``, unreadable config files,
+and without flag overrides (``costmodel`` also at a rate with no exact
+decimal form), ``validate-config``, unreadable config files,
 bad dataset files (malformed, or with a feature index too large to
 parse or to scale), and dataset files at the edges of the LIBSVM grammar
 (comments with CRLF or a form feed, Python-only number forms, a non-ASCII
@@ -92,6 +93,8 @@ VALID_CASES = {
     "land-flags": (["landscape", "--seed", "4", "--output-dir", "l"], config("landscape", {"s": "1", "lambda": 0.5})),
     "cost-default": (["costmodel"], COST),
     "cost-flags": (["costmodel", "--seed", "3", "--output-dir", "c"], config("costmodel", {"rates": ["1/4", 0.5]})),
+    # 3/7 has no exact decimal form: its theoretical ratio (3/7 / 1/10)^2 = 900/49 is exact only as a Fraction
+    "cost-fraction-rate": (["costmodel"], config("costmodel", {"rates": ["3/7", "1/10"]})),
     "validate-run": (["validate-config"], RUN),
     "validate-run-seed-flag": (["validate-config", "--seed", "2"], config("run", {"seed": DROP})),
     "validate-bench": (["validate-config", "--kind", "benchmark"], BENCH),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import BenchmarkEntry
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
-from .environment import TaskId, as_budget, build_environment
+from .environment import DEFAULT_BUDGET, DEFAULT_LAM, DEFAULT_RATE, TaskId, as_budget, build_environment
 from .evaluation import auc_metric, objective_batch
 from .solvers import decode_weights, dispatch_solver
 
@@ -27,6 +27,9 @@ VERDICT_BETTER = "+"
 VERDICT_SIMILAR = "≈"
 VERDICT_WORSE = "-"
 VERDICT_UNDECIDED = "n/a"
+
+# two-sided significance level of ``compare_cells``
+_SIGNIFICANCE_LEVEL = 0.05
 
 
 def spearman_rho(a, b) -> float:
@@ -70,7 +73,7 @@ class LandscapeReport:
 
 
 def landscape_similarity(
-    ds: Dataset, s, lam: float = 0.125, n_points: int = 2000, n_repeats: int = 10, seed=0
+    ds: Dataset, s, lam: float = DEFAULT_LAM, *, n_points: int, n_repeats: int, seed
 ) -> LandscapeReport:
     """Correlate the two objectives over uniform random weights.
 
@@ -122,10 +125,10 @@ def _rank_sum_exact_p(ranks: np.ndarray, n_a: int, observed: float) -> float:
     return min(1.0, p)
 
 
-def compare_cells(a, b, alpha: float = 0.05) -> str:
+def compare_cells(a, b) -> str:
     """Two-sided Wilcoxon rank-sum verdict for sample a against sample b.
 
-    Returns "+" when a is significantly greater at level ``alpha``, "-"
+    Returns "+" when a is significantly greater at level 0.05, "-"
     when significantly smaller, and "≈" (``VERDICT_SIMILAR``) otherwise.
     Uses the exact permutation distribution when both samples have at most
     8 values, and the normal approximation with tie correction beyond that.
@@ -156,7 +159,7 @@ def compare_cells(a, b, alpha: float = 0.05) -> str:
         z = (w - mu) / sqrt(sigma_sq)
         p = 2.0 * float(stats.norm.sf(abs(z)))
 
-    if p < alpha:
+    if p < _SIGNIFICANCE_LEVEL:
         return VERDICT_BETTER if w > mu else VERDICT_WORSE
     return VERDICT_SIMILAR
 
@@ -270,12 +273,12 @@ def _execute_cell(job: _CellJob) -> BenchmarkCell:
 def run_benchmark(
     datasets: dict[str, Dataset],
     entries: list[BenchmarkEntry],
-    trials: int = 5,
-    folds: int = 5,
+    trials: int,
+    folds: int,
     base_seed: int = 0,
-    s="0.1",
-    lam: float = 0.125,
-    budget=101000,
+    s=DEFAULT_RATE,
+    lam: float = DEFAULT_LAM,
+    budget=DEFAULT_BUDGET,
     baseline: str | None = None,
     jobs: int = 1,
 ) -> BenchmarkSummary:

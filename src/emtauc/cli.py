@@ -16,7 +16,6 @@ import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .config import (
     echo,
 )
 from .data import DataError, parse_libsvm_path, scale_features, stratified_sample
-from .environment import TaskId, build_environment
+from .environment import DEFAULT_LAM, DEFAULT_RATE, TaskId, build_environment, expensive_cost
 from .evaluation import auc_metric, objective
 from .solvers import dispatch_solver
 
@@ -42,8 +41,6 @@ TRACE_HEADER = "generation,cumulative_cost,best_objective_expensive,best_auc_exp
 SUMMARY_HEADER = "dataset,solver,mean_auc,std_auc,n,verdict"
 LANDSCAPE_HEADER = "repeat,rho"
 COSTMODEL_HEADER = "rate,theoretical_ratio,measured_mean_seconds,measured_ratio"
-
-_BASE_RATE = Fraction(1, 10)
 
 _CONFIG_PARSERS = {
     "run": RunConfig.from_dict,
@@ -337,7 +334,6 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
     cfg = _parse_config(args)
     out_dir = _resolve_output_dir(cfg.output_dir)
     ds = _load_dataset(cfg.dataset)
-    lam = 0.125
 
     started_at = _utc_now()
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.rates))
@@ -348,14 +344,16 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
         weights = rng.uniform(-1.0, 1.0, size=(cfg.repetitions, ds.dim))
         start = time.perf_counter()
         for w in weights:
-            objective(w, view, lam)
+            objective(w, view, DEFAULT_LAM)
         timed.append((rate, (time.perf_counter() - start) / cfg.repetitions))
     finished_at = _utc_now()
 
-    base_seconds = next((sec for rate, sec in timed if rate == _BASE_RATE), timed[0][1])
+    base_seconds = next((sec for rate, sec in timed if rate == DEFAULT_RATE), timed[0][1])
+    # the model's time ratio to the protocol rate: (rate / DEFAULT_RATE)^2
+    base_cost = expensive_cost(DEFAULT_RATE)
     # costmodel.csv's columns are also the keys of the manifest's rows
     rows = [
-        (str(rate), str((rate / _BASE_RATE) ** 2), sec, sec / base_seconds if base_seconds > 0 else float("nan"))
+        (str(rate), str(base_cost / expensive_cost(rate)), sec, sec / base_seconds if base_seconds > 0 else float("nan"))
         for rate, sec in timed
     ]
     _drop_manifest(out_dir)

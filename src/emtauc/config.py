@@ -23,7 +23,7 @@ from itertools import product
 from pathlib import Path
 
 from .data import DataError, as_rate
-from .environment import as_budget
+from .environment import DEFAULT_BUDGET, DEFAULT_DELTA, DEFAULT_LAM, DEFAULT_RATE, as_budget
 
 SOLVER_KINDS = ("single_task_ga", "mfea", "emea")
 _DEFAULT_POP = {"single_task_ga": 10, "mfea": 20, "emea": 10}
@@ -206,7 +206,7 @@ class BenchmarkEntry:
 
     label: str
     config: SolverConfig
-    delta: int | None = 30
+    delta: int | None = DEFAULT_DELTA
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,10 @@ class RunConfig:
     solver: SolverConfig = _key(_parse_solver)
     # no wall-clock fallback: a run must name its seed (file or --seed)
     seed: int = _key(_int(0))
-    s: Fraction = _key(_parse_rate, Fraction(1, 10))
-    lam: float = _key(_as_number, 0.125, key="lambda")
-    delta: int | None = _key(_delta, 30)
-    budget: Fraction = _key(_parse_budget, Fraction(101000))
+    s: Fraction = _key(_parse_rate, DEFAULT_RATE)
+    lam: float = _key(_as_number, DEFAULT_LAM, key="lambda")
+    delta: int | None = _key(_delta, DEFAULT_DELTA)
+    budget: Fraction = _key(_parse_budget, DEFAULT_BUDGET)
     output_dir: str | None = _key(_as_str, None)
     trace_stride: int = _key(_int(1), 1)
     jobs: int = _key(_int(1), 1)
@@ -284,14 +284,14 @@ def _parse_datasets(value, where: str) -> tuple[str, ...]:
 class BenchmarkConfig:
     datasets: tuple[str, ...] = _key(_parse_datasets)
     seed: int = _key(_int(0))
-    delta: int | None = _key(_delta, 30)
+    delta: int | None = _key(_delta, DEFAULT_DELTA)
     solvers: tuple[BenchmarkEntry, ...] = _key(_parse_benchmark_solvers)
     trials: int = _key(_int(1), 5)
     folds: int = _key(_int(2), 5)
     baseline: str | None = _key(_as_str, None)
-    s: Fraction = _key(_parse_rate, Fraction(1, 10))
-    lam: float = _key(_as_number, 0.125, key="lambda")
-    budget: Fraction = _key(_parse_budget, Fraction(101000))
+    s: Fraction = _key(_parse_rate, DEFAULT_RATE)
+    lam: float = _key(_as_number, DEFAULT_LAM, key="lambda")
+    budget: Fraction = _key(_parse_budget, DEFAULT_BUDGET)
     output_dir: str | None = _key(_as_str, None)
     jobs: int = _key(_int(1), 1)
 
@@ -316,8 +316,8 @@ class BenchmarkConfig:
 @dataclass(frozen=True)
 class LandscapeConfig:
     dataset: str = _key(_as_str)
-    s: Fraction = _key(_parse_rate, Fraction(1, 10))
-    lam: float = _key(_as_number, 0.125, key="lambda")
+    s: Fraction = _key(_parse_rate, DEFAULT_RATE)
+    lam: float = _key(_as_number, DEFAULT_LAM, key="lambda")
     n_points: int = _key(_int(2), 2000)
     repeats: int = _key(_int(1), 10)
     seed: int = _key(_int(0), 0)
@@ -331,7 +331,9 @@ class LandscapeConfig:
 @dataclass(frozen=True)
 class CostModelConfig:
     dataset: str = _key(_as_str)
-    rates: tuple[Fraction, ...] = _key(_list_of(_parse_rate), tuple(map(Fraction, ("1/10", "1/5", "1/2", "1"))))
+    rates: tuple[Fraction, ...] = _key(
+        _list_of(_parse_rate), (DEFAULT_RATE, Fraction(1, 5), Fraction(1, 2), Fraction(1))
+    )
     repetitions: int = _key(_int(1), 50)
     seed: int = _key(_int(0), 0)
     output_dir: str | None = _key(_as_str, None)

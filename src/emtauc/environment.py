@@ -2,9 +2,13 @@
 
 The cheap task scores candidates on a class-stratified subsample at rate s,
 the expensive task on the full training data. One cheap evaluation costs 1
-budget unit; one expensive evaluation costs 1/s^2 units. The ledger tracks
-spending in integer micro-units of 1/p^2 cheap units (s = p/q in lowest
-terms), so accounting is exact for any rational rate.
+budget unit; one expensive evaluation costs ``expensive_cost(s)`` = 1/s^2
+units. The ledger tracks spending in integer micro-units of one over that
+price's denominator (p^2 for s = p/q in lowest terms), so accounting is
+exact for any rational rate.
+
+This module declares the paper's protocol defaults once: every default of
+the config, analysis and command-line layers names them.
 """
 from __future__ import annotations
 
@@ -19,6 +23,21 @@ import numpy as np
 
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_sample
 from .evaluation import hardness_scores, objective_batch, select_hardest
+
+
+# The paper's protocol: the cheap task samples at rate s, the objective is
+# lambda-regularised, the cheap task is rebuilt every delta generations,
+# and one budget of cheap-evaluation units caps the run.
+DEFAULT_RATE = Fraction(1, 10)
+DEFAULT_LAM = 0.125
+DEFAULT_DELTA = 30
+DEFAULT_BUDGET = Fraction(101000)
+
+
+def expensive_cost(s) -> Fraction:
+    """The price of one full-data evaluation in cheap evaluations at
+    sampling rate ``s``: exactly 1/s^2."""
+    return 1 / as_rate(s, "sampling rate") ** 2
 
 
 class TaskId(IntEnum):
@@ -59,12 +78,11 @@ class CostLedger:
     __slots__ = ("_budget", "_den", "_units", "_spent_units", "_budget_units", "evals")
 
     def __init__(self, budget, s) -> None:
-        rate = as_rate(s, "sampling rate")
+        price = expensive_cost(s)
         budget = as_budget(budget)
-        p, q = rate.numerator, rate.denominator
         self._budget = budget
-        self._den = p * p
-        self._units = {TaskId.CHEAP: p * p, TaskId.EXPENSIVE: q * q}
+        self._den = price.denominator
+        self._units = {TaskId.CHEAP: price.denominator, TaskId.EXPENSIVE: price.numerator}
         # Spent units are integers, so spent >= budget exactly when the
         # spent units reach the ceiling of the budget in units.
         self._budget_units = math.ceil(budget * self._den)
@@ -194,10 +212,10 @@ class Environment:
 
 def build_environment(
     dataset: Dataset,
-    s="0.1",
-    lam: float = 0.125,
-    delta: int | None = 30,
-    budget=101000,
+    s=DEFAULT_RATE,
+    lam: float = DEFAULT_LAM,
+    delta: int | None = DEFAULT_DELTA,
+    budget=DEFAULT_BUDGET,
     seed=None,
 ) -> Environment:
     """Construct the cheap/expensive task pair over one training dataset.

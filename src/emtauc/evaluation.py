@@ -3,7 +3,7 @@
 The ranking loss counts positive/negative pairs whose decision values are
 misordered, with ties counted as losses. Every count is an exact
 comparison count on the CSR decision values (``_decision_rows``): no
-epsilon ever decides whether a pair is a loss.
+tolerance ever decides whether a pair is a loss.
 
 Large views (``DatasetView.dense_rows``) compute decision values faster,
 with one BLAS product on a dense copy of their rows, but BLAS rounds
@@ -33,6 +33,12 @@ from .data import Dataset, DatasetView, _row_norms, as_rate, class_view_sizes
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = np.finfo(np.float64).tiny
 _HALF_MAX = np.finfo(np.float64).max / 2
+# Bytes of one chunk's (k, n) float64 decision values in ``_loss_fractions``;
+# an evaluation's working set is a few arrays of that size. A 20000-instance
+# view takes 52 rows per chunk, more than any solver batch at the default
+# population sizes (at most 20 rows per task), so solver batches are never
+# split.
+_CHUNK_BYTES = 8 << 20
 
 
 def _as_weights(w, dim: int) -> np.ndarray:
@@ -66,7 +72,7 @@ def _count_below(ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
     row-major; row r of the (k, q) int64 result holds
     #{j : ref[r, j] < queries[r, i]} for every i. Each row of ``ref`` is
     searched once with a vectorized binary search. Comparisons are exact;
-    no epsilon is applied.
+    no tolerance is applied.
     """
     out = np.empty(queries.shape, dtype=np.int64)
     for row, sorted_ref, query in zip(out, ref, queries):
@@ -173,11 +179,10 @@ def _loss_fractions(W, view: DatasetView) -> np.ndarray:
     """The pairwise loss of each row of ``W`` (shape (k, dim)) on the view:
     its exact CSR loss count over T+ * T-.
 
-    A view with ``dense_rows`` takes its values from one BLAS product and
-    keeps each row's count only if the certificate (module docstring)
-    proves it equal to the CSR count; the other rows are recounted on CSR.
-    Every count is thus the CSR count of its row alone, so evaluating in
-    chunks yields bit-equal results to one full batch.
+    Rows are counted in chunks whose decision values take at most
+    ``_CHUNK_BYTES``, so memory stays bounded however many rows there are.
+    Each count is the CSR count of its row alone (``_chunk_loss_counts``),
+    so the chunks yield bit-equal results to one full batch.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != view.base.dim:
@@ -186,17 +191,37 @@ def _loss_fractions(W, view: DatasetView) -> np.ndarray:
         raise ValueError("weights must be finite")
     if view.t_pos == 0 or view.t_neg == 0:
         raise ValueError("both classes need at least one instance in the view")
+    step = max(1, _CHUNK_BYTES // (8 * view.n))
+    if W.shape[0] <= step:
+        losses = _chunk_loss_counts(W, view)
+    else:
+        losses = np.concatenate([_chunk_loss_counts(W[i : i + step], view) for i in range(0, W.shape[0], step)])
+    return losses / (view.t_pos * view.t_neg)
+
+
+def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
+    """The exact CSR loss count of each row of ``W`` on the view.
+
+    A view with ``dense_rows`` takes its values from one BLAS product and
+    keeps each row's count only if the certificate (module docstring)
+    proves it equal to the CSR count; the other rows are counted on CSR.
+    Rows whose products could overflow (an infinite margin) can never be
+    certified, so they skip the BLAS product and go to CSR at once.
+    """
     rows = view.dense_rows()
     if rows is None:
-        losses = _loss_counts(*_decision_rows(W, view))
-    else:
-        dense, xmax = rows
-        g = W @ dense.T
-        margin = _rounding_margin(W, view.base.dim, xmax)
-        losses, certified = _certified_loss_counts(g[:, : view.t_pos], g[:, view.t_pos:], margin)
-        if not certified.all():
-            losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
-    return losses / (view.t_pos * view.t_neg)
+        return _loss_counts(*_decision_rows(W, view))
+    dense, xmax = rows
+    margin = _rounding_margin(W, view.base.dim, xmax)
+    blas = margin < np.inf
+    losses = np.empty(W.shape[0], dtype=np.int64)
+    certified = np.zeros(W.shape[0], dtype=bool)
+    if blas.any():
+        g = W[blas] @ dense.T
+        losses[blas], certified[blas] = _certified_loss_counts(g[:, : view.t_pos], g[:, view.t_pos:], margin[blas])
+    if not certified.all():
+        losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
+    return losses
 
 
 def loss_fraction(w, view: DatasetView) -> float:

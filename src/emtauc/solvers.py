@@ -75,6 +75,10 @@ def pm_mutation(g, mask_u, u, eta: float, prob: float) -> np.ndarray:
     return np.clip(np.where(mask_u < prob, child, g), 0.0, 1.0)
 
 
+# ridge added to the diagonal of P P^T in ``fit_transfer_map``
+_RIDGE = 1e-6
+
+
 @dataclass(frozen=True)
 class TransferMap:
     """Linear map between two tasks' key spaces; application clamps."""
@@ -86,26 +90,24 @@ class TransferMap:
         return np.clip(G @ self.matrix.T, 0.0, 1.0)
 
 
-def fit_transfer_map(P, Q, epsilon: float = 1e-6) -> TransferMap:
+def fit_transfer_map(P, Q) -> TransferMap:
     """Ridge-regularized least squares map M minimizing ||M P - Q||_F.
 
     ``P`` and ``Q`` hold one genome per column, sorted by their own task
     objective (best first). Only the first min(m_P, m_Q) columns are used.
-    M = Q P^T (P P^T + epsilon I)^{-1}.
+    M = Q P^T (P P^T + ``_RIDGE`` I)^{-1}.
     """
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     if P.ndim != 2 or Q.ndim != 2:
         raise ValueError("P and Q must be 2-D (dim x m) matrices")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     m = min(P.shape[1], Q.shape[1])
     if m == 0:
         raise ValueError("P and Q need at least one column")
     P = P[:, :m]
     Q = Q[:, :m]
     A = P @ P.T
-    A[np.diag_indices_from(A)] += epsilon
+    A[np.diag_indices_from(A)] += _RIDGE
     M = np.linalg.solve(A, P @ Q.T).T
     return TransferMap(matrix=M)
 

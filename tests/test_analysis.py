@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import scipy.stats
 
 import emtauc.analysis
+from emtauc import evaluation
 from emtauc.analysis import (
     BenchmarkEntry,
     VERDICT_BETTER,
@@ -177,6 +179,47 @@ def test_landscape_reasonable_rho_on_easy_data():
     ds = make_gaussian_dataset(2)
     report = landscape_similarity(ds, s="1/2", n_points=200, n_repeats=5, seed=8)
     assert report.mean > 0.5
+
+
+def _landscape_hex(ds, n_points):
+    """The rhos of one landscape repeat as float.hex, and its traced peak."""
+    tracemalloc.start()
+    try:
+        report = landscape_similarity(ds, "1/10", n_points=n_points, n_repeats=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return [rho.hex() for rho in report.rhos], peak
+
+
+# 2000 instances: its full view takes the certified BLAS path
+CERTIFIED_SET = make_gaussian_dataset(9, n_pos=800, n_neg=1200, dim=4)
+
+
+def test_landscape_peak_stops_growing_with_small_chunks(monkeypatch):
+    ds = CERTIFIED_SET
+    assert ds.full_view().dense_rows() is not None  # built here, so not part of any peak
+    sizes = (100, 200, 400)
+    one_chunk = {n: _landscape_hex(ds, n)[0] for n in sizes}
+    monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 25 * 8 * ds.n)  # 25 rows per chunk
+    peaks = {}
+    for n in sizes:
+        rhos, peaks[n] = _landscape_hex(ds, n)
+        assert rhos == one_chunk[n]
+    # unchunked, every point adds its decision values (8 * n bytes) several times over
+    assert peaks[400] - peaks[100] < 300 * 8 * ds.n // 4
+
+
+def test_landscape_at_2000_points_peaks_at_one_chunk(monkeypatch):
+    ds = CERTIFIED_SET
+    ds.full_view().dense_rows()
+    step = evaluation._CHUNK_BYTES // (8 * ds.n)
+    assert step < 2000
+    _, chunk_peak = _landscape_hex(ds, step)
+    rhos, peak = _landscape_hex(ds, 2000)
+    assert peak <= chunk_peak + (256 << 10)
+    monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 2000 * 8 * ds.n)
+    assert rhos == _landscape_hex(ds, 2000)[0]
 
 
 def _tiny_entries():

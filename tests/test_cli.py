@@ -1,16 +1,21 @@
 import argparse
 import json
+import tempfile
 from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emtauc import cli
 from emtauc.cli import build_parser, main
 from emtauc.config import BenchmarkConfig, CostModelConfig, LandscapeConfig, RunConfig
 from emtauc.data import serialize_libsvm
+from emtauc.environment import CostLedger, TaskId
 
 from conftest import make_gaussian_dataset
 
@@ -432,6 +437,31 @@ def test_costmodel_theoretical_column_exact(tmp_path, dataset_file):
     assert ratios == [Fraction(1), Fraction(4), Fraction(25), Fraction(100)]
     base_measured = float(lines[1].split(",")[3])
     assert base_measured == 1.0
+
+
+TOY_TEXT = serialize_libsvm(make_gaussian_dataset(0, n_pos=30, n_neg=40, dim=4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rates=st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000), min_size=1, max_size=3))
+def test_ledger_and_costmodel_share_one_price(rates):
+    # a full evaluation costs 1/s^2 cheap ones in the ledger, and costmodel's
+    # theoretical ratio is the same price relative to the rate 1/10
+    for rate in rates:
+        ledger = CostLedger(1, rate)
+        assert ledger.cost_per_eval(TaskId.CHEAP) == 1
+        assert ledger.cost_per_eval(TaskId.EXPENSIVE) == 1 / rate**2
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "cost"
+        (Path(tmp) / "toy.libsvm").write_text(TOY_TEXT)
+        cfg = write_config(
+            Path(tmp),
+            {"dataset": str(Path(tmp) / "toy.libsvm"), "rates": [str(r) for r in rates],
+             "repetitions": 1, "output_dir": str(out)},
+        )
+        assert main(["costmodel", "--config", str(cfg)]) == 0
+        lines = (out / "costmodel.csv").read_text().splitlines()[1:]
+    assert [Fraction(line.split(",")[1]) for line in lines] == [(r / Fraction(1, 10)) ** 2 for r in rates]
 
 
 def test_failed_manifest_leaves_no_partial_or_temporary_file(tmp_path, dataset_file, monkeypatch):

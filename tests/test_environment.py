@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -6,8 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from emtauc.analysis import landscape_similarity, run_benchmark
+from emtauc.config import BenchmarkConfig, BenchmarkEntry, CostModelConfig, LandscapeConfig, RunConfig
 from emtauc.data import DataError
 from emtauc.environment import (
+    DEFAULT_BUDGET,
+    DEFAULT_DELTA,
+    DEFAULT_LAM,
+    DEFAULT_RATE,
     BudgetExhaustedError,
     CostLedger,
     TaskId,
@@ -24,6 +32,49 @@ def test_cost_per_eval():
     assert ledger.cost_per_eval(TaskId.EXPENSIVE) == 100
     assert CostLedger(10, "0.5").cost_per_eval(TaskId.EXPENSIVE) == 4
     assert CostLedger(10, 1).cost_per_eval(TaskId.EXPENSIVE) == 1
+
+
+DECLARED = {"s": DEFAULT_RATE, "lam": DEFAULT_LAM, "delta": DEFAULT_DELTA, "budget": DEFAULT_BUDGET}
+
+
+def _default(owner, name):
+    """The default of parameter or dataclass field ``name`` of ``owner``."""
+    if dataclasses.is_dataclass(owner):
+        return next(f.default for f in dataclasses.fields(owner) if f.name == name)
+    return inspect.signature(owner).parameters[name].default
+
+
+@pytest.mark.parametrize(
+    "owner, names",
+    [
+        (build_environment, ("s", "lam", "delta", "budget")),
+        (run_benchmark, ("s", "lam", "budget")),
+        (landscape_similarity, ("lam",)),
+        (BenchmarkEntry, ("delta",)),
+        (RunConfig, ("s", "lam", "delta", "budget")),
+        (BenchmarkConfig, ("s", "lam", "delta", "budget")),
+        (LandscapeConfig, ("s", "lam")),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_defaults_name_the_protocol_declaration(owner, names):
+    # each default is the declared object itself, not an equal copy of it
+    for name in names:
+        assert _default(owner, name) is DECLARED[name], name
+    assert DECLARED == {"s": Fraction(1, 10), "lam": 0.125, "delta": 30, "budget": 101000}
+
+
+def test_costmodel_rates_start_at_the_protocol_rate():
+    assert _default(CostModelConfig, "rates")[0] is DEFAULT_RATE
+
+
+def test_every_caller_sets_the_sweep_and_landscape_sizes():
+    empty = inspect.Parameter.empty
+    params = inspect.signature(run_benchmark).parameters
+    assert params["trials"].default is empty and params["folds"].default is empty
+    params = inspect.signature(landscape_similarity).parameters
+    for name in ("n_points", "n_repeats", "seed"):
+        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY and params[name].default is empty
 
 
 def test_ledger_exact_at_default_budget():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from emtauc import data
+from emtauc import data, evaluation
+from emtauc.config import _DEFAULT_POP
 from emtauc.data import Dataset, DatasetView
 from emtauc.evaluation import (
     _rounding_margin,
@@ -59,14 +60,17 @@ def test_pair_count_rejects_nan():
         pairwise_loss_count([np.nan], [0.1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gate", [data._DENSE_MIN_INSTANCES, 0])
 def test_overflowing_decision_values_reject_nan(gate):
     # finite rows and weights whose decision values overflow to inf and
-    # inf - inf: the second positive's is NaN
+    # inf - inf: the second positive's is NaN. Their margin is infinite, so
+    # the certified path (gate 0) sends them to CSR without a BLAS product,
+    # and no numpy overflow or invalid-value warning is raised.
     X = np.array([[1e308, 1e308, 0.0], [1e308, -1e308, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     ds = Dataset(sparse.csr_matrix(X), np.array([1, 1, -1, -1]))
     w = np.array([1e10, 1e10, 1.0])
-    with dense_gate(gate), np.errstate(over="ignore", invalid="ignore"):
+    with dense_gate(gate):
         view = ds.full_view()
         for evaluate in (
             lambda: auc_metric(w, view),
@@ -334,6 +338,13 @@ def test_class_blocks_are_the_class_rows_and_share_one_matrix(seed):
         for block in (view.pos_matrix, view.neg_matrix):
             assert np.shares_memory(block.data, view.class_matrix.data)
             assert np.shares_memory(block.indices, view.class_matrix.indices)
+
+
+def test_solver_batches_on_the_largest_benchmark_view_are_one_chunk():
+    # a solver evaluates at most pop_size rows per task at once, and the
+    # largest benchmark view (the 20000 x 50 workload's full view) has 20000
+    # instances, so chunking never splits a solver batch there
+    assert evaluation._CHUNK_BYTES // (8 * 20000) >= max(_DEFAULT_POP.values())
 
 
 def test_first_certified_evaluation_holds_one_copy_of_the_rows():
