@@ -22,6 +22,10 @@ rate, lambda and delta of the paper-scale workload. The script prints, per shape
 median CPU seconds of each tree, the median and range of the paired ratios
 new/old, how many rounds the new tree won, and whether every pair of runs
 gave the same trace and best objective; it exits 1 if any pair differed.
+Per shape it also prints each tree's median over the solves of all
+solvers pooled, and their ratio: the benchmark's ``solve_cpu_s.p50`` is
+that pooled median, so a gain in one solver moves it only if the pooled
+median sits on that solver's solves.
 This is a low-noise cross-check next to the benchmark: the two trees
 share every condition of the machine that a pair of separate processes
 does not.
@@ -103,6 +107,8 @@ def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
             f"{statistics.median(ratios):>11.3f}{min(ratios):>8.3f}-{max(ratios):<7.3f}"
             f"{wins:>4}/{len(ratios)}  {'yes' if same[kind] else 'NO'}"
         )
+    old, new = (statistics.median(t for kind in KINDS for t in times[kind, side]) for side in ("old", "new"))
+    print(f"{'all solvers':<16}{old:>10.4f}{new:>10.4f}{new / old:>11.3f}  (pooled medians, ratio of the two)")
     return all(same.values())
 
 

@@ -153,7 +153,10 @@ def _checked_indices(indices, n: int, what: str) -> np.ndarray:
 # (``DatasetView.dense_rows``). Measured with one BLAS thread on Gaussian
 # data and batches of 5 to 20 weight rows, the certified BLAS path breaks
 # even with CSR from about 2000 instances at dim 8, and is 15-50% faster
-# from 1000 instances on at dims 20 and 50.
+# from 1000 instances on at dims 20 and 50. With the one-sort kernel
+# (``evaluation._certified_loss_counts``) the gate stays 2000: at 768 x 8 a
+# gate of 500 measured solve-time ratios of 0.96 (GA), 1.00 (MFEA) and 1.02
+# (EMEA) against it, no gain.
 _DENSE_MIN_INSTANCES = 2000
 
 

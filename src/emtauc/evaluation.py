@@ -15,12 +15,24 @@ any order and with or without FMA, lies within gamma_d * ||w||_2 *
 ||x||_2 of the exact one, gamma_d = d*u / (1 - d*u) and u = 2^-53. A BLAS
 value is thus within 2 * gamma_d * ||w|| * max ||x|| of its CSR value, and
 the difference of a positive and a negative value within 4 * gamma_d *
-||w|| * max ||x|| of its CSR difference. If every positive lies further
-than that (with slack, ``_rounding_margin``) from its nearest negatives,
-no pair compares differently on the CSR values, and the BLAS count is the
-CSR count. Rows that fail (ties, zero weights, near-ties) are recounted on
-CSR. Every count, and so every objective and trace, is the same whatever
-the BLAS.
+||w|| * max ||x|| of its CSR difference: half the margin of
+``_rounding_margin``.
+
+The BLAS count takes one sort per row (``_certified_loss_counts``). Each
+value's lowest mantissa bit is first set to its class, 1 for a positive
+and 0 for a negative, so no positive equals a negative and the sorted row
+shows each value's class. The pairs a positive wins then follow from the
+positives' sorted positions (the Mann-Whitney rank sum). A tag moves a
+value by at most one ulp: at most 2u times its magnitude, or 2^-1074 below
+the normal range, which the margin's absolute term covers. So the two tags
+of a pair move its difference by less than another half margin, and a
+tagged difference lies within one margin of the CSR one. If every pair of
+sorted neighbours of different classes lies more than 2 * margin apart (a
+factor 2 of slack for the rounding of the norms and the gaps), no pair
+compares differently on the CSR values, and the BLAS count is the CSR
+count. Rows that fail (ties, zero weights, near-ties) are
+recounted on CSR. Every count, and so every objective and trace, is the
+same whatever the BLAS.
 """
 from __future__ import annotations
 
@@ -105,28 +117,32 @@ def _loss_counts(f_pos: np.ndarray, f_neg: np.ndarray) -> np.ndarray:
     return f_pos.shape[1] * f_neg.shape[1] - below.sum(axis=1)
 
 
-def _certified_loss_counts(g_pos: np.ndarray, g_neg: np.ndarray, margin: np.ndarray):
-    """``_loss_counts(g_pos, g_neg)`` and one bool per row r: True where
-    every positive lies more than margin[r] from both of its
-    ``searchsorted`` neighbours among the sorted negatives, so no pair
-    changes order when each value moves by less than margin[r] / 2.
+def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
+    """Per row r of the C-contiguous (k, n) BLAS block ``g``, whose first
+    ``t_pos`` columns are positives: the loss count of the class-tagged
+    values, and True where each pair of sorted neighbours of different
+    classes lies more than 2 * margin[r] apart, which makes that count the
+    CSR count (module docstring).
+
+    ``g`` is tagged and sorted in place; besides it, the kernel holds at
+    most one temporary of g's size at a time, and bool masks. After the
+    sort, the negatives below the positives number the sum of the
+    positives' positions less t_pos * (t_pos - 1) / 2. The smallest gap
+    between the classes lies between two sorted neighbours of different
+    classes.
     """
-    k, m = g_neg.shape
-    # each row's sorted negatives between a -inf and a +inf sentinel, so
-    # that every positive has a neighbour on both sides
-    padded = np.empty((k, m + 2))
-    padded[:, 0], padded[:, -1] = -np.inf, np.inf
-    ref = padded[:, 1:-1]
-    ref[...] = g_neg
-    ref.sort(axis=1)
-    queries = np.sort(g_pos, axis=1)
-    below = _count_below(ref, queries)
-    # flat index of each positive's left neighbour, padded[r, below]
-    left_at = below + np.arange(0, padded.size, m + 2)[:, np.newaxis]
-    flat = padded.ravel()
-    left_gap = (queries - flat[left_at]).min(axis=1)
-    right_gap = (flat[left_at + 1] - queries).min(axis=1)
-    return g_pos.shape[1] * m - below.sum(axis=1), np.minimum(left_gap, right_gap) > margin
+    k, n = g.shape
+    bits = g.view(np.int64)
+    bits[:, :t_pos] |= 1
+    bits[:, t_pos:] &= ~1
+    g.sort(axis=1)
+    is_pos = (bits & 1).astype(bool)
+    # flat indices of the positives, t_pos per row, less each row's start
+    rank_sums = np.flatnonzero(is_pos).reshape(k, t_pos).sum(axis=1) - np.arange(0, k * n, n) * t_pos
+    below = rank_sums - t_pos * (t_pos - 1) // 2
+    close = np.diff(g, axis=1) <= 2 * margin[:, np.newaxis]
+    close &= is_pos[:, 1:] != is_pos[:, :-1]
+    return t_pos * (n - t_pos) - below, ~close.any(axis=1)
 
 
 def _rounding_margin(W: np.ndarray, dim: int, xmax: float) -> np.ndarray:
@@ -217,8 +233,7 @@ def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
     losses = np.empty(W.shape[0], dtype=np.int64)
     certified = np.zeros(W.shape[0], dtype=bool)
     if blas.any():
-        g = W[blas] @ dense.T
-        losses[blas], certified[blas] = _certified_loss_counts(g[:, : view.t_pos], g[:, view.t_pos:], margin[blas])
+        losses[blas], certified[blas] = _certified_loss_counts(W[blas] @ dense.T, view.t_pos, margin[blas])
     if not certified.all():
         losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
     return losses

@@ -99,8 +99,8 @@ def count_path_rows():
     rows = {"certified": 0, "csr": 0}
     certified_loss_counts, decision_rows = evaluation._certified_loss_counts, evaluation._decision_rows
 
-    def spy_certified_loss_counts(g_pos, g_neg, margin):
-        losses, certified = certified_loss_counts(g_pos, g_neg, margin)
+    def spy_certified_loss_counts(g, t_pos, margin):
+        losses, certified = certified_loss_counts(g, t_pos, margin)
         rows["certified"] += int(certified.sum())
         return losses, certified
 

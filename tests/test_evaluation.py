@@ -391,3 +391,24 @@ def test_first_certified_evaluation_holds_one_copy_of_the_rows():
     working = max(norms_peak, rerun_peak) + slack
     assert working < dense_bytes
     assert eval_peak <= dense_bytes + working
+
+
+def test_certified_evaluation_working_set_stays_under_the_search_kernels():
+    # A 20-row evaluation on a full view whose dense copy is already cached
+    # holds the (k, n) float64 BLAS block, sorted in place, and the gaps of
+    # its neighbours. The kernel that binary-searched sorted positives among
+    # sorted negatives peaked at 3.6 such blocks here; no kernel may exceed it.
+    ds = make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)
+    view = ds.full_view()
+    W = np.random.default_rng(6).uniform(-1, 1, size=(20, ds.dim))
+    objective_batch(W, view, 0.125)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with count_path_rows() as rows:
+            objective_batch(W, view, 0.125)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rows == {"certified": W.shape[0], "csr": 0}
+    assert peak <= 3.6 * 8 * W.shape[0] * view.n + (16 << 10)

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from emtauc.data import Dataset, DatasetView
-from emtauc.evaluation import _certified_loss_counts, decision_values, hardness_scores, objective_batch, pairwise_loss_count
+from emtauc.evaluation import (
+    _HALF_MAX,
+    _certified_loss_counts,
+    _rounding_margin,
+    decision_values,
+    hardness_scores,
+    objective_batch,
+    pairwise_loss_count,
+)
 
 from conftest import count_path_rows, dense_gate
 from _oracles import hardness_naive, pair_loss_broadcast, pair_loss_naive
@@ -137,17 +145,88 @@ def test_pairwise_loss_count_matches_oracles(f_pos, f_neg):
     assert got == pair_loss_naive(f_pos, f_neg) == pair_loss_broadcast(f_pos, f_neg)
 
 
+def _tie_free_gap_bound(values: np.ndarray) -> float:
+    """Two ulps of twice the largest |value| of a row: the most that the two
+    class tags of a pair and the rounding of its two gaps (here and in the
+    kernel) can take from the gap between a positive and a negative."""
+    return 2 * np.spacing(2 * np.abs(values).max())
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from((1e-9, 1e-3, 0.25, 1.0)))
 def test_certificate_is_the_smallest_pair_gap(seed, margin):
-    # near-ties on a half-integer grid; the certificate looks only at each
-    # positive's two neighbours, which must equal a check of every pair
+    # near-ties on a half-integer grid. Sound: a certified row's count is
+    # exact and its smallest pair gap exceeds margin. Complete: a row whose
+    # smallest pair gap exceeds 2 * margin by more than the tags can move it
+    # is certified.
     rng = np.random.default_rng(seed)
     k, n_pos, n_neg = rng.integers(1, 4), rng.integers(1, 30), rng.integers(1, 30)
     offsets = np.array([0.0, 0.0, 1e-6, -1e-6, 0.1, 0.3])
     f_pos = rng.integers(-4, 5, size=(k, n_pos)) / 2 + rng.choice(offsets, size=(k, n_pos))
     f_neg = rng.integers(-4, 5, size=(k, n_neg)) / 2 + rng.choice(offsets, size=(k, n_neg))
-    losses, certified = _certified_loss_counts(f_pos, f_neg, np.full(k, margin))
+    g = np.hstack([f_pos, f_neg])
+    losses, certified = _certified_loss_counts(g.copy(), n_pos, np.full(k, margin))
     for r in range(k):
-        assert losses[r] == pair_loss_naive(f_pos[r], f_neg[r])
-        assert certified[r] == (np.abs(f_pos[r][:, None] - f_neg[r][None, :]).min() > margin)
+        gap = np.abs(f_pos[r][:, None] - f_neg[r][None, :]).min()
+        if certified[r]:
+            assert losses[r] == pair_loss_naive(f_pos[r], f_neg[r])
+            assert gap > margin
+        if gap > 2 * margin + _tie_free_gap_bound(g[r]):
+            assert certified[r]
+
+
+# Decision values where a class tag in the lowest mantissa bit could go
+# wrong: signed zeros, subnormals down to the smallest, values one ulp
+# apart, negatives, and magnitudes up to half the largest float, the most a
+# row with a finite rounding margin can produce.
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0, np.nextafter(-1.0, 0.0), 3.0, -2.5,
+    1e300, -1e300, _HALF_MAX, np.nextafter(_HALF_MAX, 0.0), -_HALF_MAX,
+)
+
+
+@st.composite
+def edge_rows(draw):
+    """A (k, n) block of edge values, its first t_pos columns positives."""
+    t_pos, t_neg = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = draw(st.integers(1, 3))
+    cells = st.lists(st.sampled_from(EDGE_VALUES), min_size=k * (t_pos + t_neg), max_size=k * (t_pos + t_neg))
+    return np.array(draw(cells)).reshape(k, t_pos + t_neg), t_pos
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_rows(), st.sampled_from((1.0, 1e3, 1e12)))
+def test_class_tags_keep_certified_counts_exact_on_edge_values(rows, scale):
+    # scale 1 is the smallest margin _rounding_margin gives a row: that of a
+    # length-1 product with |w| = the row's largest |value| and xmax = 1
+    g, t_pos = rows
+    margin = _rounding_margin(np.abs(g).max(axis=1)[:, np.newaxis], 1, 1.0) * scale
+    losses, certified = _certified_loss_counts(g.copy(), t_pos, margin)
+    for r in range(g.shape[0]):
+        f_pos, f_neg = g[r, :t_pos], g[r, t_pos:]
+        if certified[r]:
+            assert not (f_pos[:, None] == f_neg[None, :]).any()
+            assert losses[r] == pair_loss_naive(f_pos, f_neg)
+        if np.abs(f_pos[:, None] - f_neg[None, :]).min() > 2 * margin[r] + _tie_free_gap_bound(g[r]):
+            assert certified[r]
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_rows(), st.sampled_from((0.0, 0.125)))
+def test_certified_path_matches_csr_on_edge_values(rows, lam):
+    # the first row's values as a one-feature set; a constant second
+    # feature keeps the dense copy smaller than the CSR arrays. The decision
+    # values are the edge values times 1, -1 or -0.5, or plus 0.5, whose
+    # margin overflows (so the row goes to CSR at once) when the set holds
+    # a value near half the largest float.
+    g, t_pos = rows
+    X = np.column_stack([g[0], np.ones(g.shape[1])])
+    labels = np.repeat(np.array([1, -1], dtype=np.int64), [t_pos, g.shape[1] - t_pos])
+    W = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.5], [-0.5, 0.0]])
+    ds = Dataset(sparse.csr_matrix(X), labels)
+    want = objective_batch(W, ds.full_view(), lam)
+    with dense_gate(0):
+        view = DatasetView(ds, np.arange(ds.n))
+        assert view.dense_rows() is not None
+        assert np.array_equal(objective_batch(W, view, lam), want)
