@@ -22,6 +22,10 @@ rate, lambda and delta of the paper-scale workload. The script prints, per shape
 median CPU seconds of each tree, the median and range of the paired ratios
 new/old, how many rounds the new tree won, and whether every pair of runs
 gave the same trace and best objective; it exits 1 if any pair differed.
+When they differ (a new draw order, say), it also prints, per shape and
+solver, the ``compare_cells`` verdict of the new tree's final AUC on the
+full set (``auc_metric`` of the best weights) against the old tree's over
+the same rounds: ``≈`` says the two orders reach equally good rankers.
 Per shape it also prints each tree's median over the solves of all
 solvers pooled, and their ratio: the benchmark's ``solve_cpu_s.p50`` is
 that pooled median, so a gain in one solver moves it only if the pooled
@@ -77,7 +81,7 @@ def timed_solve(pkg, ds, kind: str, env_seed: int, solver_seed: int):
     seconds = process_time() - start
     trace = [(p.generation, p.cumulative_cost, p.best_objective_expensive, p.best_objective_cheap, p.adjust_event)
              for p in result.trace]
-    return seconds, (result.best_objective, trace)
+    return seconds, (result.best_objective, trace), pkg.auc_metric(result.best_weights, ds.full_view())
 
 
 def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
@@ -85,6 +89,7 @@ def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
     X, y = gaussian_data(n_pos, n_neg, dim, SEED)
     data = {side: pkg.Dataset(X, y) for side, pkg in trees.items()}
     times = {(kind, side): [] for kind in KINDS for side in trees}
+    aucs = {(kind, side): [] for kind in KINDS for side in trees}
     same = dict.fromkeys(KINDS, True)
     for r in range(ROUNDS):
         env_seed, solver_seed = np.random.SeedSequence([SEED, r]).generate_state(2).tolist()
@@ -92,8 +97,9 @@ def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
             order = ("old", "new") if (r + KINDS.index(kind)) % 2 == 0 else ("new", "old")
             outputs = {}
             for side in order:
-                seconds, outputs[side] = timed_solve(trees[side], data[side], kind, env_seed, solver_seed)
+                seconds, outputs[side], auc = timed_solve(trees[side], data[side], kind, env_seed, solver_seed)
                 times[kind, side].append(seconds)
+                aucs[kind, side].append(auc)
             same[kind] &= outputs["old"] == outputs["new"]
 
     print(f"{ROUNDS} rounds, {n_pos}+{n_neg} x {dim}, CPU seconds per solve")
@@ -109,6 +115,12 @@ def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
         )
     old, new = (statistics.median(t for kind in KINDS for t in times[kind, side]) for side in ("old", "new"))
     print(f"{'all solvers':<16}{old:>10.4f}{new:>10.4f}{new / old:>11.3f}  (pooled medians, ratio of the two)")
+    if not all(same.values()):
+        print(f"{'solver':<16}{'old AUC p50':>12}{'new AUC p50':>12}  verdict of new against old (compare_cells)")
+        for kind in KINDS:
+            old, new = aucs[kind, "old"], aucs[kind, "new"]
+            verdict = trees["new"].compare_cells(new, old)
+            print(f"{kind:<16}{statistics.median(old):>12.4f}{statistics.median(new):>12.4f}  {verdict}")
     return all(same.values())
 
 

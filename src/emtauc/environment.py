@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_sample
-from .evaluation import hardness_scores, objective_batch, select_hardest
+from .evaluation import hardness_scores, objective_and_loss_batch, select_hardest
 
 
 # The paper's protocol: the cheap task samples at rate s, the objective is
@@ -149,8 +149,9 @@ class TaskSpec:
         self.view = view
         self.lam = float(lam)
 
-    def objective_batch(self, W) -> np.ndarray:
-        return objective_batch(W, self.view, self.lam)
+    def objective_batch(self, W) -> tuple[np.ndarray, np.ndarray]:
+        """The objective of each row of ``W`` and the loss fraction in it."""
+        return objective_and_loss_batch(W, self.view, self.lam)
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,7 @@ class Environment:
         }
         self._best_w: np.ndarray | None = None
         self._best_obj: float = np.inf
+        self._best_loss: float = np.inf
         self.adjustment_log: list[AdjustmentEvent] = []
 
     @property
@@ -189,11 +191,18 @@ class Environment:
     def best_expensive_objective(self) -> float | None:
         return None if self._best_w is None else self._best_obj
 
-    def record_expensive(self, w: np.ndarray, obj: float) -> None:
-        """Archive a charged expensive-task evaluation; strict improvement
-        wins, so ties keep the earlier solution."""
+    @property
+    def best_expensive_auc(self) -> float | None:
+        """The archived solution's AUC on the full data, as measured."""
+        return None if self._best_w is None else 1.0 - self._best_loss
+
+    def record_expensive(self, w: np.ndarray, obj: float, loss: float) -> None:
+        """Archive a charged expensive-task evaluation and the loss fraction
+        in its objective; strict improvement wins, so ties keep the earlier
+        solution."""
         if obj < self._best_obj:
             self._best_obj = float(obj)
+            self._best_loss = float(loss)
             self._best_w = np.array(w, dtype=np.float64, copy=True)
 
     def adjust_cheap_task(self, w_expensive, generation: int) -> DatasetView:

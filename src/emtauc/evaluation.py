@@ -269,10 +269,15 @@ def objective_batch(W, view: DatasetView, lam: float) -> np.ndarray:
     counts by, so each is the exact CSR count of its row alone, whether or
     not the view certified it on BLAS values.
     """
+    return objective_and_loss_batch(W, view, lam)[0]
+
+
+def objective_and_loss_batch(W, view: DatasetView, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``objective_batch`` of the rows of ``W`` and the loss fractions it
+    adds their penalties to; one minus a loss is that row's ``auc_metric``."""
     W = np.asarray(W, dtype=np.float64)
-    out = _loss_fractions(W, view)
-    out += 0.5 * lam * np.einsum("ij,ij->i", W, W)
-    return out
+    losses = _loss_fractions(W, view)
+    return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
 
 
 @dataclass(frozen=True)

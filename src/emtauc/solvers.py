@@ -11,10 +11,12 @@ knobs from ``config.SolverConfig`` (re-exported here):
   generations through a learned linear map between the tasks' sorted
   populations.
 
-Variation is one draw pass per mating policy (``_ga_offspring``,
-``_mfea_offspring``) that takes every parent and uniform in stream order,
-then one SBX and PM pass over the whole block (``_offspring``). No draw
-depends on a child's value, and the two kernels take no generator.
+Variation is one draw per kind per generation, then one SBX and PM pass
+over the whole block (``_offspring``). ``_ga_offspring`` draws every
+tournament contestant in one call and then every pair's uniforms in one;
+``_mfea_offspring`` draws the pairing permutation, then every pair's rmp
+and skill coins, used or not, then the uniforms. No draw depends on a
+child's value, and the two kernels take no generator.
 
 ``dispatch_solver`` is the one entry point and the one driver loop. Each
 solver is a generator that keeps only its policy (mating, selection,
@@ -28,8 +30,7 @@ exhausted.
 every solver hands it a batch, it charges the batch with one
 ``CostLedger.charge`` call, in index order, the evaluation that crosses the
 budget completes and is recorded, and the run then stops. Rows past that
-point are never charged and never enter a population. The draw loops
-read Python lists and ints rather than numpy scalars.
+point are never charged and never enter a population.
 """
 from __future__ import annotations
 
@@ -132,8 +133,9 @@ class RunResult:
     trace: list[TracePoint]
 
 
-def _eval_batch(task: TaskSpec, keys: np.ndarray) -> np.ndarray:
-    """Decode and evaluate a batch of genomes on one task."""
+def _eval_batch(task: TaskSpec, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode and evaluate a batch of genomes on one task: each row's
+    objective and the loss fraction in it."""
     return task.objective_batch(decode_weights(np.atleast_2d(keys)))
 
 
@@ -164,27 +166,28 @@ def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray,
     ``env`` holds it now. The batch is then charged in one
     ``CostLedger.charge`` call, in index order until the ledger is
     exhausted; the row that crosses the budget completes. The first
-    minimum among the charged expensive rows is archived, which is what
-    archiving them one by one would keep. Returns the values and the number
-    of charged rows, which are the leading ones; rows left uncharged read
-    inf, as if never evaluated.
+    minimum among the charged expensive rows is archived with its loss
+    fraction, which is what archiving them one by one would keep. Returns
+    the values and the number of charged rows, which are the leading ones;
+    rows left uncharged read inf, as if never evaluated.
     """
     tids = np.asarray(task_ids, dtype=np.int64)
     if tids.ndim == 0:
         tids = tids.repeat(keys.shape[0])
     values = np.empty(keys.shape[0])
+    losses = np.empty(keys.shape[0])
     for tid in (0, 1):
         rows = (tids == tid).nonzero()[0]
         if rows.size:
             # a batch of one task is evaluated as it is, without a gather
-            values[rows] = _eval_batch(env.tasks[tid], keys if rows.size == tids.size else keys[rows])
+            values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys if rows.size == tids.size else keys[rows])
     ledger = env.ledger
     kept = 0 if ledger.exhausted else ledger.charge(tids.tolist())
     values[kept:] = np.inf
     expensive = tids[:kept].nonzero()[0]
     if expensive.size:
         best = expensive[np.argmin(values[expensive])]
-        env.record_expensive(decode_weights(keys[best]), values[best])
+        env.record_expensive(decode_weights(keys[best]), values[best], losses[best])
     return values, kept
 
 
@@ -196,26 +199,14 @@ def _finite_min(values: np.ndarray) -> float | None:
 def _archive_trace_point(
     env: Environment, generation: int, best_cheap: float | None, adjust_event: bool
 ) -> TracePoint:
-    obj = env.best_expensive_objective
-    if obj is None:
-        best_obj, best_auc = None, None
-    else:
-        w = env.best_expensive_weights
-        best_obj = obj
-        best_auc = 1.0 - (obj - 0.5 * env.lam * float(w @ w))
     return TracePoint(
         generation=generation,
         cumulative_cost=env.ledger.spent,
-        best_objective_expensive=best_obj,
-        best_auc_expensive=best_auc,
+        best_objective_expensive=env.best_expensive_objective,
+        best_auc_expensive=env.best_expensive_auc,
         best_objective_cheap=best_cheap,
         adjust_event=adjust_event,
     )
-
-
-def _tournament(rng, objectives: list[float]) -> int:
-    i, j = rng.integers(len(objectives), size=2).tolist()
-    return i if objectives[i] <= objectives[j] else j
 
 
 def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float) -> np.ndarray:
@@ -225,10 +216,12 @@ def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float)
     ``parents`` holds (pairs, 2) indices into ``genomes`` and ``cross`` one
     flag per pair. ``u`` is (pairs, 5, dim) and holds each pair's uniforms in
     draw order: row 0 for SBX, rows 1 and 2 for child 1's mutation mask and
-    step, rows 3 and 4 for child 2's. A pair that does not cross draws rows
-    1-4 and its children are its parents; an unpaired last parent draws rows
-    1-2 and only its first child is kept. Children 2i and 2i + 1 come from
-    pair i, and the first len(genomes) are returned.
+    step, rows 3 and 4 for child 2's. Every pair draws all five rows, so an
+    unpaired last parent draws a full row block too. A pair that does not
+    cross leaves row 0 unused and its children are its parents, mutated; an
+    unpaired last parent is the first of a pair that does not cross, and
+    only its first child is kept. Children 2i and 2i + 1 come from pair i,
+    and the first len(genomes) are returned.
     """
     first = genomes[parents[:, 0]]
     second = genomes[parents[:, 1]]
@@ -238,18 +231,16 @@ def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float)
 
 
 def _ga_offspring(genomes: np.ndarray, objectives: np.ndarray, config: SolverConfig, pm_prob: float, rng) -> np.ndarray:
+    """Binary-tournament parents and their SBX+PM children. One draw takes
+    the two contestants of each pair's two tournaments, ties going to the
+    first; a second takes every pair's uniforms."""
     n, dim = genomes.shape
-    values = objectives.tolist()
-    parents = []
-    u = np.zeros(((n + 1) // 2, 5, dim))
-    for i in range(n // 2):
-        parents.append((_tournament(rng, values), _tournament(rng, values)))
-        rng.random(out=u[i])
-    if n % 2:
-        a = _tournament(rng, values)
-        parents.append((a, a))
-        rng.random(out=u[-1, 1:3])
-    return _offspring(genomes, np.array(parents), np.arange(len(parents)) < n // 2, u, config, pm_prob)
+    pairs = (n + 1) // 2
+    contestants = rng.integers(n, size=(pairs, 2, 2))
+    first, second = contestants[..., 0], contestants[..., 1]
+    parents = np.where(objectives[first] <= objectives[second], first, second)
+    u = rng.random((pairs, 5, dim))
+    return _offspring(genomes, parents, np.arange(pairs) < n // 2, u, config, pm_prob)
 
 
 def _ga_generation(
@@ -287,24 +278,17 @@ def _mfea_offspring(
     inherit either parent's skill with equal probability.
     """
     n, dim = genomes.shape
-    perm = rng.permutation(n)
-    parents = np.resize(perm, ((n + 1) // 2, 2))
-    cross = [False] * parents.shape[0]
-    u = np.zeros((parents.shape[0], 5, dim))
-    skill = skills.tolist()
-    child_skills = skills[perm].tolist()
-    for i, (a, b) in enumerate(parents[: n // 2].tolist()):
-        sa, sb = skill[a], skill[b]
-        cross[i] = sa == sb or rng.random() < config.rmp
-        if cross[i]:
-            rng.random(out=u[i])
-            child_skills[2 * i] = sa if rng.random() < 0.5 else sb
-            child_skills[2 * i + 1] = sa if rng.random() < 0.5 else sb
-        else:
-            rng.random(out=u[i, 1:])
-    if n % 2:
-        rng.random(out=u[-1, 1:3])
-    return _offspring(genomes, parents, np.array(cross), u, config, pm_prob), np.array(child_skills)
+    pairs = (n + 1) // 2
+    parents = np.resize(rng.permutation(n), (pairs, 2))
+    # per pair: the rmp coin, then each child's skill coin, drawn whether
+    # or not the pair uses them
+    coins = rng.random((pairs, 3))
+    u = rng.random((pairs, 5, dim))
+    own = skills[parents]
+    cross = ((own[:, 0] == own[:, 1]) | (coins[:, 0] < config.rmp)) & (np.arange(pairs) < n // 2)
+    inherited = np.where(coins[:, 1:] < 0.5, own[:, :1], own[:, 1:])
+    child_skills = np.where(cross[:, np.newaxis], inherited, own).reshape(-1)[:n]
+    return _offspring(genomes, parents, cross, u, config, pm_prob), child_skills
 
 
 def _maybe_adjust(env: Environment, generation: int) -> bool:

@@ -82,14 +82,14 @@ def rank_sum_exact_p(a, b) -> float:
     return min(1.0, 2.0 * min(le, ge) / total)
 
 
-# Variation the literal way: each mating loop interleaves its draws with
-# per-pair SBX and PM calls that draw their uniforms from the generator.
+# Variation the literal way: each mating policy draws its blocks first, in
+# the library's order, then walks the pairs one by one with per-pair
+# tournament, SBX and PM calls that read their uniforms from the blocks.
 
 
-def sbx_crossover_naive(p1, p2, eta: float, rng):
+def sbx_crossover_naive(p1, p2, eta: float, u):
     p1 = np.asarray(p1, dtype=np.float64)
     p2 = np.asarray(p2, dtype=np.float64)
-    u = rng.random(p1.shape)
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** (1.0 / (eta + 1.0)),
@@ -102,11 +102,10 @@ def sbx_crossover_naive(p1, p2, eta: float, rng):
     return c1, c2
 
 
-def pm_mutation_naive(genome, eta: float, prob: float, rng):
-    """Draws a mask uniform per gene, then a step uniform per gene."""
+def pm_mutation_naive(genome, eta: float, prob: float, mask_u, u):
+    """A gene mutates where its ``mask_u`` uniform is below ``prob``."""
     g = np.asarray(genome, dtype=np.float64)
-    mask = rng.random(g.shape) < prob
-    u = rng.random(g.shape)
+    mask = mask_u < prob
     toward_zero = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
     toward_one = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
     child = g.copy()
@@ -124,10 +123,11 @@ def evaluate_per_row(env, task_ids, keys):
     on its own."""
     tids = np.broadcast_to(np.asarray(task_ids, dtype=np.int64), keys.shape[:1])
     values = np.empty(keys.shape[0])
+    losses = np.empty(keys.shape[0])
     for tid in TaskId:
         rows = np.flatnonzero(tids == tid)
         if rows.size:
-            values[rows] = _eval_batch(env.tasks[tid], keys[rows])
+            values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys[rows])
     ledger = env.ledger
     kept = 0
     for tid in tids.tolist():
@@ -135,58 +135,76 @@ def evaluate_per_row(env, task_ids, keys):
             break
         ledger.charge([tid])
         if tid == TaskId.EXPENSIVE:
-            env.record_expensive(decode_weights(keys[kept]), values[kept])
+            env.record_expensive(decode_weights(keys[kept]), values[kept], losses[kept])
         kept += 1
     values[kept:] = np.inf
     return values, kept
 
 
-def _tournament_naive(rng, objectives) -> int:
-    i, j = rng.integers(objectives.shape[0], size=2)
-    return int(i) if objectives[i] <= objectives[j] else int(j)
+def _tournament_naive(objectives, i: int, j: int) -> int:
+    return i if objectives[i] <= objectives[j] else j
+
+
+def _mutate_pair_naive(a, b, u, config, pm_prob):
+    """Both children of parents ``a`` and ``b`` that do not cross."""
+    c1 = pm_mutation_naive(a, config.pm_eta, pm_prob, u[1], u[2])
+    c2 = pm_mutation_naive(b, config.pm_eta, pm_prob, u[3], u[4])
+    return c1, c2
+
+
+def _cross_pair_naive(a, b, u, config, pm_prob):
+    """Both children of parents ``a`` and ``b`` that cross."""
+    c1, c2 = sbx_crossover_naive(a, b, config.sbx_eta, u[0])
+    return _mutate_pair_naive(c1, c2, u, config, pm_prob)
 
 
 def ga_offspring_naive(genomes, objectives, config, pm_prob, rng):
-    n = genomes.shape[0]
+    n, dim = genomes.shape
+    pairs = (n + 1) // 2
+    contestants = rng.integers(n, size=(pairs, 2, 2))
+    uniforms = rng.random((pairs, 5, dim))
     children = np.empty_like(genomes)
-    k = 0
-    while k + 1 < n:
-        a = _tournament_naive(rng, objectives)
-        b = _tournament_naive(rng, objectives)
-        c1, c2 = sbx_crossover_naive(genomes[a], genomes[b], config.sbx_eta, rng)
-        children[k] = pm_mutation_naive(c1, config.pm_eta, pm_prob, rng)
-        children[k + 1] = pm_mutation_naive(c2, config.pm_eta, pm_prob, rng)
-        k += 2
-    if k < n:
-        a = _tournament_naive(rng, objectives)
-        children[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, rng)
+    for p in range(pairs):
+        (i1, j1), (i2, j2) = contestants[p].tolist()
+        a = _tournament_naive(objectives, i1, j1)
+        b = _tournament_naive(objectives, i2, j2)
+        k = 2 * p
+        if k + 1 < n:
+            children[k], children[k + 1] = _cross_pair_naive(genomes[a], genomes[b], uniforms[p], config, pm_prob)
+        else:
+            children[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, uniforms[p, 1], uniforms[p, 2])
     return children
 
 
 def mfea_offspring_naive(genomes, skills, config, pm_prob, rng):
-    n = genomes.shape[0]
+    n, dim = genomes.shape
+    pairs = (n + 1) // 2
+    perm = rng.permutation(n)
+    coins = rng.random((pairs, 3))
+    uniforms = rng.random((pairs, 5, dim))
     child_genomes = np.empty_like(genomes)
     child_skills = np.empty(n, dtype=np.int64)
-    perm = rng.permutation(n)
-    k = 0
-    while k + 1 < n:
-        a, b = perm[k], perm[k + 1]
-        if skills[a] == skills[b] or rng.random() < config.rmp:
-            c1, c2 = sbx_crossover_naive(genomes[a], genomes[b], config.sbx_eta, rng)
-            child_genomes[k] = pm_mutation_naive(c1, config.pm_eta, pm_prob, rng)
-            child_genomes[k + 1] = pm_mutation_naive(c2, config.pm_eta, pm_prob, rng)
-            child_skills[k] = skills[a] if rng.random() < 0.5 else skills[b]
-            child_skills[k + 1] = skills[a] if rng.random() < 0.5 else skills[b]
+    for p in range(pairs):
+        k = 2 * p
+        a = perm[k]
+        if k + 1 == n:
+            child_genomes[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, uniforms[p, 1], uniforms[p, 2])
+            child_skills[k] = skills[a]
+            break
+        b = perm[k + 1]
+        rmp_coin, skill_coin1, skill_coin2 = coins[p]
+        if skills[a] == skills[b] or rmp_coin < config.rmp:
+            child_genomes[k], child_genomes[k + 1] = _cross_pair_naive(
+                genomes[a], genomes[b], uniforms[p], config, pm_prob
+            )
+            child_skills[k] = skills[a] if skill_coin1 < 0.5 else skills[b]
+            child_skills[k + 1] = skills[a] if skill_coin2 < 0.5 else skills[b]
         else:
-            child_genomes[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, rng)
-            child_genomes[k + 1] = pm_mutation_naive(genomes[b], config.pm_eta, pm_prob, rng)
+            child_genomes[k], child_genomes[k + 1] = _mutate_pair_naive(
+                genomes[a], genomes[b], uniforms[p], config, pm_prob
+            )
             child_skills[k] = skills[a]
             child_skills[k + 1] = skills[b]
-        k += 2
-    if k < n:
-        a = perm[k]
-        child_genomes[k] = pm_mutation_naive(genomes[a], config.pm_eta, pm_prob, rng)
-        child_skills[k] = skills[a]
     return child_genomes, child_skills
 
 

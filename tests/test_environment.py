@@ -245,12 +245,14 @@ def test_record_expensive_keeps_earlier_on_tie():
     env = build_environment(ds, seed=1)
     w1 = np.full(ds.dim, 0.25)
     w2 = np.full(ds.dim, -0.25)
-    env.record_expensive(w1, 0.5)
-    env.record_expensive(w2, 0.5)  # tie: first stays
+    env.record_expensive(w1, 0.5, 0.25)
+    env.record_expensive(w2, 0.5, 0.125)  # tie: first stays
     assert np.array_equal(env.best_expensive_weights, w1)
-    env.record_expensive(w2, 0.4)
+    assert env.best_expensive_auc == 0.75
+    env.record_expensive(w2, 0.4, 0.125)
     assert np.array_equal(env.best_expensive_weights, w2)
     assert env.best_expensive_objective == 0.4
+    assert env.best_expensive_auc == 0.875
 
 
 def test_adjust_swaps_view_and_logs():
@@ -283,6 +285,7 @@ def test_archive_starts_empty():
     env = build_environment(ds, seed=3)
     assert env.best_expensive_weights is None
     assert env.best_expensive_objective is None
+    assert env.best_expensive_auc is None
 
 
 RATES = st.one_of(

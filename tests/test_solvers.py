@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import threading
 
@@ -22,7 +23,7 @@ from emtauc.solvers import (
 )
 
 from _oracles import evaluate_per_row
-from conftest import make_gaussian_dataset, make_separable_dataset
+from conftest import dense_gate, make_gaussian_dataset, make_separable_dataset
 
 
 class RecordingTask:
@@ -184,6 +185,20 @@ def test_trace_costs_strictly_increase():
         assert (len(gens) == 1) == (budget == 5)
         assert result.trace[-1].cumulative_cost == env.ledger.spent
         assert result.trace[-1].best_objective_expensive == result.best_objective
+
+
+@pytest.mark.parametrize("min_instances", [None, 0])
+def test_final_best_auc_is_the_measured_auc(min_instances):
+    # The archived loss fraction is the one the evaluation counted, so the
+    # trace's AUC equals auc_metric bit for bit, on CSR and on certified
+    # BLAS counts alike; 1 - (objective - penalty) can be one ulp off.
+    gate = dense_gate(min_instances) if min_instances is not None else contextlib.nullcontext()
+    with gate:
+        for data_seed, kind, seed in itertools.product(range(3), ("single_task_ga", "mfea", "emea"), range(6)):
+            ds = make_gaussian_dataset(data_seed)
+            env = build_environment(ds, budget=3000, delta=5, seed=seed)
+            result = dispatch_solver(env, SolverConfig(kind=kind, seed=seed))
+            assert result.trace[-1].best_auc_expensive == auc_metric(result.best_weights, ds.full_view())
 
 
 def test_budget_overshoot_bounded():

@@ -1,9 +1,10 @@
 """Property tests: the two-pass variation against the per-pair loops in _oracles.
 
-The oracles interleave every draw with per-pair SBX and PM calls. The
-library takes all draws first and runs SBX and PM once over the block, so
-the two must agree bit for bit on the children, on the child skills and on
-where they leave the generator. Genomes sometimes come from a coarse grid
+The oracles draw the same blocks in the same order and then walk the pairs
+one by one, with a tournament, SBX and PM call per pair. The library runs
+the tournaments, SBX and PM once over the whole block, so the two must
+agree bit for bit on the children, on the child skills and on where they
+leave the generator. Genomes sometimes come from a coarse grid
 with the endpoints 0 and 1, so identical parents and clamping both occur.
 """
 import numpy as np
@@ -60,3 +61,37 @@ def test_mfea_offspring_matches_oracle(problem):
     assert np.array_equal(children, want)
     assert np.array_equal(child_skills, want_skills)
     assert rng.random() == oracle_rng.random()
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to its methods."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_mating_draws_a_fixed_number_of_times_whatever_the_population():
+    # One draw per kind per generation: the number of generator calls does
+    # not grow with the population.
+    config = SolverConfig(kind="mfea", rmp=0.3)
+    calls = {"ga": set(), "mfea": set()}
+    for n in (2, 7, 20, 101):
+        data = np.random.default_rng(n)
+        genomes = data.random((n, 4))
+        rng = CountingGenerator(n)
+        _ga_offspring(genomes, data.integers(0, 4, size=n).astype(np.float64), config, 0.25, rng)
+        calls["ga"].add(rng.calls)
+        rng = CountingGenerator(n)
+        _mfea_offspring(genomes, data.integers(0, 2, size=n), config, 0.25, rng)
+        calls["mfea"].add(rng.calls)
+    assert calls == {"ga": {2}, "mfea": {3}}
