@@ -16,12 +16,12 @@ parse or to scale), and dataset files at the edges of the LIBSVM grammar
 (comments with CRLF or a form feed, Python-only number forms, a non-ASCII
 digit, malformed numbers and tokens), and two files longer than one read
 block (a CRLF file with a ``\r\n`` split across two reads, and a fault in
-the last block). A diff of the output is the gate for
-changes to config parsing, to the LIBSVM parser and to the CLI:
+the last block). The first line names the numpy and scipy versions.
+``tests/golden/cli_digest.txt`` holds the committed output, which
+``tests/test_golden.py`` regenerates in full; a diff against it is the
+gate for changes to config parsing, to the LIBSVM parser and to the CLI:
 
-    PYTHONPATH=<other tree>/src python scripts/cli_digest.py > before.txt
-    PYTHONPATH=src python scripts/cli_digest.py > after.txt
-    diff before.txt after.txt
+    diff <(PYTHONPATH=src python scripts/cli_digest.py) tests/golden/cli_digest.txt
 
 It takes no flags and runs in a few seconds.
 """
@@ -38,6 +38,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+import numpy  # noqa: E402
+import scipy  # noqa: E402
 from conftest import make_gaussian_dataset  # noqa: E402
 from test_config import BASE_CONFIGS, DROP, ERROR_CASES, config  # noqa: E402
 
@@ -195,7 +197,9 @@ def run_case(workdir: Path, argv: list[str], raw) -> str:
     return f"exit={code} stderr={err.getvalue()!r} stdout={stdout} {digests}".rstrip()
 
 
-def main() -> int:
+def digest_lines():
+    """Yield the line of every case, in order. Clears ``EMTAUC_OUTPUT_DIR``
+    and restores the working directory when done."""
     os.environ.pop("EMTAUC_OUTPUT_DIR", None)
     home = os.getcwd()
     cases = [(f"error{i:03d}-{kind}", [kind], json.dumps(raw)) for i, (kind, raw, _) in enumerate(ERROR_CASES)]
@@ -207,9 +211,15 @@ def main() -> int:
                     os.environ["EMTAUC_OUTPUT_DIR"] = "from-env"
                 line = run_case(Path(tmp) / name, argv, raw)
                 os.environ.pop("EMTAUC_OUTPUT_DIR", None)
-                print(name, line, flush=True)
+                yield f"{name} {line}"
         finally:
             os.chdir(home)
+
+
+def main() -> int:
+    print(f"# numpy {numpy.__version__} scipy {scipy.__version__}", flush=True)
+    for line in digest_lines():
+        print(line, flush=True)
     return 0
 
 

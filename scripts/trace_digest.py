@@ -3,12 +3,16 @@
 The digest of a run covers the bytes of its ``trace.csv``, the best
 objective and weights, the ledger (spent, evaluations per task) and the
 cheap-task adjustment log. Two trees give the same output exactly when
-every run in the grid produced the same artifacts, so a diff of the output
-is the byte-compare gate for refactors of the solvers:
+every run in the grid produced the same artifacts. The first line names
+the numpy and scipy versions, which fix the RNG stream and the CSR
+summation order. ``tests/golden/trace_digest.txt`` holds the committed
+output, and a diff against it is the byte-compare gate for refactors of
+the solvers:
 
-    PYTHONPATH=<other tree>/src python scripts/trace_digest.py > before.txt
-    PYTHONPATH=src python scripts/trace_digest.py > after.txt
-    diff before.txt after.txt
+    diff <(PYTHONPATH=src python scripts/trace_digest.py) tests/golden/trace_digest.txt
+
+``tests/test_golden.py`` regenerates a slice of the grid (seed 0 at
+jobs 1) in every test run; this full diff checks the rest.
 
 The grid is 3 solvers x seeds 0-2 x jobs 1, 2 x 12 budgets (several of
 which run out during initialisation, mid-generation or during transfer)
@@ -33,6 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 from conftest import make_gaussian_dataset  # noqa: E402
 from scipy import sparse  # noqa: E402
 
@@ -82,14 +87,20 @@ def run_digest(ds, kind, seed, jobs, budget, delta, variant, trace_path: Path) -
     return h.hexdigest()
 
 
-def main() -> int:
+def digest_lines(grids=GRIDS):
+    """Yield the ``key sha256`` line of every run in ``grids``, in grid order."""
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "trace.csv"
-        for datasets, *axes in GRIDS:
+        for datasets, *axes in grids:
             for name, kind, seed, jobs, budget, delta, variant in itertools.product(datasets, *axes):
                 digest = run_digest(datasets[name], kind, seed, jobs, budget, delta, variant, trace_path)
-                key = f"{name}/{kind}/seed{seed}/jobs{jobs}/budget{budget}/delta{delta}/{variant}"
-                print(key, digest, flush=True)
+                yield f"{name}/{kind}/seed{seed}/jobs{jobs}/budget{budget}/delta{delta}/{variant} {digest}"
+
+
+def main() -> int:
+    print(f"# numpy {np.__version__} scipy {scipy.__version__}", flush=True)
+    for line in digest_lines():
+        print(line, flush=True)
     return 0
 
 
