@@ -17,7 +17,7 @@ instances x 8 features (the size of diabetes, as in the benchmark's
 paper-scale workload), 300 + 700 x 24 (the synthetic set of its
 ``sweep-cv`` workload) and 2400 + 3600 x 20 (the large slice of
 ``scripts/trace_digest.py``), the only one whose full view reaches the
-certified BLAS path of ``objective_batch``. Every solve uses the budget,
+certified BLAS path of ``evaluate``. Every solve uses the budget,
 rate, lambda and delta of the paper-scale workload. The script prints, per shape and solver, the
 median CPU seconds of each tree, the median and range of the paired ratios
 new/old, how many rounds the new tree won, and whether every pair of runs

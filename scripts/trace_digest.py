@@ -18,7 +18,7 @@ The grid is 3 solvers x seeds 0-2 x jobs 1, 2 x 12 budgets (several of
 which run out during initialisation, mid-generation or during transfer)
 x delta {None, 3} x two solver configurations, over two synthetic Gaussian
 sets from ``tests/conftest.py``: 1728 runs. A second slice covers full
-views large enough for the certified BLAS path of ``objective_batch``:
+views large enough for the certified BLAS path of ``evaluate``:
 3 solvers x seeds 0-1 x jobs 1 x budgets {2021, 8000, 40000} x delta
 {None, 3} over a 2400/3600 x 20 Gaussian set, where rows certify, and a
 copy with 100 positive rows repeated as negatives, where every row ties

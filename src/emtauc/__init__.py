@@ -49,10 +49,10 @@ from .environment import (
 )
 from .evaluation import (
     auc_metric,
+    evaluate,
     hardness_scores,
     loss_fraction,
     objective,
-    objective_batch,
     pairwise_loss_count,
     select_hardest,
 )
@@ -96,10 +96,10 @@ __all__ = [
     "TaskId",
     "build_environment",
     "auc_metric",
+    "evaluate",
     "hardness_scores",
     "loss_fraction",
     "objective",
-    "objective_batch",
     "pairwise_loss_count",
     "select_hardest",
     "RunResult",

@@ -20,7 +20,7 @@ import numpy as np
 from .config import BenchmarkEntry
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
 from .environment import DEFAULT_BUDGET, DEFAULT_LAM, DEFAULT_RATE, TaskId, as_budget, build_environment
-from .evaluation import auc_metric, objective_batch
+from .evaluation import auc_metric, evaluate
 from .solvers import decode_weights, dispatch_solver
 
 VERDICT_BETTER = "+"
@@ -95,8 +95,8 @@ def landscape_similarity(
         rng = np.random.default_rng(child)
         view = stratified_sample(ds, rate, rng)
         W = decode_weights(rng.random((n_points, ds.dim)))
-        cheap_obj = objective_batch(W, view, lam)
-        expensive_obj = objective_batch(W, full, lam)
+        cheap_obj = evaluate(W, view, lam)[0]
+        expensive_obj = evaluate(W, full, lam)[0]
         for task, obj in (("cheap", cheap_obj), ("expensive", expensive_obj)):
             if np.all(obj == obj[0]):
                 raise DataError(

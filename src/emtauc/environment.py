@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_sample
-from .evaluation import hardness_scores, objective_and_loss_batch, select_hardest
+from .evaluation import _evaluate_rows, hardness_scores, select_hardest
 
 
 # The paper's protocol: the cheap task samples at rate s, the objective is
@@ -149,9 +149,12 @@ class TaskSpec:
         self.view = view
         self.lam = float(lam)
 
-    def objective_batch(self, W) -> tuple[np.ndarray, np.ndarray]:
-        """The objective of each row of ``W`` and the loss fraction in it."""
-        return objective_and_loss_batch(W, self.view, self.lam)
+    def objective_batch(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` of the rows of the float64 (k, dim) array ``W`` on
+        this task, unchecked: the solvers decode ``W`` from keys clipped to
+        [0, 1], so it is finite, and ``Environment`` gives every view both
+        classes."""
+        return _evaluate_rows(W, self.view, self.lam)
 
 
 @dataclass(frozen=True)

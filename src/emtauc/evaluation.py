@@ -33,6 +33,10 @@ compares differently on the CSR values, and the BLAS count is the CSR
 count. Rows that fail (ties, zero weights, near-ties) are
 recounted on CSR. Every count, and so every objective and trace, is the
 same whatever the BLAS.
+
+Weights are checked once, at the public entry points (``_checked_rows``);
+the solvers' ``TaskSpec.objective_batch`` calls the unchecked core,
+``_evaluate_rows``.
 """
 from __future__ import annotations
 
@@ -53,13 +57,24 @@ _HALF_MAX = np.finfo(np.float64).max / 2
 _CHUNK_BYTES = 8 << 20
 
 
-def _as_weights(w, dim: int) -> np.ndarray:
+def _checked_rows(w, view: DatasetView, batch: bool) -> np.ndarray:
+    """``w`` as a float64 (k, dim) array of weight rows on ``view``: a
+    (k, dim) batch if ``batch``, else one (dim,) vector as one row.
+
+    Raises ValueError for a wrong shape, non-finite weights or a view that
+    lacks a class. The one input check of every public entry point.
+    """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != dim:
+    dim = view.base.dim
+    if batch and (w.ndim != 2 or w.shape[1] != dim):
+        raise ValueError(f"weight batch must have shape (k, {dim})")
+    if not batch and w.shape != (dim,):
         raise ValueError(f"weight vector must have shape ({dim},), got {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    return w
+    if view.t_pos == 0 or view.t_neg == 0:
+        raise ValueError("both classes need at least one instance in the view")
+    return w if batch else w[np.newaxis, :]
 
 
 def _decision_rows(W: np.ndarray, view: DatasetView) -> tuple[np.ndarray, np.ndarray]:
@@ -163,20 +178,10 @@ def _rounding_margin(W: np.ndarray, dim: int, xmax: float) -> np.ndarray:
     return margin
 
 
-def decision_values(w, view: DatasetView) -> tuple[np.ndarray, np.ndarray]:
-    """Inner products of ``w`` with the view's instances, split by class.
-
-    Returns (f_pos, f_neg) in view order. Absent features contribute zero.
-    """
-    w = _as_weights(w, view.base.dim)
-    f_pos, f_neg = _decision_rows(w[np.newaxis, :], view)
-    return f_pos[0], f_neg[0]
-
-
 def pairwise_loss_count(f_pos, f_neg) -> int:
     """Exact number of pairs (i, j) with f_pos[i] <= f_neg[j].
 
-    The k = 1 case of ``objective_batch``'s kernel: the values become one
+    The k = 1 case of ``evaluate``'s kernel: the values become one
     row-major (1, T+) and one (1, T-) row, both are sorted, and the sorted
     positives are binary-searched among the sorted negatives. That equals
     enumerating all T+ * T- pairs, in O((T+ + T-) log(T+ + T-)). Sorting
@@ -191,22 +196,22 @@ def pairwise_loss_count(f_pos, f_neg) -> int:
     return int(_loss_counts(f_pos.reshape(1, -1), f_neg.reshape(1, -1))[0])
 
 
-def _loss_fractions(W, view: DatasetView) -> np.ndarray:
-    """The pairwise loss of each row of ``W`` (shape (k, dim)) on the view:
-    its exact CSR loss count over T+ * T-.
+def _evaluate_rows(W: np.ndarray, view: DatasetView, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate`` without its input check: ``W`` is a float64 (k, dim)
+    array of finite weights, and the view holds both classes."""
+    losses = _loss_fractions(W, view)
+    return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
+
+
+def _loss_fractions(W: np.ndarray, view: DatasetView) -> np.ndarray:
+    """The pairwise loss of each row of the float64 (k, dim) array ``W`` on
+    the view: its exact CSR loss count over T+ * T-.
 
     Rows are counted in chunks whose decision values take at most
     ``_CHUNK_BYTES``, so memory stays bounded however many rows there are.
     Each count is the CSR count of its row alone (``_chunk_loss_counts``),
     so the chunks yield bit-equal results to one full batch.
     """
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[1] != view.base.dim:
-        raise ValueError(f"weight batch must have shape (k, {view.base.dim})")
-    if not np.isfinite(W).all():
-        raise ValueError("weights must be finite")
-    if view.t_pos == 0 or view.t_neg == 0:
-        raise ValueError("both classes need at least one instance in the view")
     step = max(1, _CHUNK_BYTES // (8 * view.n))
     if W.shape[0] <= step:
         losses = _chunk_loss_counts(W, view)
@@ -240,10 +245,9 @@ def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
 
 
 def loss_fraction(w, view: DatasetView) -> float:
-    """Fraction of misordered pairs, ties included: ``objective_batch``'s
-    loss for one row. Below 2^53 pairs the quotient is correctly rounded."""
-    w = _as_weights(w, view.base.dim)
-    return float(_loss_fractions(w[np.newaxis, :], view)[0])
+    """Fraction of misordered pairs, ties included: ``evaluate``'s loss
+    for one row. Below 2^53 pairs the quotient is correctly rounded."""
+    return float(_loss_fractions(_checked_rows(w, view, batch=False), view)[0])
 
 
 def auc_metric(w, view: DatasetView) -> float:
@@ -254,30 +258,21 @@ def auc_metric(w, view: DatasetView) -> float:
 def objective(w, view: DatasetView, lam: float) -> float:
     """Minimization target: pairwise loss fraction plus (lam/2) * ||w||^2.
 
-    Routed through ``objective_batch`` so scalar and batched evaluation of
-    the same weights agree bit for bit.
+    One row of ``evaluate``, so scalar and batched evaluation of the same
+    weights agree bit for bit.
     """
-    w = _as_weights(w, view.base.dim)
-    return float(objective_batch(w[np.newaxis, :], view, lam)[0])
+    return float(_evaluate_rows(_checked_rows(w, view, batch=False), view, lam)[0][0])
 
 
-def objective_batch(W, view: DatasetView, lam: float) -> np.ndarray:
-    """Vectorized ``objective`` over the rows of ``W`` (shape (k, dim)):
-    each row's ``loss_fraction`` plus its penalty.
+def evaluate(W, view: DatasetView, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``objective`` of each row of ``W`` (shape (k, dim)) and the loss
+    fraction in it; one minus a loss is that row's ``auc_metric``.
 
     The losses come from ``_loss_fractions``, the path every evaluation
     counts by, so each is the exact CSR count of its row alone, whether or
     not the view certified it on BLAS values.
     """
-    return objective_and_loss_batch(W, view, lam)[0]
-
-
-def objective_and_loss_batch(W, view: DatasetView, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """``objective_batch`` of the rows of ``W`` and the loss fractions it
-    adds their penalties to; one minus a loss is that row's ``auc_metric``."""
-    W = np.asarray(W, dtype=np.float64)
-    losses = _loss_fractions(W, view)
-    return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
+    return _evaluate_rows(_checked_rows(W, view, batch=True), view, lam)
 
 
 @dataclass(frozen=True)
@@ -296,10 +291,11 @@ class HardnessScores:
 
 def hardness_scores(w, ds: Dataset) -> HardnessScores:
     """Both classes' per-instance counts over the full data, from the CSR
-    decision values every ``objective_batch`` count is exact on (one product
-    over the full view's ``class_matrix``), and the same counting kernel. It
-    runs once per cheap-task rebuild, so it never takes the BLAS path."""
-    f_pos, f_neg = _decision_rows(_as_weights(w, ds.dim)[np.newaxis, :], ds.full_view())
+    decision values every ``evaluate`` count is exact on (one product over
+    the full view's ``class_matrix``), and the same counting kernel. It runs
+    once per cheap-task rebuild, so it never takes the BLAS path."""
+    view = ds.full_view()
+    f_pos, f_neg = _decision_rows(_checked_rows(w, view, batch=False), view)
     return HardnessScores(
         pos_scores=ds.t_neg - _count_below(_sorted_rows(f_neg), f_pos)[0],
         neg_scores=_count_below(_sorted_rows(f_pos), f_neg)[0],

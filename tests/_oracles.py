@@ -15,6 +15,14 @@ from emtauc.environment import TaskId
 from emtauc.solvers import _eval_batch, decode_weights
 
 
+def decision_values(w, view):
+    """Inner products of ``w`` with the view's instances, split by class:
+    (f_pos, f_neg) in view order, one CSR product per class. Each value is
+    one row's sum in index order, as in ``class_matrix @ w``."""
+    w = np.asarray(w, dtype=np.float64)
+    return view.base.X[view.pos_selected] @ w, view.base.X[view.neg_selected] @ w
+
+
 def pair_loss_naive(f_pos, f_neg) -> int:
     count = 0
     for fp in f_pos:

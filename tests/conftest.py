@@ -82,7 +82,7 @@ def random_small_dataset(rng, max_per_class=40, max_dim=6, grid=None) -> Dataset
 @contextmanager
 def dense_gate(min_instances: int):
     """Views built or evaluated inside take the certified BLAS path of
-    ``objective_batch`` from ``min_instances`` instances on."""
+    ``evaluate`` from ``min_instances`` instances on."""
     saved = data._DENSE_MIN_INSTANCES
     data._DENSE_MIN_INSTANCES = min_instances
     try:
@@ -93,7 +93,7 @@ def dense_gate(min_instances: int):
 
 @contextmanager
 def count_path_rows():
-    """Count the weight rows ``objective_batch`` keeps from the certified
+    """Count the weight rows ``evaluate`` keeps from the certified
     BLAS path (``"certified"``) and those whose CSR decision values it
     computes (``"csr"``): a small view's rows, or a large view's fallback."""
     rows = {"certified": 0, "csr": 0}

@@ -27,7 +27,6 @@ from emtauc.data import as_rate, parse_libsvm_path, scale_features, serialize_li
 from emtauc.environment import CostLedger, TaskId, build_environment
 from emtauc.evaluation import (
     auc_metric,
-    decision_values,
     hardness_scores,
     loss_fraction,
     pairwise_loss_count,
@@ -35,7 +34,7 @@ from emtauc.evaluation import (
 )
 from emtauc.solvers import SolverConfig, dispatch_solver, fit_transfer_map
 
-from _oracles import hardness_naive, pair_loss_naive, select_hardest_naive
+from _oracles import decision_values, hardness_naive, pair_loss_naive, select_hardest_naive
 from conftest import (
     REAL_DATASETS,
     make_gaussian_dataset,

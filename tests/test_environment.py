@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from emtauc import data
 from emtauc.analysis import landscape_similarity, run_benchmark
 from emtauc.config import BenchmarkConfig, BenchmarkEntry, CostModelConfig, LandscapeConfig, RunConfig
 from emtauc.data import DataError
@@ -22,8 +23,10 @@ from emtauc.environment import (
     as_budget,
     build_environment,
 )
+from emtauc.evaluation import evaluate
+from emtauc.solvers import decode_weights
 
-from conftest import make_gaussian_dataset
+from conftest import dense_gate, make_gaussian_dataset
 
 
 def test_cost_per_eval():
@@ -278,6 +281,21 @@ def test_adjust_twice_appends_events():
     env.adjust_cheap_task(rng.uniform(-1, 1, ds.dim), generation=60)
     gens = [e.generation for e in env.adjustment_log]
     assert gens == [30, 60]
+
+
+@pytest.mark.parametrize("gate", [data._DENSE_MIN_INSTANCES, 0])
+def test_task_batches_equal_checked_evaluate(gate):
+    # the solvers' unchecked path gives the bits of the checked entry point
+    # on both tasks, before and after the cheap view is rebuilt
+    ds = make_gaussian_dataset(6)
+    W = decode_weights(np.random.default_rng(9).random((10, ds.dim)))
+    with dense_gate(gate):
+        env = build_environment(ds, seed=4)
+        for _ in range(2):
+            for task in env.tasks.values():
+                got, want = task.objective_batch(W), evaluate(W, task.view, task.lam)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            env.adjust_cheap_task(W[0], generation=30)
 
 
 def test_archive_starts_empty():

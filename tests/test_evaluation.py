@@ -11,17 +11,16 @@ from emtauc.data import Dataset, DatasetView
 from emtauc.evaluation import (
     _rounding_margin,
     auc_metric,
-    decision_values,
+    evaluate,
     hardness_scores,
     loss_fraction,
     objective,
-    objective_batch,
     pairwise_loss_count,
     select_hardest,
 )
 
 from conftest import count_path_rows, dense_gate, make_gaussian_dataset, random_small_dataset
-from _oracles import hardness_naive, pair_loss_broadcast, pair_loss_naive, select_hardest_naive
+from _oracles import decision_values, hardness_naive, pair_loss_broadcast, pair_loss_naive, select_hardest_naive
 
 
 def one_feature_dataset(pos_values, neg_values) -> Dataset:
@@ -72,14 +71,14 @@ def test_overflowing_decision_values_reject_nan(gate):
     w = np.array([1e10, 1e10, 1.0])
     with dense_gate(gate):
         view = ds.full_view()
-        for evaluate in (
+        for call in (
             lambda: auc_metric(w, view),
             lambda: objective(w, view, 0.1),
-            lambda: objective_batch(w[np.newaxis, :], view, 0.1),
+            lambda: evaluate(w[np.newaxis, :], view, 0.1),
             lambda: hardness_scores(w, ds),
         ):
             with pytest.raises(ValueError, match="decision values must not be NaN"):
-                evaluate()
+                call()
         assert (view.dense_rows() is not None) == (gate == 0)
 
 
@@ -88,14 +87,14 @@ def test_non_finite_weights_rejected(toy_dataset, bad):
     w = np.zeros(toy_dataset.dim)
     w[1] = bad
     view = toy_dataset.full_view()
-    for evaluate in (
+    for call in (
         lambda: objective(w, view, 0.0),
         lambda: auc_metric(w, view),
-        lambda: objective_batch(np.vstack([np.zeros_like(w), w]), view, 0.0),
+        lambda: evaluate(np.vstack([np.zeros_like(w), w]), view, 0.0),
         lambda: hardness_scores(w, toy_dataset),
     ):
         with pytest.raises(ValueError, match="finite"):
-            evaluate()
+            call()
 
 
 def test_pair_count_matches_oracles():
@@ -146,20 +145,20 @@ def test_objective_batch_matches_scalar(toy_dataset):
     rng = np.random.default_rng(3)
     view = toy_dataset.full_view()
     W = rng.uniform(-1, 1, size=(40, toy_dataset.dim))
-    batch = objective_batch(W, view, 0.125)
+    batch = evaluate(W, view, 0.125)[0]
     for i in range(W.shape[0]):
         assert batch[i] == objective(W[i], view, 0.125)
 
 
 def test_objective_batch_chunking_bit_equal(toy_dataset):
-    # objective_batch's documented contract: rows are independent, so any
+    # evaluate's documented contract: rows are independent, so any
     # split of a batch reproduces the full batch bit for bit
     rng = np.random.default_rng(4)
     view = toy_dataset.full_view()
     W = rng.uniform(-1, 1, size=(23, toy_dataset.dim))
-    full = objective_batch(W, view, 0.125)
+    full = evaluate(W, view, 0.125)[0]
     for parts in (2, 3, 7):
-        chunks = [objective_batch(c, view, 0.125) for c in np.array_split(W, parts)]
+        chunks = [evaluate(c, view, 0.125)[0] for c in np.array_split(W, parts)]
         assert np.array_equal(np.concatenate(chunks), full)
 
 
@@ -239,11 +238,25 @@ def test_decision_values_view_subset(toy_dataset):
     assert f_neg.shape[0] == view.t_neg
 
 
+@pytest.mark.parametrize("label", [1, -1])
+def test_one_class_view_rejected(toy_dataset, label):
+    view = DatasetView(toy_dataset, np.flatnonzero(toy_dataset.labels == label))
+    w = np.zeros(toy_dataset.dim)
+    for call in (
+        lambda: evaluate(w[np.newaxis, :], view, 0.125),
+        lambda: objective(w, view, 0.125),
+        lambda: loss_fraction(w, view),
+        lambda: auc_metric(w, view),
+    ):
+        with pytest.raises(ValueError, match="both classes"):
+            call()
+
+
 def test_weight_shape_validation(toy_dataset):
     with pytest.raises(ValueError):
         objective(np.zeros(toy_dataset.dim + 1), toy_dataset.full_view(), 0.125)
     with pytest.raises(ValueError):
-        objective_batch(np.zeros((3, toy_dataset.dim + 1)), toy_dataset.full_view(), 0.125)
+        evaluate(np.zeros((3, toy_dataset.dim + 1)), toy_dataset.full_view(), 0.125)
 
 
 def test_rounding_margin_bounds():
@@ -267,10 +280,10 @@ def test_tie_heavy_rows_fall_back_to_csr():
     labels = np.where(np.arange(40) % 3 == 0, 1, -1)
     ds = Dataset(sparse.csr_matrix(X), labels)
     W = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [0.3, 0.7], [-0.9, 0.2]])
-    want = objective_batch(W, DatasetView(ds, np.arange(ds.n)), 0.125)
+    want = evaluate(W, DatasetView(ds, np.arange(ds.n)), 0.125)[0]
     with dense_gate(0), count_path_rows() as rows:
         view = ds.full_view()
-        got = objective_batch(W, view, 0.125)
+        got = evaluate(W, view, 0.125)[0]
         assert view.dense_rows() is not None
     assert rows == {"certified": 0, "csr": W.shape[0]}
     assert np.array_equal(got, want)
@@ -285,12 +298,12 @@ def test_large_gaussian_view_certifies_every_row():
     W = np.random.default_rng(8).uniform(-1, 1, size=(12, ds.dim))
     view = ds.full_view()
     with count_path_rows() as rows:
-        got = objective_batch(W, view, 0.125)
+        got = evaluate(W, view, 0.125)[0]
     assert rows == {"certified": W.shape[0], "csr": 0}
     metrics = (auc_metric, loss_fraction)
     with dense_gate(ds.n + 1):
         csr_view = DatasetView(ds, np.arange(ds.n))
-        assert np.array_equal(got, objective_batch(W, csr_view, 0.125))
+        assert np.array_equal(got, evaluate(W, csr_view, 0.125)[0])
         csr_values = [metric(W[0], csr_view) for metric in metrics]
     # the AUC of a large view is counted by the same certified path
     for metric, csr_value in zip(metrics, csr_values):
@@ -313,7 +326,7 @@ def test_sparse_high_dim_view_never_densifies():
     assert view.n >= data._DENSE_MIN_INSTANCES
     W = rng.uniform(-1, 1, size=(3, dim))
     with count_path_rows() as rows:
-        objective_batch(W, view, 0.125)
+        evaluate(W, view, 0.125)
     assert rows == {"certified": 0, "csr": 3}
     assert view.dense_rows() is None and view._dense is None
 
@@ -367,13 +380,13 @@ def test_first_certified_evaluation_holds_one_copy_of_the_rows():
         built_csr, csr_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         with count_path_rows() as rows:
-            objective_batch(W, view, 0.125)
+            evaluate(W, view, 0.125)
         held, eval_peak = tracemalloc.get_traced_memory()
         held -= before
         eval_peak -= built_csr
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        objective_batch(W, view, 0.125)
+        evaluate(W, view, 0.125)
         rerun_peak = tracemalloc.get_traced_memory()[1] - start
         dense, _ = view.dense_rows()
         tracemalloc.reset_peak()
@@ -401,12 +414,12 @@ def test_certified_evaluation_working_set_stays_under_the_search_kernels():
     ds = make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)
     view = ds.full_view()
     W = np.random.default_rng(6).uniform(-1, 1, size=(20, ds.dim))
-    objective_batch(W, view, 0.125)
+    evaluate(W, view, 0.125)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         with count_path_rows() as rows:
-            objective_batch(W, view, 0.125)
+            evaluate(W, view, 0.125)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
