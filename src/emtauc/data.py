@@ -279,12 +279,116 @@ _LINE = rf"{_SPACE}*+(?:(?:{_NUMBER})(?:{_SPACE}++{_INDEX}:(?:{_NUMBER}))*+{_SPA
 _LINES = re.compile(rf"{_LINE}(?:\n{_LINE})*+")
 _NUMBER_TOKEN = re.compile(_NUMBER)
 _INDEX_TOKEN = re.compile(_INDEX)
-_INDEX_FIELD = re.compile(rf"({_INDEX}):")
 _COMMENT = re.compile(r"#[^\n]*+")
 # Characters or bytes per read. A block is one read cut after its last line
 # break, so a file is never held whole and no Python object spans more than
 # about one block's tokens.
 _BLOCK_SIZE = 1 << 20
+
+# The byte map of the integer pass over a checked block (``_read_block``). A
+# separator (ASCII whitespace, a feature's ":", the UTF-8 bytes of non-ASCII
+# whitespace) and an exponent marker become spaces, so numpy reads a
+# mantissa and its exponent as two integers. The letters of inf, infinity and
+# nan become 0s, so such a token still reads as one integer. Decimal points
+# are deleted on the way.
+_INTEGER_TEXT = bytes(
+    32 if c <= 32 or c >= 128 or c in b":eE" else 48 if c in b"aAfFiInNtTyY" else c for c in range(256)
+)
+
+
+def _powers_of_ten(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """10**q for q = lo..hi as double-doubles: the double nearest to it, and
+    the double nearest to what that leaves."""
+    exact = [Fraction(10) ** q for q in range(lo, hi + 1)]
+    high = [float(p) for p in exact]
+    return np.array(high), np.array([float(p - Fraction(h)) for p, h in zip(exact, high)])
+
+
+# The powers of ten 10**q a number m * 10**q is scaled by: the exact path
+# takes |q| <= 22, whose powers are exact doubles, and the double-double
+# path any q in this range, which keeps every product, split and error term
+# far from overflow and from the subnormals.
+_SCALE_MIN, _SCALE_MAX = -250, 250
+_POW_HI, _POW_LO = _powers_of_ten(_SCALE_MIN, _SCALE_MAX)
+_EXACT_POWERS = _POW_HI[-_SCALE_MIN:-_SCALE_MIN + 23]
+# Tokens converted at once. The conversion holds some 20 temporaries of 8
+# bytes per token, so a block's 50-100 K tokens in one go would lift the
+# parse peak above that of the join (``parse_libsvm_path``); 8 K keep them
+# under 1.5 MiB, at a cost within timing noise.
+_CONVERT_TOKENS = 1 << 12
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into two halves of at most 26 significant
+    bits each, whose products with each other are exact."""
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _decimal_floats(mantissa: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The doubles nearest to ``mantissa * 10**scale`` for int64 arrays, and
+    where each is certified; uncertified entries hold no promised value.
+
+    A mantissa of at most 2**53 in magnitude is an exact double, and so is
+    10**|q| for |q| <= 22, so one product or quotient rounds the exact value
+    once (Clinger, "How to read floating point numbers accurately", PLDI
+    1990). Other scales in range take ``_double_double``. Saturated
+    mantissas (int64's extremes: numpy reads any longer number as its
+    maximum), scales out of range and values that miss the certificate are
+    left for ``float()``.
+    """
+    a = np.abs(mantissa)  # int64's minimum stays negative
+    exact = (0 <= a) & (a <= 2**53) & (np.abs(scale) <= 22)
+    x = a.astype(np.float64)
+    power = _EXACT_POWERS[np.minimum(np.abs(scale), 22)]
+    x = np.where(scale >= 0, x * power, x / power)
+    wide = np.flatnonzero(~exact & (0 <= a) & (a < _MAX_INDEX) & (_SCALE_MIN <= scale) & (scale <= _SCALE_MAX))
+    if wide.size:
+        x[wide], exact[wide] = _double_double(a[wide], scale[wide])
+    return np.copysign(x, mantissa, out=x), exact
+
+
+def _double_double(a: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For int64 ``a`` in [0, 2**63 - 1) and scales in range, the rounded
+    double-double product ``a * 10**scale`` and where it is the nearest
+    double.
+
+    Write a = a_hi + a_lo, where a_lo is a's low 10 bits if a > 2**53 and 0
+    otherwise, so that both parts are exact doubles, and 10**q = p_hi + p_lo
+    + d, where the table's |d| <= u**2 * p_hi, u = 2**-53. Dekker's
+    two-product (1971) gives prod + err = a_hi * p_hi exactly, and
+
+        a * 10**q = prod + err + a_lo*p_hi + a_hi*p_lo + a_lo*p_lo + a*d.
+
+    ``tail`` sums err, a_lo*p_hi and a_hi*p_lo in floating point. Each of
+    them and each partial sum is at most 2**-42 * a*p_hi (a_lo < 2**10 <
+    2**-43 * a), so each of its four roundings is at most 2**-95 * a*p_hi.
+    The dropped a_lo*p_lo and a*d are at most 2**-96 and 2**-106 times
+    a*p_hi. Knuth's two-sum then gives x + res = prod + tail exactly, with x
+    the rounded sum. So the exact value lies within |res| + 2**-92 * a*p_hi
+    of x, and as a*p_hi <= 2 * x, within |res| + 2**-91 * x. x is the
+    nearest double if that distance is below half the gap to x's neighbour:
+    a quarter of ``np.spacing(x)`` at a power of two, where the gap below is
+    halved, else half. The test charges 2**-90 * x, twice the bound, which
+    covers the rounding of the test's own sum. For scales in range a * 10**q
+    lies between 10**-250 and 10**269, so no step overflows, and even the
+    error terms, some 2**-106 times smaller, stay normal doubles.
+    On random 17-digit decimals about one value in 2**37 misses the test.
+    """
+    low = np.where(a > 2**53, a & 1023, 0)
+    a_hi, a_lo = (a - low).astype(np.float64), low.astype(np.float64)
+    p_hi, p_lo = _POW_HI[scale - _SCALE_MIN], _POW_LO[scale - _SCALE_MIN]
+    prod = a_hi * p_hi
+    (ah, al), (ph, pl) = _split(a_hi), _split(p_hi)
+    err = ((ah * ph - prod) + ah * pl + al * ph) + al * pl
+    tail = (a_lo * p_hi + a_hi * p_lo) + err
+    # Knuth's two-sum: x + res == prod + tail exactly
+    x = prod + tail
+    back = x - prod
+    res = (prod - (x - back)) + (tail - back)
+    gap = np.spacing(x) / np.where(np.frexp(x)[0] == 0.5, 4, 2)
+    return x, np.abs(res) + np.ldexp(x, -90) < gap
 
 
 def parse_libsvm(source: str | bytes) -> Dataset:
@@ -306,6 +410,11 @@ def parse_libsvm(source: str | bytes) -> Dataset:
     large or out of order, a non-finite value, or no instances at all.
     Bytes must be UTF-8; the first invalid byte is reported, with its
     line, ahead of any grammar fault.
+
+    Each number is read as an integer mantissa scaled by a power of ten,
+    exactly or with a certified double-double product, and re-read with
+    ``float()`` where neither applies (``_read_block``), so every value is
+    Python's correctly rounded ``float()`` of its token.
 
     The text is read in blocks of whole lines, as ``parse_libsvm_path``
     reads a file: see there for the memory this takes.
@@ -394,36 +503,99 @@ def _parse_chunks(chunks) -> Dataset:
     return _csr_dataset(labels, counts, columns, values, dim)
 
 
+def _token_integers(raw: bytes, octets: np.ndarray, ends: np.ndarray, is_feature: np.ndarray):
+    """The int64 integers of a checked block's tokens, or None if numpy
+    reads another count of them: each feature's index, and each token's
+    mantissa m and power of ten q, so that its number is m * 10**q.
+
+    ``octets`` are the block's bytes ``raw``, ``ends`` the position after
+    each token and ``is_feature`` tells features from labels. numpy reads
+    the integers from a copy of the block whose separators and exponent
+    markers are spaces and whose points are gone (``_INTEGER_TEXT``): a
+    feature's index, then a token's mantissa, then its exponent if it has
+    one. q is the exponent less the digits between the point and the
+    mantissa's end. inf, infinity and nan read as 0 and get a q out of
+    range, so that ``_decimal_floats`` leaves them to ``float()``.
+    """
+    width = is_feature + 1
+    marks = np.flatnonzero((octets | 32) == ord("e")) if b"e" in raw or b"E" in raw else np.empty(0, np.intp)
+    marked = np.searchsorted(ends, marks)
+    width[marked] += 1
+    mantissa_end = ends.copy()
+    mantissa_end[marked] = marks
+    points = np.flatnonzero(octets == ord("."))
+    pointed = np.searchsorted(ends, points)
+    scale = np.zeros(ends.size, dtype=np.int64)
+    scale[pointed] = points + 1 - mantissa_end[pointed]
+    del mantissa_end, points, pointed  # freed before the integers are read, for the peak
+    numbers = np.fromstring(raw.translate(_INTEGER_TEXT, b"."), dtype=np.int64, sep=" ")
+    lead = np.cumsum(width) - width
+    if numbers.size != lead[-1] + width[-1]:
+        return None
+    scale[marked] += np.clip(numbers[lead[marked] + width[marked] - 1], -(2**40), 2**40)
+    if b"n" in raw or b"N" in raw:
+        scale[np.searchsorted(ends, np.flatnonzero((octets | 32) == ord("n")))] = _SCALE_MAX + 1
+    return numbers[lead[is_feature]], numbers[lead + is_feature], scale
+
+
 def _read_block(block: str):
     """The line breaks in whole lines of text, then their signs (+1/-1 as
     int8), features per line, 0-based columns and values, or None if a
-    line breaks the grammar."""
+    line breaks the grammar.
+
+    A checked block is read in one integer pass. Its tokens (labels and
+    ``index:value`` features) and line breaks come from byte positions,
+    ``_token_integers`` reads every index, mantissa and power of ten, and
+    ``_decimal_floats`` scales each mantissa. A number that scaling cannot
+    certify is re-read by ``float()`` from its token's bytes, and an index
+    that reads int64's maximum by ``int()``.
+    """
     if "#" in block:
         block = _COMMENT.sub("", block)
     if _LINES.fullmatch(block) is None:
         return None
-    lines = block.split("\n")
-    counts = np.array([line.count(":") for line in lines if line and not line.isspace()], dtype=np.int64)
-    text = block.replace(":", " ")
-    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
-        # numpy separates numbers only at ASCII C whitespace
-        text = " ".join(text.split())
-    # a label per line, then an index and a value per feature; numpy reads a
-    # string of whitespace alone as [-1.0]
-    numbers = np.fromstring(text, sep=" ") if counts.size else np.empty(0)
-    lengths = 2 * counts + 1
-    if numbers.size != lengths.sum():
+    raw = block.encode()
+    octets = np.frombuffer(raw, dtype=np.uint8)
+    # A token, a label or an index:value feature, is a run of bytes 33 to
+    # 127: in a checked block, every other byte belongs to whitespace.
+    in_token = np.zeros(octets.size + 2, dtype=bool)
+    np.less(octets - np.uint8(33), 95, out=in_token[1:-1])
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    del in_token
+    starts, ends = edges[0::2], edges[1::2]
+    breaks = np.flatnonzero(octets == 10)
+    lengths = np.diff(np.searchsorted(starts, np.append(breaks, octets.size)), prepend=0)
+    lengths = lengths[lengths > 0]
+    counts = lengths - 1
+    if not counts.size:
+        return breaks.size, np.empty(0, np.int8), counts, np.empty(0, np.int32), np.empty(0)
+    first = np.cumsum(lengths) - lengths
+    is_feature = np.ones(starts.size, dtype=bool)
+    is_feature[first] = False
+    integers = _token_integers(raw, octets, ends, is_feature)
+    if integers is None:
         return None
-    starts = np.cumsum(lengths) - lengths
-    labels = numbers[starts]
-    is_pair = np.ones(numbers.size, dtype=bool)
-    is_pair[starts] = False
-    pairs = numbers[is_pair]
-    idx, values = pairs[0::2], pairs[1::2].copy()
-    if (idx >= 2.0**53).any():  # float64 holds every integer below 2**53 exactly
+    idx, mantissa, scale = integers
+    features = np.flatnonzero(is_feature)
+    del is_feature
+
+    def floats(ids):
+        # each token's double, re-read by float() where it is not certified
+        x = np.empty(ids.size)
+        for lo in range(0, ids.size, _CONVERT_TOKENS):
+            part = ids[lo:lo + _CONVERT_TOKENS]
+            x[lo:lo + part.size], exact = _decimal_floats(mantissa[part], scale[part])
+            for k in np.flatnonzero(~exact).tolist():
+                x[lo + k] = float(raw[starts[part[k]]:ends[part[k]]].rpartition(b":")[2])
+        return x
+
+    labels, values = floats(first), floats(features)
+    for k in np.flatnonzero(idx == _MAX_INDEX).tolist():
+        # int64's maximum is read for 2**63 - 1 and for any larger index
         try:
-            idx = np.array([int(t) for t in _INDEX_FIELD.findall(block)], dtype=np.int64)
-        except (OverflowError, ValueError):  # above 2**63 - 1, or past int()'s digit limit
+            if int(raw[starts[features[k]]:ends[features[k]]].partition(b":")[0]) > _MAX_INDEX:
+                return None
+        except ValueError:  # past int()'s digit limit
             return None
     if np.isnan(labels).any() or not np.isfinite(values).all():
         return None
@@ -434,7 +606,7 @@ def _read_block(block: str):
             return None
     top = idx.max(initial=0)
     columns = (idx - 1).astype(np.int32 if top <= 2**31 else np.int64)
-    return len(lines) - 1, np.where(labels > 0, np.int8(1), np.int8(-1)), counts, columns, values
+    return breaks.size, np.where(labels > 0, np.int8(1), np.int8(-1)), counts, columns, values
 
 
 def _csr_dataset(labels, counts, columns, values, dim: int) -> Dataset:

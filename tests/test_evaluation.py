@@ -231,11 +231,19 @@ def test_select_hardest_validates_lengths(toy_dataset):
 
 
 def test_decision_values_view_subset(toy_dataset):
-    view = DatasetView(toy_dataset, np.arange(0, toy_dataset.n, 2))
-    w = np.linspace(-1, 1, toy_dataset.dim)
-    f_pos, f_neg = decision_values(w, view)
-    assert f_pos.shape[0] == view.t_pos
-    assert f_neg.shape[0] == view.t_neg
+    # a view of some instances, in shuffled order, evaluates bit for bit as
+    # the Dataset of the same instances does, on CSR and on the certified
+    # BLAS path; the zero weight row ties every pair
+    rng = np.random.default_rng(3)
+    idx = rng.permutation(toy_dataset.n)[: toy_dataset.n // 2]
+    W = rng.normal(size=(6, toy_dataset.dim))
+    W[0] = 0.0
+    for gate in (data._DENSE_MIN_INSTANCES, 0):
+        with dense_gate(gate), count_path_rows() as rows:
+            got = evaluate(W, DatasetView(toy_dataset, idx), 0.125)
+            want = evaluate(W, toy_dataset.subset(idx).full_view(), 0.125)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert rows["certified"] == (10 if gate == 0 else 0)
 
 
 @pytest.mark.parametrize("label", [1, -1])

@@ -178,6 +178,39 @@ def test_certificate_is_the_smallest_pair_gap(seed, margin):
             assert certified[r]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1e-9, 1e-3, 0.25, 1.0)))
+def test_certificate_holds_every_smallest_gap_above_twice_the_margin(seed, margin):
+    # Short tie-free rows whose smallest gap between the classes lies in
+    # (2 * margin, 3 * margin]: sorted neighbours 4 to 8 margins apart, but
+    # one pair of different classes 2.1 to 2.9 margins apart. Every such row
+    # is certified, so a kernel that certified only above 3 * margin fails.
+    rng = np.random.default_rng(seed)
+    k, n = rng.integers(1, 4), rng.integers(2, 9)
+    t_pos = rng.integers(1, n)
+    rows = []
+    for _ in range(k):
+        gaps = rng.uniform(4, 8, size=n - 1) * margin
+        near = rng.integers(0, n - 1)
+        gaps[near] = rng.uniform(2.1, 2.9) * margin
+        values = rng.uniform(-4, 4) + np.concatenate([[0.0], np.cumsum(gaps)])
+        # t_pos of the sorted values are positives, the two ends of the near
+        # gap in different classes
+        is_pos = rng.permutation(n) < t_pos
+        if is_pos[near] == is_pos[near + 1]:
+            other = rng.choice(np.flatnonzero(is_pos != is_pos[near]))
+            is_pos[near + 1], is_pos[other] = is_pos[other], is_pos[near + 1]
+        rows.append(np.concatenate([values[is_pos], values[~is_pos]]))
+    g = np.array(rows)
+    losses, certified = _certified_loss_counts(g.copy(), t_pos, np.full(k, margin))
+    for r in range(k):
+        f_pos, f_neg = g[r, :t_pos], g[r, t_pos:]
+        gap = np.abs(f_pos[:, None] - f_neg[None, :]).min()
+        assert 2 * margin + _tie_free_gap_bound(g[r]) < gap <= 3 * margin
+        assert certified[r]
+        assert losses[r] == pair_loss_naive(f_pos, f_neg)
+
+
 # Decision values where a class tag in the lowest mantissa bit could go
 # wrong: signed zeros, subnormals down to the smallest, values one ulp
 # apart, negatives, and magnitudes up to half the largest float, the most a

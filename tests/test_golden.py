@@ -8,10 +8,17 @@ of the trace grid; the full trace gate is
 
     diff <(PYTHONPATH=src python scripts/trace_digest.py) tests/golden/trace_digest.txt
 
+The slice runs twice, in this process and in a subprocess at another
+OpenBLAS thread count (1 or 2), against the same golden lines: the
+certified BLAS path must give the same bytes whatever the threads.
+
 A deliberate artifact change regenerates the golden file in the same
 change, and its diff lists the keys that changed.
 """
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +51,40 @@ def _assert_matches_golden(name: str, lines) -> set[str]:
     return seen
 
 
+def seed0_slice(digest):
+    """Seed 0 at jobs 1 of every grid: all of the large-view grid's axes but
+    its second seed, and the small grid's datasets, budgets, deltas and
+    variants; the full grid adds seeds 1-2 and jobs 2."""
+    return [(datasets, kinds, (0,), (1,), *rest) for datasets, kinds, _, _, *rest in digest.GRIDS]
+
+
 def test_trace_digest_slice_matches_golden():
-    # seed 0 at jobs 1 of every grid: all of the large-view grid's axes but
-    # its second seed, and the small grid's datasets, budgets, deltas and
-    # variants; the full grid adds seeds 1-2 and jobs 2
     digest = _script("trace_digest")
-    grids = [(datasets, kinds, (0,), (1,), *rest) for datasets, kinds, _, _, *rest in digest.GRIDS]
-    assert len(_assert_matches_golden("trace_digest.txt", digest.digest_lines(grids))) == 324
+    assert len(_assert_matches_golden("trace_digest.txt", digest.digest_lines(seed0_slice(digest)))) == 324
+
+
+# prints the slice's digest lines, run with the tests directory as argv[1]
+_PRINT_SLICE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_golden
+digest = test_golden._script("trace_digest")
+for line in digest.digest_lines(test_golden.seed0_slice(digest)):
+    print(line)
+"""
+
+
+def test_trace_digest_slice_is_blas_thread_independent():
+    threads = "2" if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else "1"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", _PRINT_SLICE, str(ROOT / "tests")],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(_assert_matches_golden("trace_digest.txt", lines)) == len(lines) == 324
 
 
 def test_cli_digest_matches_golden(monkeypatch, tmp_path):

@@ -2,10 +2,16 @@
 
 ``parse_libsvm`` and ``parse_libsvm_path`` read text block by block with
 one grammar and, when a block breaks it, run ``data._diagnose`` over that
-block's lines to name the fault. ``_oracles.parse_libsvm_literal`` reads
+block's lines to name the fault. They read numbers as integer mantissas
+scaled by a power of ten, and re-read with ``float()`` only the tokens
+that scaling cannot certify. ``_oracles.parse_libsvm_literal`` reads
 the same language with Python's ``int`` and ``float``. All must give the
 same Dataset, or raise the same DataError message, on every input.
 """
+import builtins
+import decimal
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -40,6 +46,14 @@ def refuse(block, lines_before):
     raise AssertionError("the diagnoser ran")
 
 
+def midpoint(x: float, last_digit: int = 0) -> str:
+    """The exact decimal halfway between ``x`` and the next double up, plus
+    ``last_digit`` units in its last digit."""
+    with decimal.localcontext(prec=2000):
+        mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+        return str(mid + last_digit * Decimal(1).scaleb(mid.as_tuple().exponent))
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 signs = st.sampled_from(["", "-", "+"])
 long_digits = st.text(alphabet="0123456789", min_size=20, max_size=30)
@@ -51,6 +65,11 @@ values = st.one_of(
     # the same in exponent form, from underflow to near the largest double
     st.tuples(signs, long_digits, st.sampled_from("eE"), st.integers(-340, 300)).map(
         lambda t: f"{t[0]}{t[1][0]}.{t[1][1:]}{t[2]}{t[3]}"
+    ),
+    # halfway between two doubles, where rounding goes to even, and one unit
+    # of the last digit either side
+    st.tuples(finite.filter(lambda x: x < np.finfo(np.float64).max), st.sampled_from([-1, 0, 1])).map(
+        lambda t: midpoint(*t)
     ),
     st.sampled_from(["0", "-0", "+.5", "5.", "0005"]),
 )
@@ -343,3 +362,115 @@ def test_valid_input_never_runs_the_diagnoser(monkeypatch):
     with mock.patch.object(data, "_BLOCK_SIZE", 300):
         assert parse_libsvm(text) == Dataset(sparse.csr_matrix(X), y)
     assert parse_libsvm(text.replace("\n", "\r\n").encode()) == Dataset(sparse.csr_matrix(X), y)
+
+
+# Numbers at the edges of the integer pass's conversion paths: an exact
+# product or quotient for mantissas up to 2**53 and powers 10**-22 to
+# 10**22, a certified double-double product for powers 10**-250 to 10**250,
+# and float() for the rest.
+HALFWAY = [0.1, 1 / 3, 1.5, 2.0**-30, 1e-5, 123456.789, 1e22, 1e300, 2.0**-1022, 5e-324]
+HALFWAY += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**54 + 4, 2.0**60 + 2**8, 2.0**62 + 2**10]
+CONVERSION_TOKENS = {
+    "midpoints": [midpoint(x, d) for x in HALFWAY for d in (-1, 0, 1)],
+    # decimals of up to 22 digits that lie nearest to halfway between two
+    # doubles, from V. Paxson, "A Program for Testing IEEE Decimal-Binary
+    # Conversion" (1991): a double-double product alone rounds several of
+    # them the wrong way
+    "near-midpoints": """5e125 69e267 999e-26 7861e-34 75569e-254 928609e-261 9210917e80 84863171e114
+        653777767e273 5232604057e-298 27235667517e-109 653532977297e-123 3142213164987e-294
+        46202199371337e-72 231010996856685e-73 9324754620109615e212 78459735791271921e49
+        272104041512242479e200 6802601037806061975e198 20505426358836677347e-221
+        836168422905420598437e-234 4891559871276714924261e222 9e-265 85e-37 623e100 3571e263
+        81661e153 920657e-23 4603307e-24 87575437e-309 245540327e122 6138508291e96 83356057653e193
+        619534293513e124 2335141086879e218 36167929443327e-159 609610927149051e-255
+        3743626360493413e-165 94080055902682397e-242 899810892172646163e283
+        7120190517612959703e120 25188282901709339043e-252 308984926168550152811e-52
+        6372891218502368041059e64""".split(),
+    "mantissas near 2**53 and 2**63": [
+        *(str(2**53 + d) for d in range(-2, 4)),
+        "9007199254740993.0", "0.9007199254740993", "90071992547409930e-1", "-9007199254740993",
+        *(str(2**63 + d) for d in range(-3, 3)),
+        "-9223372036854775808", "-9223372036854775809", "9223372036854775807.5",
+        "92233720368547758070e-20", "99999999999999999999", "0.99999999999999999999", "1" * 20 + "e-5",
+    ],
+    "path limits": [
+        "1e22", "1e23", "1e-22", "1e-23", "9007199254740992e22", "9007199254740993e22",
+        "9007199254740992e-22", "9007199254740993e-22", "0." + "0" * 21 + "1", "0." + "0" * 22 + "1",
+        "1e250", "1e251", "1e-250", "1e-251", "1.5e-249", "1.5e-250", "15e249", "15e250",
+        "9223372036854775806e250", "9223372036854775806e-250", "9223372036854775806e-251",
+        "0." + "0" * 249 + "7", "0." + "0" * 250 + "7", "7" + "0" * 250 + ".0",
+        "1e99999999999999999999", "1e-99999999999999999999", "0e99999999999999999999", "-0e-400",
+    ],
+    "normal range edges": [
+        "2.2250738585072014e-308", "2.2250738585072011e-308", "2.225073858507201e-308",
+        "2.2250738585072012e-308", "4.9406564584124654e-324", "2.4703282292062327e-324",
+        "2.4703282292062328e-324", "1.7976931348623157e308", "1.7976931348623158e308",
+        "1.7976931348623159e308", "-1.7976931348623157E+308", "1e-320", "-1e-310",
+    ],
+    "signed zeros": ["-0", "-0.0", "+0", "0", "-.0", "-0.", "-00.000", "-0e5", "+0.0E-3"],
+}
+
+
+def test_power_table_holds_the_double_double_bound():
+    # data._double_double's error bound takes each 10**q in its table as
+    # hi + lo + d with |d| <= 2**-106 * hi
+    table = zip(range(data._SCALE_MIN, data._SCALE_MAX + 1), data._POW_HI.tolist(), data._POW_LO.tolist())
+    for q, hi, lo in table:
+        assert abs(Fraction(10) ** q - Fraction(hi) - Fraction(lo)) <= Fraction(hi) / 2**106
+
+
+@pytest.mark.parametrize("group", CONVERSION_TOKENS)
+def test_number_conversion_matches_the_literal_parser(group):
+    tokens = CONVERSION_TOKENS[group]
+    # each finite token as a value, and each token as a label
+    finite_tokens = [t for t in tokens if np.isfinite(float(t))]
+    values = "".join(f"{'+1' if i % 2 else '-1'} 1:{t} 2:0.5\n" for i, t in enumerate(finite_tokens))
+    labels = "".join(f"{t} 1:{i + 1}\n" for i, t in enumerate(tokens)) + "+1 1:1\n-1 1:1\n"
+    for text in (values, labels):
+        expected = outcome(parse_libsvm_literal, text)
+        assert isinstance(expected, Dataset)
+        assert outcome(parse_libsvm, text) == expected
+
+
+# inf, nan and exponent tokens between ordinary ones, valid and not
+MIXED_INPUTS = [
+    "inf 1:0.5 2:1e-5 3:-2.5E+3\n-Infinity 1:1.25 4:7e0\n+1 2:3.0e-7 5:.5\n",
+    "-1 1:1e-5 2:0.25\nINF 1:0.5\n-inf 3:1E5 4:-0.125\ninfinity 1:2\n",
+    "+1 1:0.5 2:1e-5\nnan 1:1\n-1 1:2\n",
+    "+1 1:0.5 2:1e-5 3:nan 4:2\n-1 1:2\n",
+    "+1 1:0.5 2:inf 3:1e-3\n-1 1:2\n",
+    "-1 1:1.5 2:-Infinity\n+1 1:2\n",
+    "+1 1:1e-5 2:1e400 3:0.5\n-1 1:2\n",
+    "1e400 1:0.5 2:1e-400\n-1e400 1:2e-5\n",
+]
+
+
+@pytest.mark.parametrize("text", MIXED_INPUTS)
+def test_special_and_exponent_tokens_between_ordinary_ones(text):
+    for chars in (16, data._BLOCK_SIZE):
+        with mock.patch.object(data, "_BLOCK_SIZE", chars):
+            assert outcome(parse_libsvm, text) == outcome(parse_libsvm_literal, text)
+
+
+def test_the_benchmark_layout_is_read_without_float(monkeypatch):
+    # every value of the dense "label j:repr(value)" layout of the
+    # benchmark's generated files, over several blocks, is certified by the
+    # integer pass: float() re-reads no token
+    calls = []
+
+    def spy(token):
+        calls.append(token)
+        return builtins.float(token)
+
+    monkeypatch.setattr(data, "float", spy, raising=False)
+    rng = np.random.default_rng(7)
+    X = rng.normal(loc=rng.normal(size=50), size=(1000, 50))
+    y = np.where(rng.random(1000) < 0.4, 1, -1)
+    row_fmt = "%s " + " ".join(f"{j + 1}:%r" for j in range(X.shape[1])) + "\n"
+    text = "".join(row_fmt % ("+1" if label > 0 else "-1", *row) for label, row in zip(y, X.tolist()))
+    assert len(text) > data._BLOCK_SIZE
+    assert parse_libsvm(text) == Dataset(sparse.csr_matrix(X), y)
+    assert calls == []
+    # the spy does see a token that needs float(): 25 digits saturate int64
+    assert parse_libsvm("+1 1:0.1000000000000000055511151231\n-1 1:1\n").X[0, 0] == 0.1
+    assert calls == [b"0.1000000000000000055511151231"]
