@@ -6,23 +6,20 @@ cheap-task adjustment log. Two trees give the same output exactly when
 every run in the grid produced the same artifacts. The first line names
 the numpy and scipy versions, which fix the RNG stream and the CSR
 summation order. ``tests/golden/trace_digest.txt`` holds the committed
-output, and a diff against it is the byte-compare gate for refactors of
-the solvers:
+output, and ``tests/test_golden.py`` regenerates all of it in every test
+run: that is the byte-compare gate for refactors of the solvers. By hand:
 
     diff <(PYTHONPATH=src python scripts/trace_digest.py) tests/golden/trace_digest.txt
 
-``tests/test_golden.py`` regenerates a slice of the grid (seed 0 at
-jobs 1) in every test run; this full diff checks the rest.
-
-The grid is 3 solvers x seeds 0-2 x jobs 1, 2 x 12 budgets (several of
-which run out during initialisation, mid-generation or during transfer)
-x delta {None, 3} x two solver configurations, over two synthetic Gaussian
-sets from ``tests/conftest.py``: 1728 runs. A second slice covers full
-views large enough for the certified BLAS path of ``evaluate``:
-3 solvers x seeds 0-1 x jobs 1 x budgets {2021, 8000, 40000} x delta
-{None, 3} over a 2400/3600 x 20 Gaussian set, where rows certify, and a
-copy with 100 positive rows repeated as negatives, where every row ties
-and falls back to CSR: 72 runs. Run it at more than one BLAS thread count
+The grid is 3 solvers x seeds 0-2 x 12 budgets (several of which run out
+during initialisation, mid-generation or during transfer) x delta
+{None, 3} x two solver configurations, over two synthetic Gaussian sets
+from ``tests/conftest.py``: 864 runs. A second grid covers full views
+large enough for the certified BLAS path of ``evaluate``: 3 solvers x
+seeds 0-1 x budgets {2021, 8000, 40000} x delta {None, 3} over a
+2400/3600 x 20 Gaussian set, where rows certify, and a copy with 100
+positive rows repeated as negatives, where every row ties and falls back
+to CSR: 72 runs. Run it at more than one BLAS thread count
 (``OPENBLAS_NUM_THREADS``) to check that the output does not depend on it.
 It takes no flags.
 """
@@ -58,7 +55,6 @@ LARGE_DATASETS = {"gauss5-6000x20": make_gaussian_dataset(5, n_pos=2400, n_neg=3
 LARGE_DATASETS["gauss5-6000x20-ties"] = with_positives_as_negatives(LARGE_DATASETS["gauss5-6000x20"], 100)
 KINDS = ("single_task_ga", "mfea", "emea")
 SEEDS = (0, 1, 2)
-JOBS = (1, 2)
 BUDGETS = (5, 19, 20, 21, 150, 2020, 2021, 2100, 3000, 8000, 12345, 40000)
 DELTAS = (None, 3)
 VARIANTS = {
@@ -66,15 +62,15 @@ VARIANTS = {
     "pop7": {"pop_size": 7, "transfer_interval": 2, "transfer_count": 3},
 }
 GRIDS = (
-    (DATASETS, KINDS, SEEDS, JOBS, BUDGETS, DELTAS, VARIANTS),
-    (LARGE_DATASETS, KINDS, (0, 1), (1,), (2021, 8000, 40000), DELTAS, ("default",)),
+    (DATASETS, KINDS, SEEDS, BUDGETS, DELTAS, VARIANTS),
+    (LARGE_DATASETS, KINDS, (0, 1), (2021, 8000, 40000), DELTAS, ("default",)),
 )
 
 
-def run_digest(ds, kind, seed, jobs, budget, delta, variant, trace_path: Path) -> str:
+def run_digest(ds, kind, seed, budget, delta, variant, trace_path: Path) -> str:
     env = build_environment(ds, delta=delta, budget=budget, seed=seed)
     config = SolverConfig(kind=kind, seed=seed + 1000, **VARIANTS[variant])
-    result = dispatch_solver(env, config, jobs=jobs)
+    result = dispatch_solver(env, config)
     cli.write_trace(trace_path, result.trace, 1)
     h = hashlib.sha256(trace_path.read_bytes())
     weights = b"" if result.best_weights is None else result.best_weights.tobytes()
@@ -92,9 +88,9 @@ def digest_lines(grids=GRIDS):
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "trace.csv"
         for datasets, *axes in grids:
-            for name, kind, seed, jobs, budget, delta, variant in itertools.product(datasets, *axes):
-                digest = run_digest(datasets[name], kind, seed, jobs, budget, delta, variant, trace_path)
-                yield f"{name}/{kind}/seed{seed}/jobs{jobs}/budget{budget}/delta{delta}/{variant} {digest}"
+            for name, kind, seed, budget, delta, variant in itertools.product(datasets, *axes):
+                digest = run_digest(datasets[name], kind, seed, budget, delta, variant, trace_path)
+                yield f"{name}/{kind}/seed{seed}/budget{budget}/delta{delta}/{variant} {digest}"
 
 
 def main() -> int:

@@ -32,11 +32,17 @@ VERDICT_UNDECIDED = "n/a"
 _SIGNIFICANCE_LEVEL = 0.05
 
 
+def _reject_nan(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ValueError if either input holds a NaN: ranks have no order for it."""
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("inputs must not contain NaN")
+
+
 def spearman_rho(a, b) -> float:
     """Rank correlation with average ranks on ties.
 
-    Raises ValueError on length mismatch, fewer than two samples, or a
-    constant input (the statistic is undefined there, never NaN).
+    Raises ValueError on length mismatch, fewer than two samples, a NaN
+    or a constant input (the statistic is undefined there, never NaN).
     """
     from scipy import stats
 
@@ -44,6 +50,7 @@ def spearman_rho(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError("inputs must be 1-D and the same length")
+    _reject_nan(a, b)
     if a.size < 2:
         raise ValueError("need at least two samples")
     if np.all(a == a[0]) or np.all(b == b[0]):
@@ -132,7 +139,7 @@ def compare_cells(a, b) -> str:
     when significantly smaller, and "≈" (``VERDICT_SIMILAR``) otherwise.
     Uses the exact permutation distribution when both samples have at most
     8 values, and the normal approximation with tie correction beyond that.
-    Requires at least 5 values per sample.
+    Requires at least 5 values per sample, none of them NaN.
     """
     from scipy import stats
 
@@ -140,6 +147,7 @@ def compare_cells(a, b) -> str:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("samples must be 1-D")
+    _reject_nan(a, b)
     if a.size < 5 or b.size < 5:
         raise ValueError("need at least 5 values per sample")
     n_a, n_b = a.size, b.size

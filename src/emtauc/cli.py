@@ -210,7 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     env = build_environment(
         ds, s=cfg.s, lam=cfg.lam, delta=cfg.delta, budget=cfg.budget, seed=env_seed
     )
-    result = dispatch_solver(env, replace(cfg.solver, seed=solver_seed), jobs=cfg.jobs)
+    result = dispatch_solver(env, replace(cfg.solver, seed=solver_seed))
     finished_at = _utc_now()
 
     _drop_manifest(out_dir)

@@ -59,7 +59,7 @@ class Dataset:
     __slots__ = ("X", "labels", "pos_idx", "neg_idx", "_full_view")
 
     def __init__(self, X, labels) -> None:
-        self._own(sp.csr_matrix(X, dtype=np.float64, copy=True), np.asarray(labels, dtype=np.int64).copy())
+        self._own(sp.csr_matrix(X, dtype=np.float64, copy=True), np.array(labels))
 
     @classmethod
     def _adopt(cls, X: sp.csr_matrix, labels: np.ndarray) -> "Dataset":
@@ -70,7 +70,9 @@ class Dataset:
         return ds
 
     def _own(self, X: sp.csr_matrix, labels: np.ndarray) -> None:
-        """Canonicalise ``X`` in place, check both arrays and keep them."""
+        """Canonicalise ``X`` in place, check both arrays and keep them.
+        Labels are checked before they become int64, so that a value
+        such as 1.7, NaN or 1e30 is rejected, not truncated."""
         X.sum_duplicates()
         X.eliminate_zeros()
         X.sort_indices()
@@ -78,6 +80,7 @@ class Dataset:
             raise DataError("labels must be one per matrix row")
         if not np.all(np.isin(labels, (-1, 1))):
             raise DataError("labels must be +1 or -1")
+        labels = labels.astype(np.int64, copy=False)
         if X.nnz and not np.all(np.isfinite(X.data)):
             raise DataError("feature values must be finite")
         self.X = X

@@ -43,6 +43,12 @@ def test_spearman_rejects_degenerate_input():
         spearman_rho([1.0], [2.0])
 
 
+def test_spearman_rejects_nan():
+    for a, b in (([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0])):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman_rho(a, b)
+
+
 def test_spearman_matches_scipy_with_ties():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -77,6 +83,13 @@ def test_compare_cells_exact_p_matches_scipy():
 def test_compare_cells_requires_five_per_side():
     with pytest.raises(ValueError):
         compare_cells([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_compare_cells_rejects_nan():
+    low = [0.1, 0.2, 0.3, 0.4, 0.5]
+    for a, b in (([np.nan, 0.7, 0.8, 0.9, 0.95], low), (low, [0.6, 0.7, np.nan, 0.9, 0.95])):
+        with pytest.raises(ValueError, match="NaN"):
+            compare_cells(a, b)
 
 
 def test_compare_cells_normal_path():

@@ -294,6 +294,17 @@ def test_builders_hand_their_fresh_arrays_to_the_dataset(tmp_path):
     assert not np.shares_memory(clone.labels, half.labels)
 
 
+def test_dataset_rejects_labels_that_are_not_exactly_plus_or_minus_one():
+    X = np.eye(2)
+    for bad in (1.7, np.nan, 1e30):
+        with pytest.raises(DataError, match=r"^labels must be \+1 or -1$"):
+            Dataset(X, [bad, -1])
+    # exact +1 and -1 are valid in any numeric dtype
+    for labels in ([1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8), np.array([1.0, -1.0], dtype=np.float32)):
+        ds = Dataset(X, labels)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, -1]
+
+
 def test_as_rate_exact():
     assert as_rate(0.1) == as_rate("1/10") == as_rate("0.1")
     assert as_rate(1) == 1
