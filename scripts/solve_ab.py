@@ -12,13 +12,15 @@ seconds of this process (``time.process_time``), after a garbage
 collection, over ``dispatch_solver`` alone, as the benchmark harness times
 it.
 
-The data are three Gaussian sets, one per shape in ``SHAPES``: 268 + 500
+The data are four Gaussian sets, one per shape in ``SHAPES``: 268 + 500
 instances x 8 features (the size of diabetes, as in the benchmark's
 paper-scale workload), 300 + 700 x 24 (the synthetic set of its
-``sweep-cv`` workload) and 2400 + 3600 x 20 (the large slice of
-``scripts/trace_digest.py``), the only one whose full view reaches the
-certified BLAS path of ``evaluate``. Every solve uses the budget,
-rate, lambda and delta of the paper-scale workload. The script prints, per shape and solver, the
+``sweep-cv`` workload), 2400 + 3600 x 20 (the large slice of
+``scripts/trace_digest.py``) and 8000 + 12000 x 50 (the shape of the
+benchmark's large workload). The last two are the only ones whose full
+view reaches the certified BLAS path of ``evaluate``. Every solve uses the
+budget, rate, lambda and delta of the paper-scale workload. The script
+prints, per shape and solver, the
 median CPU seconds of each tree, the median and range of the paired ratios
 new/old, how many rounds the new tree won, and whether every pair of runs
 gave the same trace and best objective; it exits 1 if any pair differed.
@@ -47,7 +49,7 @@ from time import process_time
 import numpy as np
 
 KINDS = ("single_task_ga", "mfea", "emea")
-SHAPES = ((268, 500, 8), (300, 700, 24), (2400, 3600, 20))  # (positives, negatives, features)
+SHAPES = ((268, 500, 8), (300, 700, 24), (2400, 3600, 20), (8000, 12000, 50))  # (positives, negatives, features)
 SEED = 7
 ROUNDS = 10
 

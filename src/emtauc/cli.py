@@ -342,6 +342,8 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(child)
         view = stratified_sample(ds, rate, rng)
         weights = rng.uniform(-1.0, 1.0, size=(cfg.repetitions, ds.dim))
+        # untimed: the first evaluation builds the view's cached row copies
+        objective(weights[0], view, DEFAULT_LAM)
         start = time.perf_counter()
         for w in weights:
             objective(w, view, DEFAULT_LAM)

@@ -161,6 +161,11 @@ def _checked_indices(indices, n: int, what: str) -> np.ndarray:
 # gate of 500 measured solve-time ratios of 0.96 (GA), 1.00 (MFEA) and 1.02
 # (EMEA) against it, no gain.
 _DENSE_MIN_INSTANCES = 2000
+# Bytes of one row block as ``DatasetView.dense_rows`` fills its dense copy.
+# Besides the copy, the build holds one block and ``_row_norms``' scaled copy
+# of it, about half a MiB. Blocks of 1 MiB would hold a transient second full
+# copy on every view whose dense copy is under 1 MiB, such as 6000 x 20.
+_DENSE_BLOCK_BYTES = 1 << 18
 
 
 def _row_block(X: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
@@ -236,24 +241,36 @@ class DatasetView:
         return _row_block(self.class_matrix, self.t_pos, self.n)
 
     def dense_rows(self) -> tuple[np.ndarray, float] | None:
-        """A dense copy of ``class_matrix`` and the largest 2-norm of any of
-        its rows, or None for a view that stays on CSR.
+        """A dense copy of ``class_matrix`` as one C-contiguous (dim, n)
+        array, column j holding row j, and the largest 2-norm of any of its
+        rows; or None for a view that stays on CSR.
 
-        A view densifies only if it has at least ``_DENSE_MIN_INSTANCES``
+        The (dim, n) layout makes a (k, dim) weight batch's product with
+        it a plain ``W @ dense``, with no transposed operand. A view
+        densifies only if it has at least ``_DENSE_MIN_INSTANCES``
         instances and its dense copy takes no more bytes than the CSR
         arrays of ``class_matrix``, so small views and sparse
         high-dimensional data never do. Both are built on first use and
-        cached.
+        cached. The copy is filled in row blocks of ``_DENSE_BLOCK_BYTES``,
+        each densified from a slice of ``class_matrix`` that shares its
+        arrays, and the largest norm is taken block by block, so no second
+        n x dim array exists even for a moment.
         """
         if self._dense is None:
             if self.n < _DENSE_MIN_INSTANCES:
                 return None
             X = self.class_matrix
-            if 8 * self.n * self.base.dim > X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
+            dim = self.base.dim
+            if 8 * self.n * dim > X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
                 return None
-            dense = X.toarray()
-            # one class block at a time: _row_norms makes a scaled copy of its argument
-            xmax = max(_row_norms(block).max(initial=0.0) for block in (dense[: self.t_pos], dense[self.t_pos:]))
+            dense = np.empty((dim, self.n))
+            step = max(1, _DENSE_BLOCK_BYTES // (8 * dim))
+            xmax = 0.0
+            for start in range(0, self.n, step):
+                stop = min(start + step, self.n)
+                block = _row_block(X, start, stop).toarray()
+                xmax = max(xmax, _row_norms(block).max(initial=0.0))
+                dense[:, start:stop] = block.T
             self._dense = (dense, float(xmax))
         return self._dense
 

@@ -6,7 +6,8 @@ comparison count on the CSR decision values (``_decision_rows``): no
 tolerance ever decides whether a pair is a loss.
 
 Large views (``DatasetView.dense_rows``) compute decision values faster,
-with one BLAS product on a dense copy of their rows, but BLAS rounds
+with one BLAS product ``W @ dense`` on a dense (dim, n) copy of their rows,
+which gives the C-contiguous (k, n) block the kernel sorts. But BLAS rounds
 differently from CSR, and differently again per build and thread count.
 So each weight row's BLAS count is certified before it is used. By
 Higham's bound (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -22,7 +23,8 @@ The BLAS count takes one sort per row (``_certified_loss_counts``). Each
 value's lowest mantissa bit is first set to its class, 1 for a positive
 and 0 for a negative, so no positive equals a negative and the sorted row
 shows each value's class. The pairs a positive wins then follow from the
-positives' sorted positions (the Mann-Whitney rank sum). A tag moves a
+positives' sorted positions (the Mann-Whitney rank sum), which one exact
+int64 product of the tags with the positions sums. A tag moves a
 value by at most one ulp: at most 2u times its magnitude, or 2^-1074 below
 the normal range, which the margin's absolute term covers. So the two tags
 of a pair move its difference by less than another half margin, and a
@@ -30,9 +32,14 @@ tagged difference lies within one margin of the CSR one. If every pair of
 sorted neighbours of different classes lies more than 2 * margin apart (a
 factor 2 of slack for the rounding of the norms and the gaps), no pair
 compares differently on the CSR values, and the BLAS count is the CSR
-count. Rows that fail (ties, zero weights, near-ties) are
-recounted on CSR. Every count, and so every objective and trace, is the
-same whatever the BLAS.
+count. The check takes two stages: every gap between neighbours of
+different classes is a gap between sorted neighbours, so a row whose
+smallest gap between any two sorted neighbours exceeds 2 * margin passes
+at once, and only the rows that fail it are checked neighbour by
+neighbour with their classes. Together the two stages certify exactly
+the rows that the class-aware check alone would. Rows that fail (ties,
+zero weights, near-ties) are recounted on CSR. Every count, and so every
+objective and trace, is the same whatever the BLAS.
 
 Weights are checked once, at the public entry points (``_checked_rows``);
 the solvers' ``TaskSpec.objective_batch`` calls the unchecked core,
@@ -139,25 +146,39 @@ def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
     classes lies more than 2 * margin[r] apart, which makes that count the
     CSR count (module docstring).
 
-    ``g`` is tagged and sorted in place; besides it, the kernel holds at
-    most one temporary of g's size at a time, and bool masks. After the
-    sort, the negatives below the positives number the sum of the
-    positives' positions less t_pos * (t_pos - 1) / 2. The smallest gap
-    between the classes lies between two sorted neighbours of different
-    classes.
+    ``g`` is tagged and sorted in place. After the sort, the negatives
+    below the positives number the sum of the positives' positions less
+    t_pos * (t_pos - 1) / 2; the sums come from one exact int64 product of
+    the class tags with the positions. The smallest gap between the
+    classes lies between two sorted neighbours of different classes, so a
+    row whose smallest gap between any two sorted neighbours exceeds
+    2 * margin is certified at once; only the other rows take the check
+    that reads the classes. Besides ``g``, the kernel holds at most one
+    temporary of g's size at a time, and bool masks: the second stage
+    compares the gaps before it selects the failed rows, so it copies
+    only those rows' tags.
     """
     k, n = g.shape
     bits = g.view(np.int64)
     bits[:, :t_pos] |= 1
     bits[:, t_pos:] &= ~1
     g.sort(axis=1)
-    is_pos = (bits & 1).astype(bool)
-    # flat indices of the positives, t_pos per row, less each row's start
-    rank_sums = np.flatnonzero(is_pos).reshape(k, t_pos).sum(axis=1) - np.arange(0, k * n, n) * t_pos
-    below = rank_sums - t_pos * (t_pos - 1) // 2
-    close = np.diff(g, axis=1) <= 2 * margin[:, np.newaxis]
-    close &= is_pos[:, 1:] != is_pos[:, :-1]
-    return t_pos * (n - t_pos) - below, ~close.any(axis=1)
+    below = np.einsum("ij,j->i", bits & 1, np.arange(n)) - t_pos * (t_pos - 1) // 2
+    bound = 2 * margin
+    gaps = np.diff(g, axis=1)
+    certified = gaps.min(axis=1, initial=np.inf) > bound
+    if not certified.all():
+        rest = np.flatnonzero(~certified)
+        close = gaps <= bound[:, np.newaxis]
+        del gaps
+        close = close[rest]
+        tags = bits[rest]
+        tags &= 1
+        is_pos = tags.astype(bool)
+        del tags
+        close &= is_pos[:, 1:] != is_pos[:, :-1]
+        certified[rest] = ~close.any(axis=1)
+    return t_pos * (n - t_pos) - below, certified
 
 
 def _rounding_margin(W: np.ndarray, dim: int, xmax: float) -> np.ndarray:
@@ -238,7 +259,7 @@ def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
     losses = np.empty(W.shape[0], dtype=np.int64)
     certified = np.zeros(W.shape[0], dtype=bool)
     if blas.any():
-        losses[blas], certified[blas] = _certified_loss_counts(W[blas] @ dense.T, view.t_pos, margin[blas])
+        losses[blas], certified[blas] = _certified_loss_counts(W[blas] @ dense, view.t_pos, margin[blas])
     if not certified.all():
         losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
     return losses

@@ -2,6 +2,8 @@
 
 Everything here is written the dumb way on purpose: literal double loops
 and full enumerations, no sorting tricks shared with the code under test.
+The one exception is ``certified_loss_counts_reference``, an earlier fast
+kernel kept as it was, which its successor must match bit for bit.
 """
 import re
 from itertools import combinations
@@ -36,6 +38,25 @@ def pair_loss_broadcast(f_pos, f_neg) -> int:
     f_pos = np.asarray(f_pos, dtype=np.float64)
     f_neg = np.asarray(f_neg, dtype=np.float64)
     return int((f_pos[:, None] <= f_neg[None, :]).sum())
+
+
+def certified_loss_counts_reference(g, t_pos, margin):
+    """The one-stage certified kernel that ``evaluation._certified_loss_counts``
+    replaced, kept verbatim: ``g`` is class-tagged and sorted in place, the
+    rank sums come from the flat positions of a bool mask of the tags, and
+    every row takes the check that reads the classes of its neighbours. The
+    faster kernel must return bit-equal (losses, certified)."""
+    k, n = g.shape
+    bits = g.view(np.int64)
+    bits[:, :t_pos] |= 1
+    bits[:, t_pos:] &= ~1
+    g.sort(axis=1)
+    is_pos = (bits & 1).astype(bool)
+    rank_sums = np.flatnonzero(is_pos).reshape(k, t_pos).sum(axis=1) - np.arange(0, k * n, n) * t_pos
+    below = rank_sums - t_pos * (t_pos - 1) // 2
+    close = np.diff(g, axis=1) <= 2 * margin[:, np.newaxis]
+    close &= is_pos[:, 1:] != is_pos[:, :-1]
+    return t_pos * (n - t_pos) - below, ~close.any(axis=1)
 
 
 def hardness_naive(f_pos, f_neg):

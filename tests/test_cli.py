@@ -17,7 +17,7 @@ from emtauc.config import BenchmarkConfig, CostModelConfig, LandscapeConfig, Run
 from emtauc.data import serialize_libsvm
 from emtauc.environment import CostLedger, TaskId
 
-from conftest import make_gaussian_dataset
+from conftest import dense_gate, make_gaussian_dataset
 
 
 with resources.files("emtauc.schemas").joinpath("manifest.schema.json").open() as fh:
@@ -437,6 +437,31 @@ def test_costmodel_theoretical_column_exact(tmp_path, dataset_file):
     assert ratios == [Fraction(1), Fraction(4), Fraction(25), Fraction(100)]
     base_measured = float(lines[1].split(",")[3])
     assert base_measured == 1.0
+
+
+def test_costmodel_times_only_evaluations_on_built_row_copies(tmp_path, dataset_file, monkeypatch):
+    # The first evaluation on a view builds its cached row copies (the CSR
+    # class copy and, on the certified path, the dense copy), a one-off cost
+    # that would inflate the mean. Every timed call must find both built.
+    events = []
+    real_objective = cli.objective
+
+    def spy_objective(w, view, lam):
+        events.append(("call", view._matrix is not None and view._dense is not None))
+        return real_objective(w, view, lam)
+
+    def spy_clock():
+        events.append(("clock", None))
+        return 0.0
+
+    monkeypatch.setattr(cli, "objective", spy_objective)
+    monkeypatch.setattr(cli, "time", argparse.Namespace(perf_counter=spy_clock))
+    out = tmp_path / "cost"
+    cfg = write_config(tmp_path, {"dataset": str(dataset_file), "repetitions": 3, "seed": 6, "output_dir": str(out)})
+    with dense_gate(0):
+        assert main(["costmodel", "--config", str(cfg)]) == 0
+    # per rate: the untimed call, then the clock, three calls and the clock
+    assert events == [("call", False), ("clock", None), *[("call", True)] * 3, ("clock", None)] * 4
 
 
 TOY_TEXT = serialize_libsvm(make_gaussian_dataset(0, n_pos=30, n_neg=40, dim=4))

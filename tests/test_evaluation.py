@@ -375,12 +375,14 @@ def test_first_certified_evaluation_holds_one_copy_of_the_rows():
     # of the first evaluation) is that copy plus a few index arrays of the
     # view's length, and the peak of the rest of the evaluation is the
     # dense copy plus the larger of two working sets measured on the
-    # cached view: _row_norms of the larger class block of the dense copy
-    # and a repeated evaluation. With one row of weights both stay under a
-    # dense copy, so that a transient second dense copy exceeds the bound.
+    # cached view: the block build of the dense copy (its peak less the
+    # copy it keeps, rebuilt from the cached CSR copy) and a repeated
+    # evaluation. With one row of weights both stay under a dense copy, so
+    # that a transient second dense copy exceeds the bound.
     ds = make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)
     view = ds.full_view()
     W = np.random.default_rng(5).uniform(-1, 1, size=(1, ds.dim))
+    dense_bytes = 8 * view.n * ds.dim
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -396,40 +398,45 @@ def test_first_certified_evaluation_holds_one_copy_of_the_rows():
         start = tracemalloc.get_traced_memory()[0]
         evaluate(W, view, 0.125)
         rerun_peak = tracemalloc.get_traced_memory()[1] - start
-        dense, _ = view.dense_rows()
+        view._dense = None
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        data._row_norms(max(dense[: view.t_pos], dense[view.t_pos:], key=len))
-        norms_peak = tracemalloc.get_traced_memory()[1] - start
+        assert view.dense_rows() is not None
+        build_peak = tracemalloc.get_traced_memory()[1] - start - dense_bytes
     finally:
         tracemalloc.stop()
     assert rows == {"certified": W.shape[0], "csr": 0}
     csr_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
-    dense_bytes = 8 * view.n * ds.dim
     slack = 16 << 10
     assert held <= csr_bytes + dense_bytes + slack
     assert csr_peak - before <= csr_bytes + 4 * 8 * view.n + slack
-    working = max(norms_peak, rerun_peak) + slack
+    working = max(build_peak, rerun_peak) + slack
     assert working < dense_bytes
     assert eval_peak <= dense_bytes + working
 
 
 def test_certified_evaluation_working_set_stays_under_the_search_kernels():
     # A 20-row evaluation on a full view whose dense copy is already cached
-    # holds the (k, n) float64 BLAS block, sorted in place, and the gaps of
-    # its neighbours. The kernel that binary-searched sorted positives among
-    # sorted negatives peaked at 3.6 such blocks here; no kernel may exceed it.
+    # holds the (k, n) float64 BLAS block, sorted in place, and one more
+    # array of its size at a time: the class tags, then the gaps of its
+    # neighbours. The kernel that binary-searched sorted positives among
+    # sorted negatives peaked at 3.6 such blocks here, and the one that
+    # counted from a bool mask of the tags at 2.25; no kernel may exceed it.
+    # On the second set every instance appears twice, so each row has equal
+    # neighbours of one class: no row passes the first stage, and all are
+    # certified by the class-aware check.
     ds = make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)
-    view = ds.full_view()
+    twice = Dataset(sparse.vstack([ds.X, ds.X]), np.concatenate([ds.labels, ds.labels]))
     W = np.random.default_rng(6).uniform(-1, 1, size=(20, ds.dim))
-    evaluate(W, view, 0.125)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        with count_path_rows() as rows:
-            evaluate(W, view, 0.125)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert rows == {"certified": W.shape[0], "csr": 0}
-    assert peak <= 3.6 * 8 * W.shape[0] * view.n + (16 << 10)
+    for view in (ds.full_view(), twice.full_view()):
+        evaluate(W, view, 0.125)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with count_path_rows() as rows:
+                evaluate(W, view, 0.125)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert rows == {"certified": W.shape[0], "csr": 0}
+        assert peak <= 2.25 * 8 * W.shape[0] * view.n + (16 << 10)

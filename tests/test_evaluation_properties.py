@@ -7,7 +7,7 @@ back to CSR, and on continuous values, where every row certifies.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -22,7 +22,13 @@ from emtauc.evaluation import (
 )
 
 from conftest import count_path_rows, dense_gate
-from _oracles import decision_values, hardness_naive, pair_loss_broadcast, pair_loss_naive
+from _oracles import (
+    certified_loss_counts_reference,
+    decision_values,
+    hardness_naive,
+    pair_loss_broadcast,
+    pair_loss_naive,
+)
 
 FEATURES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 WEIGHTS = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -146,6 +152,17 @@ def test_pairwise_loss_count_matches_oracles(f_pos, f_neg):
     assert got == pair_loss_naive(f_pos, f_neg) == pair_loss_broadcast(f_pos, f_neg)
 
 
+def _certified_like_reference(g: np.ndarray, t_pos: int, margin: np.ndarray):
+    """``_certified_loss_counts`` on a copy of ``g``, after asserting that
+    its (losses, certified) are bit-equal to the one-stage reference
+    kernel's on another copy."""
+    losses, certified = _certified_loss_counts(g.copy(), t_pos, margin)
+    want_losses, want_certified = certified_loss_counts_reference(g.copy(), t_pos, margin)
+    assert losses.dtype == want_losses.dtype and certified.dtype == want_certified.dtype
+    assert np.array_equal(losses, want_losses) and np.array_equal(certified, want_certified)
+    return losses, certified
+
+
 def _tie_free_gap_bound(values: np.ndarray) -> float:
     """Four ulps of the largest |value| of a row: the most that the two
     class tags of a pair and the rounding of its two gaps (here and in the
@@ -168,7 +185,7 @@ def test_certificate_is_the_smallest_pair_gap(seed, margin):
     f_pos = rng.integers(-4, 5, size=(k, n_pos)) / 2 + rng.choice(offsets, size=(k, n_pos))
     f_neg = rng.integers(-4, 5, size=(k, n_neg)) / 2 + rng.choice(offsets, size=(k, n_neg))
     g = np.hstack([f_pos, f_neg])
-    losses, certified = _certified_loss_counts(g.copy(), n_pos, np.full(k, margin))
+    losses, certified = _certified_like_reference(g, n_pos, np.full(k, margin))
     for r in range(k):
         gap = np.abs(f_pos[r][:, None] - f_neg[r][None, :]).min()
         if certified[r]:
@@ -234,12 +251,16 @@ def edge_rows(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(edge_rows(), st.sampled_from((1.0, 1e3, 1e12)))
+# two equal positives in each row, so the smallest gap between sorted
+# neighbours is 0 and the check that reads the classes decides: the first
+# row is certified, the second (a positive equals a negative) is not
+@example((np.array([[1.0, 1.0, 3.0, -2.5], [3.0, 3.0, 3.0, -1.0]]), 2), 1.0)
 def test_class_tags_keep_certified_counts_exact_on_edge_values(rows, scale):
     # scale 1 is the smallest margin _rounding_margin gives a row: that of a
     # length-1 product with |w| = the row's largest |value| and xmax = 1
     g, t_pos = rows
     margin = _rounding_margin(np.abs(g).max(axis=1)[:, np.newaxis], 1, 1.0) * scale
-    losses, certified = _certified_loss_counts(g.copy(), t_pos, margin)
+    losses, certified = _certified_like_reference(g, t_pos, margin)
     for r in range(g.shape[0]):
         f_pos, f_neg = g[r, :t_pos], g[r, t_pos:]
         if certified[r]:
