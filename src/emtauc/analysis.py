@@ -257,7 +257,7 @@ def _execute_cell(job: _CellJob) -> BenchmarkCell:
             auc=float(auc),
             error=None,
             best_objective=result.best_objective,
-            train_auc=float(auc_metric(result.best_weights, train.full_view())),
+            train_auc=env.best_expensive_auc,
             spent=env.ledger.spent,
             cheap_evals=env.ledger.evals[TaskId.CHEAP],
             expensive_evals=env.ledger.evals[TaskId.EXPENSIVE],

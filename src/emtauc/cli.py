@@ -34,7 +34,7 @@ from .config import (
 )
 from .data import DataError, parse_libsvm_path, scale_features, stratified_sample
 from .environment import DEFAULT_LAM, DEFAULT_RATE, TaskId, build_environment, expensive_cost
-from .evaluation import auc_metric, objective
+from .evaluation import objective
 from .solvers import dispatch_solver
 
 TRACE_HEADER = "generation,cumulative_cost,best_objective_expensive,best_auc_expensive,best_objective_cheap,adjust_event"
@@ -216,10 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _drop_manifest(out_dir)
     write_trace(out_dir / "trace.csv", result.trace, cfg.trace_stride)
 
-    if result.best_weights is None:
-        train_auc = None
-    else:
-        train_auc = float(auc_metric(result.best_weights, env.tasks[TaskId.EXPENSIVE].view))
+    train_auc = env.best_expensive_auc
     ledger = env.ledger
     results = _run_results(
         result.best_objective, train_auc, None, ledger.spent, ledger.budget,

@@ -153,18 +153,20 @@ def _checked_indices(indices, n: int, what: str) -> np.ndarray:
 
 
 # Fewest instances for which a view keeps a dense copy of its rows
-# (``DatasetView.dense_rows``). Measured with one BLAS thread on Gaussian
-# data and batches of 5 to 20 weight rows, the certified BLAS path breaks
-# even with CSR from about 2000 instances at dim 8, and is 15-50% faster
-# from 1000 instances on at dims 20 and 50. With the one-sort kernel
-# (``evaluation._certified_loss_counts``) the gate stays 2000: at 768 x 8 a
-# gate of 500 measured solve-time ratios of 0.96 (GA), 1.00 (MFEA) and 1.02
-# (EMEA) against it, no gain.
+# (``DatasetView.dense_rows``). With the two-stage kernel
+# (``evaluation._certified_loss_counts``), ``scripts/solve_ab.py`` (20
+# rounds, one BLAS thread) measured the solve CPU of a gate of 0 over this
+# gate's as 0.875 (GA, 20/20 wins), 0.969 (MFEA, 19/20) and 0.993 (EMEA,
+# 11/20) at 768 x 8, and 0.864, 0.953 and 0.981 on the 500 x 24 fold of
+# the benchmark's cross-validation sweep, but 1.029, 1.075 and 1.086 (at
+# most 3/20 wins) on its 384 x 8 fold. No gate in n alone takes the gains
+# without the losses, so it stays 2000.
 _DENSE_MIN_INSTANCES = 2000
-# Bytes of one row block as ``DatasetView.dense_rows`` fills its dense copy.
-# Besides the copy, the build holds one block and ``_row_norms``' scaled copy
-# of it, about half a MiB. Blocks of 1 MiB would hold a transient second full
-# copy on every view whose dense copy is under 1 MiB, such as 6000 x 20.
+# Bytes of one dense row block of ``_dense_blocks``, the walk that
+# ``scale_features`` and ``DatasetView.dense_rows`` densify rows by. Besides
+# its result, ``dense_rows`` holds one block and the block's absolute values,
+# about half a MiB. Blocks of 1 MiB would hold a transient second full copy
+# on every view whose dense copy is under 1 MiB, such as 6000 x 20.
 _DENSE_BLOCK_BYTES = 1 << 18
 
 
@@ -179,12 +181,15 @@ def _row_block(X: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
     return block
 
 
-def _row_norms(A: np.ndarray) -> np.ndarray:
-    """2-norm of each row of the 2-D array ``A``, scaled by the row's largest
-    magnitude first, so that no square underflows or overflows."""
-    amax = np.abs(A).max(axis=1, initial=0.0)
-    scaled = A / np.where(amax > 0, amax, 1.0)[:, np.newaxis]
-    return amax * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+def _dense_blocks(X: sp.csr_matrix):
+    """``(start, block)`` for consecutive dense row blocks of the CSR matrix
+    ``X`` of about ``_DENSE_BLOCK_BYTES`` each: ``block`` holds rows
+    ``start:start + len(block)``, densified from a ``_row_block`` that
+    shares ``X``'s arrays, so no block copies its CSR rows first."""
+    n, dim = X.shape
+    step = max(1, _DENSE_BLOCK_BYTES // (8 * max(dim, 1)))
+    for start in range(0, n, step):
+        yield start, _row_block(X, start, min(start + step, n)).toarray()
 
 
 class DatasetView:
@@ -240,10 +245,11 @@ class DatasetView:
         a new block on every access."""
         return _row_block(self.class_matrix, self.t_pos, self.n)
 
-    def dense_rows(self) -> tuple[np.ndarray, float] | None:
+    def dense_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         """A dense copy of ``class_matrix`` as one C-contiguous (dim, n)
-        array, column j holding row j, and the largest 2-norm of any of its
-        rows; or None for a view that stays on CSR.
+        array, column j holding row j, and the (dim,) largest magnitude of
+        each feature over the view's rows; or None for a view that stays on
+        CSR.
 
         The (dim, n) layout makes a (k, dim) weight batch's product with
         it a plain ``W @ dense``, with no transposed operand. A view
@@ -251,10 +257,9 @@ class DatasetView:
         instances and its dense copy takes no more bytes than the CSR
         arrays of ``class_matrix``, so small views and sparse
         high-dimensional data never do. Both are built on first use and
-        cached. The copy is filled in row blocks of ``_DENSE_BLOCK_BYTES``,
-        each densified from a slice of ``class_matrix`` that shares its
-        arrays, and the largest norm is taken block by block, so no second
-        n x dim array exists even for a moment.
+        cached. The copy is filled block by block (``_dense_blocks``), and
+        the magnitudes are taken from each block as it is filled, so no
+        second n x dim array exists even for a moment.
         """
         if self._dense is None:
             if self.n < _DENSE_MIN_INSTANCES:
@@ -264,14 +269,11 @@ class DatasetView:
             if 8 * self.n * dim > X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
                 return None
             dense = np.empty((dim, self.n))
-            step = max(1, _DENSE_BLOCK_BYTES // (8 * dim))
-            xmax = 0.0
-            for start in range(0, self.n, step):
-                stop = min(start + step, self.n)
-                block = _row_block(X, start, stop).toarray()
-                xmax = max(xmax, _row_norms(block).max(initial=0.0))
-                dense[:, start:stop] = block.T
-            self._dense = (dense, float(xmax))
+            magnitudes = np.zeros(dim)
+            for start, block in _dense_blocks(X):
+                np.maximum(magnitudes, np.abs(block).max(axis=0), out=magnitudes)
+                dense[:, start:start + block.shape[0]] = block.T
+            self._dense = (dense, magnitudes)
         return self._dense
 
     def fingerprint(self) -> str:
@@ -709,10 +711,6 @@ def serialize_libsvm(ds: Dataset) -> str:
     return "\n".join(out) + "\n"
 
 
-# Bytes of dense rows that ``scale_features`` holds at once.
-_SCALE_BLOCK_BYTES = 1 << 20
-
-
 def scale_features(ds: Dataset) -> Dataset:
     """Affinely map each feature to [-1, 1] column-wise.
 
@@ -721,11 +719,11 @@ def scale_features(ds: Dataset) -> Dataset:
     input. Constant features collapse to 0. Columns already spanning exactly
     [-1, 1] are left untouched, which makes scaling idempotent.
 
-    The rows are scaled in dense blocks of about a mebibyte, so the dense
-    matrix never exists whole: as in ``parse_libsvm_path``, scaling
-    allocates at most the bytes of the result's arrays, plus its values
-    once more, plus a few blocks (20.7 MiB for a dense 20000 x 50 set,
-    whose arrays take 11.6 MiB).
+    The rows are scaled in the dense blocks of ``_dense_blocks``, one pass
+    for the ranges and one for the values, so the dense matrix never exists
+    whole: as in ``parse_libsvm_path``, scaling allocates at most the bytes
+    of the result's arrays, plus its values once more, plus a few blocks
+    (19.6 MiB for a dense 20000 x 50 set, whose arrays take 11.6 MiB).
     """
     n, dim = ds.X.shape
     # the result can be as dense as the whole n x dim matrix: refuse a shape
@@ -734,16 +732,9 @@ def scale_features(ds: Dataset) -> Dataset:
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else np.iinfo(np.intp).max
     if 2 * n * dim * 8 > memory:
         raise DataError(f"dense {n} x {dim} feature matrix is too large to scale")
-    rows = max(1, _SCALE_BLOCK_BYTES // (8 * max(dim, 1)))
-    starts = range(0, n, rows)
-
-    def dense(start):
-        return (ds.X if rows >= n else ds.X[start:start + rows]).toarray()
-
     lo = np.full(dim, np.inf)
     hi = np.full(dim, -np.inf)
-    for start in starts:
-        block = dense(start)
+    for _, block in _dense_blocks(ds.X):
         np.minimum(lo, block.min(axis=0), out=lo)
         np.maximum(hi, block.max(axis=0), out=hi)
     constant = lo == hi
@@ -751,9 +742,7 @@ def scale_features(ds: Dataset) -> Dataset:
     untouched = (lo == -1.0) & (hi == 1.0)
     columns = np.arange(dim, dtype=np.int32 if dim <= 2**31 else np.int64)
     counts, indices, values = [], [], []
-    for start in starts:
-        if len(starts) > 1:
-            block = dense(start)
+    for _, block in _dense_blocks(ds.X):
         # 2 * (x - lo) / (hi - lo) - 1, one in-place step at a time in that
         # expression's evaluation order, so each element rounds as it would
         out = np.subtract(block, lo)

@@ -10,14 +10,15 @@ with one BLAS product ``W @ dense`` on a dense (dim, n) copy of their rows,
 which gives the C-contiguous (k, n) block the kernel sorts. But BLAS rounds
 differently from CSR, and differently again per build and thread count.
 So each weight row's BLAS count is certified before it is used. By
-Higham's bound (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-sec. 3.1), a length-d dot product computed as a sum of its d products, in
-any order and with or without FMA, lies within gamma_d * ||w||_2 *
-||x||_2 of the exact one, gamma_d = d*u / (1 - d*u) and u = 2^-53. A BLAS
-value is thus within 2 * gamma_d * ||w|| * max ||x|| of its CSR value, and
-the difference of a positive and a negative value within 4 * gamma_d *
-||w|| * max ||x|| of its CSR difference: half the margin of
-``_rounding_margin``.
+Higham's componentwise bound (Accuracy and Stability of Numerical
+Algorithms, 2nd ed., sec. 3.1), a length-d dot product computed as a sum
+of its d products, in any order and with or without FMA, lies within
+gamma_d * sum_i |w_i| |x_i| of the exact one, gamma_d = d*u / (1 - d*u)
+and u = 2^-53. With c_i the largest |x_i| over the view's rows, that sum
+is at most |w| . c for every row, so a BLAS value is within
+2 * gamma_d * |w| . c of its CSR value, and the difference of a positive
+and a negative value within 4 * gamma_d * |w| . c of its CSR difference:
+half the margin of ``_rounding_margin``.
 
 The BLAS count takes one sort per row (``_certified_loss_counts``). Each
 value's lowest mantissa bit is first set to its class, 1 for a positive
@@ -30,7 +31,7 @@ the normal range, which the margin's absolute term covers. So the two tags
 of a pair move its difference by less than another half margin, and a
 tagged difference lies within one margin of the CSR one. If every pair of
 sorted neighbours of different classes lies more than 2 * margin apart (a
-factor 2 of slack for the rounding of the norms and the gaps), no pair
+factor 2 of slack for the rounding of |w| . c and the gaps), no pair
 compares differently on the CSR values, and the BLAS count is the CSR
 count. The check takes two stages: every gap between neighbours of
 different classes is a gap between sorted neighbours, so a row whose
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetView, _row_norms, as_rate, class_view_sizes
+from .data import Dataset, DatasetView, as_rate, class_view_sizes
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = np.finfo(np.float64).tiny
@@ -181,19 +182,22 @@ def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
     return t_pos * (n - t_pos) - below, certified
 
 
-def _rounding_margin(W: np.ndarray, dim: int, xmax: float) -> np.ndarray:
+def _rounding_margin(W: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     """Per row of ``W``, a gap between BLAS decision values above which the
-    CSR values of the same pair are ordered the same way.
+    CSR values of the same pair are ordered the same way, on rows whose
+    feature magnitudes are at most ``magnitudes`` (shape (dim,)).
 
     Each of the two values of a pair is off its CSR value by at most
-    2 * gamma_d * ||w|| * xmax, so 4 * gamma_d * ||w|| * xmax suffices; the
-    factor 8 covers the rounding of the norms, of this product and of the
-    gap subtraction, and the absolute term covers underflow. Rows whose
-    products could overflow get an infinite margin and always fall back.
+    2 * gamma_d * |w| . magnitudes, so 4 * gamma_d * |w| . magnitudes
+    suffices; the factor 8 covers the rounding of ``|W| @ magnitudes``, of
+    this product and of the gap subtraction, and the absolute term covers
+    underflow. Rows whose products could overflow get an infinite margin
+    and always fall back.
     """
+    dim = W.shape[1]
     gamma = dim * _U / (1 - dim * _U)
     with np.errstate(over="ignore"):
-        bound = _row_norms(W) * xmax
+        bound = np.abs(W) @ magnitudes
         margin = np.nextafter(8 * gamma * bound + 8 * dim * _TINY, np.inf)
     margin[~(bound <= _HALF_MAX)] = np.inf
     return margin
@@ -253,8 +257,8 @@ def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
     rows = view.dense_rows()
     if rows is None:
         return _loss_counts(*_decision_rows(W, view))
-    dense, xmax = rows
-    margin = _rounding_margin(W, view.base.dim, xmax)
+    dense, magnitudes = rows
+    margin = _rounding_margin(W, magnitudes)
     blas = margin < np.inf
     losses = np.empty(W.shape[0], dtype=np.int64)
     certified = np.zeros(W.shape[0], dtype=bool)

@@ -6,6 +6,7 @@ The one exception is ``certified_loss_counts_reference``, an earlier fast
 kernel kept as it was, which its successor must match bit for bit.
 """
 import re
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -23,6 +24,17 @@ def decision_values(w, view):
     one row's sum in index order, as in ``class_matrix @ w``."""
     w = np.asarray(w, dtype=np.float64)
     return view.base.X[view.pos_selected] @ w, view.base.X[view.neg_selected] @ w
+
+
+def dot_exact(w, x) -> Fraction:
+    """The exact dot product of two float vectors, summed as fractions."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(w, x)), Fraction(0))
+
+
+def higham_gamma(m: int) -> Fraction:
+    """Higham's gamma_m = m*u / (1 - m*u) for float64, u = 2^-53, exactly."""
+    mu = Fraction(m, 2**53)
+    return mu / (1 - mu)
 
 
 def pair_loss_naive(f_pos, f_neg) -> int:

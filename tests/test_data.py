@@ -217,8 +217,8 @@ def test_row_blocked_scaling_matches_the_dense_oracle(inputs, rows):
     X, labels = inputs
     # the input as Dataset holds it, without its both-classes check
     ds = SimpleNamespace(X=X, labels=labels)
-    block = data._SCALE_BLOCK_BYTES if rows is None else 8 * X.shape[1] * rows
-    with mock.patch.object(data, "_SCALE_BLOCK_BYTES", block), np.errstate(over="ignore", invalid="ignore"):
+    block = data._DENSE_BLOCK_BYTES if rows is None else 8 * X.shape[1] * rows
+    with mock.patch.object(data, "_DENSE_BLOCK_BYTES", block), np.errstate(over="ignore", invalid="ignore"):
         assert scaled_bytes(scale_features, ds) == scaled_bytes(scale_features_dense, ds)
 
 
@@ -238,7 +238,7 @@ def test_setup_memory_is_the_arrays_plus_a_few_blocks(tmp_path):
         arrays = ds.X.data.nbytes + ds.X.indices.nbytes + ds.X.indptr.nbytes + ds.labels.nbytes
         return 2.5 * arrays + 4 * block
 
-    with mock.patch.object(data, "_BLOCK_SIZE", block), mock.patch.object(data, "_SCALE_BLOCK_BYTES", block):
+    with mock.patch.object(data, "_BLOCK_SIZE", block), mock.patch.object(data, "_DENSE_BLOCK_BYTES", block):
         tracemalloc.start()
         try:
             raw = parse_libsvm_path(path)
@@ -275,7 +275,7 @@ def test_builders_hand_their_fresh_arrays_to_the_dataset(tmp_path):
         out = build(arg)
         return out, tracemalloc.get_traced_memory()[1] - held
 
-    with mock.patch.object(data, "_BLOCK_SIZE", block), mock.patch.object(data, "_SCALE_BLOCK_BYTES", block):
+    with mock.patch.object(data, "_BLOCK_SIZE", block), mock.patch.object(data, "_DENSE_BLOCK_BYTES", block):
         tracemalloc.start()
         try:
             raw, parse_peak = traced(parse_libsvm_path, path)

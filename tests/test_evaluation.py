@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from emtauc.evaluation import (
 )
 
 from conftest import count_path_rows, dense_gate, make_gaussian_dataset, random_small_dataset
-from _oracles import decision_values, hardness_naive, pair_loss_broadcast, pair_loss_naive, select_hardest_naive
+from _oracles import (
+    decision_values,
+    dot_exact,
+    hardness_naive,
+    higham_gamma,
+    pair_loss_broadcast,
+    pair_loss_naive,
+    select_hardest_naive,
+)
 
 
 def one_feature_dataset(pos_values, neg_values) -> Dataset:
@@ -59,7 +68,6 @@ def test_pair_count_rejects_nan():
         pairwise_loss_count([np.nan], [0.1])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gate", [data._DENSE_MIN_INSTANCES, 0])
 def test_overflowing_decision_values_reject_nan(gate):
     # finite rows and weights whose decision values overflow to inf and
@@ -268,16 +276,22 @@ def test_weight_shape_validation(toy_dataset):
 
 
 def test_rounding_margin_bounds():
-    dim, xmax = 50, 3.0
-    gamma = dim * 2.0**-53 / (1 - dim * 2.0**-53)
-    W = np.array([np.linspace(-1, 1, dim), np.full(dim, 1e-170), np.zeros(dim), np.full(dim, 1e307)])
-    margin = _rounding_margin(W, dim, xmax)
-    # twice the 4 * gamma_d * ||w|| * xmax that a pair's rounding can reach;
-    # the scaled norm keeps the tiny row's squares from underflowing
-    assert margin[0] >= 8 * gamma * np.linalg.norm(W[0]) * xmax
-    assert margin[1] >= 8 * gamma * 1e-170 * np.sqrt(dim) * xmax
+    dim = 50
+    magnitudes = np.linspace(0.5, 3.0, dim)
+    big = np.zeros(dim)
+    big[-1] = 0.2 * np.finfo(np.float64).max
+    W = np.array([np.linspace(-1, 1, dim), np.full(dim, 1e-170), np.zeros(dim), np.full(dim, 1e307), big])
+    margin = _rounding_margin(W, magnitudes)
+    # twice the 4 * gamma_d * |w| . magnitudes that a pair's rounding can
+    # reach, summed exactly (the signs of w do not lower it), up to the
+    # rounding of the margin's own few float operations
+    for r in (0, 1):
+        bound = 8 * higham_gamma(dim) * dot_exact(np.abs(W[r]), magnitudes)
+        assert Fraction(margin[r]) >= bound * (1 - higham_gamma(dim + 4))
     assert 0 < margin[2] < 1e-300
-    assert margin[3] == np.inf  # the products could overflow: always fall back
+    # the products could overflow: always fall back, whether |w| . magnitudes
+    # overflows (1e307 * 87.5) or only exceeds half the largest float
+    assert margin[3] == margin[4] == np.inf
 
 
 def test_tie_heavy_rows_fall_back_to_csr():
@@ -337,6 +351,34 @@ def test_sparse_high_dim_view_never_densifies():
         evaluate(W, view, 0.125)
     assert rows == {"certified": 0, "csr": 3}
     assert view.dense_rows() is None and view._dense is None
+
+
+@pytest.mark.parametrize("n", [20, data._DENSE_MIN_INSTANCES])
+def test_views_without_features_lose_every_pair(n):
+    # with no features every decision value is 0, so every pair ties; the
+    # large view densifies an empty (0, n) copy, whose row blocks must not
+    # divide by the zero row width
+    ds = Dataset(np.zeros((n, 0)), np.where(np.arange(n) % 2 == 0, 1, -1))
+    view = ds.full_view()
+    losses = evaluate(np.zeros((3, 0)), view, 0.125)[1]
+    assert np.array_equal(losses, np.ones(3))
+    assert (view.dense_rows() is not None) == (n >= data._DENSE_MIN_INSTANCES)
+
+
+def test_dense_copy_and_magnitudes_match_the_rows_in_every_block():
+    # blocks of 3 rows over 11 instances, the last one partial; each
+    # feature's largest magnitude sits in another row, two of them negative,
+    # and the last feature is all zeros
+    X = np.random.default_rng(6).uniform(-1, 1, size=(11, 5))
+    X[[1, 4, 7, 10], [0, 1, 2, 3]] = [50.0, -60.0, 70.0, -80.0]
+    X[:, 4] = 0.0
+    ds = Dataset(sparse.csr_matrix(X), np.where(np.arange(11) % 3 == 0, 1, -1))
+    with dense_gate(0), mock.patch.object(data, "_DENSE_BLOCK_BYTES", 8 * 5 * 3):
+        view = DatasetView(ds, np.arange(ds.n)[::-1])
+        dense, magnitudes = view.dense_rows()
+    assert dense.flags.c_contiguous
+    assert np.array_equal(dense, view.class_matrix.toarray().T)
+    assert np.array_equal(magnitudes, [50.0, 60.0, 70.0, 80.0, 0.0])
 
 
 def _csr_equal(a, b) -> bool:

