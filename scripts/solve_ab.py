@@ -12,15 +12,18 @@ seconds of this process (``time.process_time``), after a garbage
 collection, over ``dispatch_solver`` alone, as the benchmark harness times
 it.
 
-The data are four Gaussian sets, one per shape in ``SHAPES``: 268 + 500
+The data are six Gaussian sets, one per shape in ``SHAPES``: 268 + 500
 instances x 8 features (the size of diabetes, as in the benchmark's
 paper-scale workload), 300 + 700 x 24 (the synthetic set of its
-``sweep-cv`` workload), 2400 + 3600 x 20 (the large slice of
+``sweep-cv`` workload), 134 + 250 x 8 and 150 + 350 x 24 (the shapes of
+that workload's fold subsets), 2400 + 3600 x 20 (the certified slice of
 ``scripts/trace_digest.py``) and 8000 + 12000 x 50 (the shape of the
-benchmark's large workload). The last two are the only ones whose full
-view reaches the certified BLAS path of ``evaluate``. Every solve uses the
-budget, rate, lambda and delta of the paper-scale workload. The script
-prints, per shape and solver, the
+benchmark's large workload). The 134 + 250 x 8 set is the only one whose
+full view stays below the nonzero gate of the certified BLAS path of
+``evaluate`` (``data._DENSE_MIN_NONZEROS``), so the six cover both sides
+of it; every cheap view stays below it. Every solve uses the budget,
+rate, lambda and delta of the paper-scale workload. The script prints,
+per shape and solver, the
 median CPU seconds of each tree, the median and range of the paired ratios
 new/old, how many rounds the new tree won, and whether every pair of runs
 gave the same trace and best objective; it exits 1 if any pair differed.
@@ -49,7 +52,9 @@ from time import process_time
 import numpy as np
 
 KINDS = ("single_task_ga", "mfea", "emea")
-SHAPES = ((268, 500, 8), (300, 700, 24), (2400, 3600, 20), (8000, 12000, 50))  # (positives, negatives, features)
+SHAPES = (  # (positives, negatives, features)
+    (268, 500, 8), (300, 700, 24), (134, 250, 8), (150, 350, 24), (2400, 3600, 20), (8000, 12000, 50),
+)
 SEED = 7
 ROUNDS = 10
 

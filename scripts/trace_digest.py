@@ -15,13 +15,13 @@ The grid is 3 solvers x seeds 0-2 x 12 budgets (several of which run out
 during initialisation, mid-generation or during transfer) x delta
 {None, 3} x two solver configurations, over two synthetic Gaussian sets
 from ``tests/conftest.py``: 864 runs. A second grid covers full views
-large enough for the certified BLAS path of ``evaluate``: 3 solvers x
-seeds 0-1 x budgets {2021, 8000, 40000} x delta {None, 3} over a
-2400/3600 x 20 Gaussian set, where rows certify, and a copy with 100
-positive rows repeated as negatives, where every row ties and falls back
-to CSR: 72 runs. Run it at more than one BLAS thread count
-(``OPENBLAS_NUM_THREADS``) to check that the output does not depend on it.
-It takes no flags.
+that take the certified BLAS path of ``evaluate``: 3 solvers x seeds 0-1
+x budgets {2021, 8000, 40000} x delta {None, 3} over a 2400/3600 x 20
+Gaussian set, where rows certify, a copy with 100 positive rows repeated
+as negatives, where every row ties and falls back to CSR, and a
+268/500 x 8 Gaussian set, the size of the paper's diabetes data: 108
+runs. Run it at more than one BLAS thread count (``OPENBLAS_NUM_THREADS``)
+to check that the output does not depend on it. It takes no flags.
 """
 from __future__ import annotations
 
@@ -51,8 +51,9 @@ DATASETS = {
     "gauss0": make_gaussian_dataset(0),
     "gauss1": make_gaussian_dataset(1, n_pos=37, n_neg=91, dim=8),
 }
-LARGE_DATASETS = {"gauss5-6000x20": make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)}
-LARGE_DATASETS["gauss5-6000x20-ties"] = with_positives_as_negatives(LARGE_DATASETS["gauss5-6000x20"], 100)
+CERTIFIED_DATASETS = {"gauss5-6000x20": make_gaussian_dataset(5, n_pos=2400, n_neg=3600, dim=20)}
+CERTIFIED_DATASETS["gauss5-6000x20-ties"] = with_positives_as_negatives(CERTIFIED_DATASETS["gauss5-6000x20"], 100)
+CERTIFIED_DATASETS["gauss3-768x8"] = make_gaussian_dataset(3, n_pos=268, n_neg=500, dim=8)
 KINDS = ("single_task_ga", "mfea", "emea")
 SEEDS = (0, 1, 2)
 BUDGETS = (5, 19, 20, 21, 150, 2020, 2021, 2100, 3000, 8000, 12345, 40000)
@@ -63,7 +64,7 @@ VARIANTS = {
 }
 GRIDS = (
     (DATASETS, KINDS, SEEDS, BUDGETS, DELTAS, VARIANTS),
-    (LARGE_DATASETS, KINDS, (0, 1), (2021, 8000, 40000), DELTAS, ("default",)),
+    (CERTIFIED_DATASETS, KINDS, (0, 1), (2021, 8000, 40000), DELTAS, ("default",)),
 )
 
 

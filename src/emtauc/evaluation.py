@@ -5,20 +5,22 @@ misordered, with ties counted as losses. Every count is an exact
 comparison count on the CSR decision values (``_decision_rows``): no
 tolerance ever decides whether a pair is a loss.
 
-Large views (``DatasetView.dense_rows``) compute decision values faster,
-with one BLAS product ``W @ dense`` on a dense (dim, n) copy of their rows,
-which gives the C-contiguous (k, n) block the kernel sorts. But BLAS rounds
-differently from CSR, and differently again per build and thread count.
-So each weight row's BLAS count is certified before it is used. By
-Higham's componentwise bound (Accuracy and Stability of Numerical
-Algorithms, 2nd ed., sec. 3.1), a length-d dot product computed as a sum
-of its d products, in any order and with or without FMA, lies within
-gamma_d * sum_i |w_i| |x_i| of the exact one, gamma_d = d*u / (1 - d*u)
-and u = 2^-53. With c_i the largest |x_i| over the view's rows, that sum
-is at most |w| . c for every row, so a BLAS value is within
-2 * gamma_d * |w| . c of its CSR value, and the difference of a positive
-and a negative value within 4 * gamma_d * |w| . c of its CSR difference:
-half the margin of ``_rounding_margin``.
+Views with enough nonzeros (``DatasetView.dense_rows``; at the paper's
+scale, the full 768 x 8 view but not the cheap task's) compute decision
+values faster, with one BLAS product ``W @ dense`` on a dense (dim, n)
+copy of their rows, which gives the C-contiguous (k, n) block the kernel
+sorts. But BLAS rounds differently from CSR, and differently again per
+build and thread count. So each weight row's BLAS count is certified
+before it is used. By Higham's componentwise bound (Accuracy and
+Stability of Numerical Algorithms, 2nd ed., sec. 3.1), a length-d dot
+product computed as a sum of its d products, in any order and with or
+without FMA, lies within gamma_d * sum_i |w_i| |x_i| of the exact one,
+gamma_d = d*u / (1 - d*u) and u = 2^-53. With c_i the largest |x_i|
+over the view's rows, that sum is at most |w| . c for every row, so a
+BLAS value is within 2 * gamma_d * |w| . c of its CSR value, and the
+difference of a positive and a negative value within
+4 * gamma_d * |w| . c of its CSR difference: half the margin of
+``_rounding_margin``.
 
 The BLAS count takes one sort per row (``_certified_loss_counts``). Each
 value's lowest mantissa bit is first set to its class, 1 for a positive
@@ -252,7 +254,9 @@ def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
     keeps each row's count only if the certificate (module docstring)
     proves it equal to the CSR count; the other rows are counted on CSR.
     Rows whose products could overflow (an infinite margin) can never be
-    certified, so they skip the BLAS product and go to CSR at once.
+    certified, so they skip the BLAS product and go to CSR at once; when
+    no row does, the batch takes the BLAS path whole, with no gather or
+    scatter, which matters on paper-size calls of about 0.1 ms.
     """
     rows = view.dense_rows()
     if rows is None:
@@ -260,10 +264,13 @@ def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
     dense, magnitudes = rows
     margin = _rounding_margin(W, magnitudes)
     blas = margin < np.inf
-    losses = np.empty(W.shape[0], dtype=np.int64)
-    certified = np.zeros(W.shape[0], dtype=bool)
-    if blas.any():
-        losses[blas], certified[blas] = _certified_loss_counts(W[blas] @ dense, view.t_pos, margin[blas])
+    if blas.all():
+        losses, certified = _certified_loss_counts(W @ dense, view.t_pos, margin)
+    else:
+        losses = np.empty(W.shape[0], dtype=np.int64)
+        certified = np.zeros(W.shape[0], dtype=bool)
+        if blas.any():
+            losses[blas], certified[blas] = _certified_loss_counts(W[blas] @ dense, view.t_pos, margin[blas])
     if not certified.all():
         losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
     return losses

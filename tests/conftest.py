@@ -80,15 +80,16 @@ def random_small_dataset(rng, max_per_class=40, max_dim=6, grid=None) -> Dataset
 
 
 @contextmanager
-def dense_gate(min_instances: int):
+def dense_gate(min_nonzeros: int):
     """Views built or evaluated inside take the certified BLAS path of
-    ``evaluate`` from ``min_instances`` instances on."""
-    saved = data._DENSE_MIN_INSTANCES
-    data._DENSE_MIN_INSTANCES = min_instances
+    ``evaluate`` from ``min_nonzeros`` nonzeros of their ``class_matrix``
+    on (if their dense copy is no larger than their CSR arrays)."""
+    saved = data._DENSE_MIN_NONZEROS
+    data._DENSE_MIN_NONZEROS = min_nonzeros
     try:
         yield
     finally:
-        data._DENSE_MIN_INSTANCES = saved
+        data._DENSE_MIN_NONZEROS = saved
 
 
 @contextmanager

@@ -68,7 +68,7 @@ def test_pair_count_rejects_nan():
         pairwise_loss_count([np.nan], [0.1])
 
 
-@pytest.mark.parametrize("gate", [data._DENSE_MIN_INSTANCES, 0])
+@pytest.mark.parametrize("gate", [data._DENSE_MIN_NONZEROS, 0])
 def test_overflowing_decision_values_reject_nan(gate):
     # finite rows and weights whose decision values overflow to inf and
     # inf - inf: the second positive's is NaN. Their margin is infinite, so
@@ -246,7 +246,7 @@ def test_decision_values_view_subset(toy_dataset):
     idx = rng.permutation(toy_dataset.n)[: toy_dataset.n // 2]
     W = rng.normal(size=(6, toy_dataset.dim))
     W[0] = 0.0
-    for gate in (data._DENSE_MIN_INSTANCES, 0):
+    for gate in (data._DENSE_MIN_NONZEROS, 0):
         with dense_gate(gate), count_path_rows() as rows:
             got = evaluate(W, DatasetView(toy_dataset, idx), 0.125)
             want = evaluate(W, toy_dataset.subset(idx).full_view(), 0.125)
@@ -313,17 +313,39 @@ def test_tie_heavy_rows_fall_back_to_csr():
     assert np.array_equal(got, np.array(losses) / (view.t_pos * view.t_neg) + 0.0625 * np.einsum("ij,ij->i", W, W))
 
 
+def test_paper_size_tie_heavy_rows_fall_back_to_csr():
+    # 768 x 8 sign features, the paper's scale: the full view takes the
+    # certified path, but its rows repeat 256 patterns across the classes,
+    # so every weight row ties a positive with a negative, fails the
+    # certificate and is counted again on CSR. Weights in quarters make
+    # every decision value exact, so the oracle's product is exact too.
+    rng = np.random.default_rng(11)
+    X = rng.choice([-1.0, 1.0], size=(768, 8))
+    labels = np.where(np.arange(768) < 268, 1, -1)
+    ds = Dataset(sparse.csr_matrix(X), labels)
+    W = rng.integers(-4, 5, size=(10, 8)) / 4
+    with count_path_rows() as rows:
+        view = ds.full_view()
+        got = evaluate(W, view, 0.125)[1]
+    assert view.dense_rows() is not None
+    assert rows == {"certified": 0, "csr": W.shape[0]}
+    losses = [pair_loss_broadcast((X @ w)[labels == 1], (X @ w)[labels == -1]) for w in W]
+    assert np.array_equal(got, np.array(losses) / (268 * 500))
+
+
 def test_large_gaussian_view_certifies_every_row():
-    # at the size gate itself, so the test fails if the BLAS path is not taken
-    n = data._DENSE_MIN_INSTANCES
-    ds = make_gaussian_dataset(8, n_pos=n // 2, n_neg=n - n // 2, dim=6)
+    # at the gate itself, so the test fails if the BLAS path is not taken
+    dim = 8
+    n = data._DENSE_MIN_NONZEROS // dim
+    ds = make_gaussian_dataset(8, n_pos=n // 2, n_neg=n - n // 2, dim=dim)
     W = np.random.default_rng(8).uniform(-1, 1, size=(12, ds.dim))
     view = ds.full_view()
+    assert view.class_matrix.nnz == data._DENSE_MIN_NONZEROS
     with count_path_rows() as rows:
         got = evaluate(W, view, 0.125)[0]
     assert rows == {"certified": W.shape[0], "csr": 0}
     metrics = (auc_metric, loss_fraction)
-    with dense_gate(ds.n + 1):
+    with dense_gate(view.class_matrix.nnz + 1):
         csr_view = DatasetView(ds, np.arange(ds.n))
         assert np.array_equal(got, evaluate(W, csr_view, 0.125)[0])
         csr_values = [metric(W[0], csr_view) for metric in metrics]
@@ -345,7 +367,7 @@ def test_sparse_high_dim_view_never_densifies():
     X = sparse.csr_matrix((rng.normal(size=n * per_row), cols, np.arange(0, n * per_row + 1, per_row)), shape=(n, dim))
     ds = Dataset(X, np.where(np.arange(n) % 2 == 0, 1, -1))
     view = ds.full_view()
-    assert view.n >= data._DENSE_MIN_INSTANCES
+    assert view.class_matrix.nnz >= data._DENSE_MIN_NONZEROS
     W = rng.uniform(-1, 1, size=(3, dim))
     with count_path_rows() as rows:
         evaluate(W, view, 0.125)
@@ -353,16 +375,18 @@ def test_sparse_high_dim_view_never_densifies():
     assert view.dense_rows() is None and view._dense is None
 
 
-@pytest.mark.parametrize("n", [20, data._DENSE_MIN_INSTANCES])
+@pytest.mark.parametrize("n", [20, 2000])
 def test_views_without_features_lose_every_pair(n):
-    # with no features every decision value is 0, so every pair ties; the
-    # large view densifies an empty (0, n) copy, whose row blocks must not
-    # divide by the zero row width
+    # with no features every decision value is 0, so every pair ties. With
+    # no nonzeros a view stays on CSR; the large view is pinned to the
+    # certified path, where it densifies an empty (0, n) copy whose row
+    # blocks must not divide by the zero row width
     ds = Dataset(np.zeros((n, 0)), np.where(np.arange(n) % 2 == 0, 1, -1))
-    view = ds.full_view()
-    losses = evaluate(np.zeros((3, 0)), view, 0.125)[1]
-    assert np.array_equal(losses, np.ones(3))
-    assert (view.dense_rows() is not None) == (n >= data._DENSE_MIN_INSTANCES)
+    with dense_gate(0 if n == 2000 else data._DENSE_MIN_NONZEROS):
+        view = ds.full_view()
+        losses = evaluate(np.zeros((3, 0)), view, 0.125)[1]
+        assert np.array_equal(losses, np.ones(3))
+        assert (view.dense_rows() is not None) == (n == 2000)
 
 
 def test_dense_copy_and_magnitudes_match_the_rows_in_every_block():

@@ -7,11 +7,14 @@ from a code change. These tests regenerate both files in full and fail on a
 changed, missing or extra key; they are the byte-compare gate for the
 solvers, the parser and the command line.
 
-The trace grid's large views run a second time, in a subprocess at another
-OpenBLAS thread count (1 or 2), against the same golden lines: they are the
-only runs whose views reach the certified BLAS path, which must give the
-same bytes whatever the threads. The small sets' views hold 128-140
-instances, below that path's threshold.
+The trace grid's certified sets (the 6000 x 20 pair and the 768 x 8 set of
+the paper's size) run a second time, in a subprocess at another OpenBLAS
+thread count (1 or 2), against the same golden lines: they are the only
+runs whose full views reach the certified BLAS path, which must give the
+same bytes whatever the threads. The 768 x 8 set's golden lines were made
+while its view still took the CSR path, so they also pin the certified
+counts to CSR bytes. The small sets' views hold 700-1024 nonzeros, below
+that path's gate, as do every set's cheap views.
 
 A deliberate artifact change regenerates the golden file in the same
 change, and its diff lists the keys that changed.
@@ -66,8 +69,8 @@ def test_trace_digest_matches_golden():
     _assert_matches_golden("trace_digest.txt", _script("trace_digest").digest_lines())
 
 
-# prints the digest lines of the trace grid's large views; argv[1] is the script
-_PRINT_LARGE_VIEWS = """
+# prints the digest lines of the trace grid's certified sets; argv[1] is the script
+_PRINT_CERTIFIED_VIEWS = """
 import runpy, sys
 digest = runpy.run_path(sys.argv[1])
 for line in digest["digest_lines"](digest["GRIDS"][1:]):
@@ -80,12 +83,12 @@ def test_trace_digest_large_views_are_blas_thread_independent():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
     run = subprocess.run(
-        [sys.executable, "-c", _PRINT_LARGE_VIEWS, str(ROOT / "scripts" / "trace_digest.py")],
+        [sys.executable, "-c", _PRINT_CERTIFIED_VIEWS, str(ROOT / "scripts" / "trace_digest.py")],
         env=env, capture_output=True, text=True, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    large_views = _script("trace_digest").GRIDS[1][0]
-    _assert_matches_golden("trace_digest.txt", run.stdout.splitlines(), datasets=large_views)
+    certified_sets = _script("trace_digest").GRIDS[1][0]
+    _assert_matches_golden("trace_digest.txt", run.stdout.splitlines(), datasets=certified_sets)
 
 
 def test_cli_digest_matches_golden(monkeypatch, tmp_path):

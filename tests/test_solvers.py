@@ -187,12 +187,12 @@ def test_trace_costs_strictly_increase():
         assert result.trace[-1].best_objective_expensive == result.best_objective
 
 
-@pytest.mark.parametrize("min_instances", [None, 0])
-def test_final_best_auc_is_the_measured_auc(min_instances):
+@pytest.mark.parametrize("min_nonzeros", [None, 0])
+def test_final_best_auc_is_the_measured_auc(min_nonzeros):
     # The archived loss fraction is the one the evaluation counted, so the
     # trace's AUC equals auc_metric bit for bit, on CSR and on certified
     # BLAS counts alike; 1 - (objective - penalty) can be one ulp off.
-    gate = dense_gate(min_instances) if min_instances is not None else contextlib.nullcontext()
+    gate = dense_gate(min_nonzeros) if min_nonzeros is not None else contextlib.nullcontext()
     with gate:
         for data_seed, kind, seed in itertools.product(range(3), ("single_task_ga", "mfea", "emea"), range(6)):
             ds = make_gaussian_dataset(data_seed)
