@@ -16,17 +16,15 @@ The data are six Gaussian sets, one per shape in ``SHAPES``: 268 + 500
 instances x 8 features (the size of diabetes, as in the benchmark's
 paper-scale workload), 300 + 700 x 24 (the synthetic set of its
 ``sweep-cv`` workload), 134 + 250 x 8 and 150 + 350 x 24 (the shapes of
-that workload's fold subsets), 2400 + 3600 x 20 (the certified slice of
-``scripts/trace_digest.py``) and 8000 + 12000 x 50 (the shape of the
-benchmark's large workload). The 134 + 250 x 8 set is the only one whose
-full view stays below the nonzero gate of the certified BLAS path of
-``evaluate`` (``data._DENSE_MIN_NONZEROS``), so the six cover both sides
-of it; every cheap view stays below it. Every solve uses the budget,
-rate, lambda and delta of the paper-scale workload. The script prints,
-per shape and solver, the
-median CPU seconds of each tree, the median and range of the paired ratios
-new/old, how many rounds the new tree won, and whether every pair of runs
-gave the same trace and best objective; it exits 1 if any pair differed.
+that workload's fold subsets), 2400 + 3600 x 20 (a set of the larger grid
+of ``scripts/trace_digest.py``) and 8000 + 12000 x 50 (the shape of the
+benchmark's large workload). Every view of these dense sets, full and
+cheap, counts on the certified BLAS path of ``evaluate``. Every solve
+uses the budget, rate, lambda and delta of the paper-scale workload. The
+script prints, per shape and solver, the median CPU seconds of each
+tree, the median and range of the paired ratios new/old, how many rounds
+the new tree won, and whether every pair of runs gave the same trace and
+best objective; it exits 1 if any pair differed.
 When they differ (a new draw order, say), it also prints, per shape and
 solver, the ``compare_cells`` verdict of the new tree's final AUC on the
 full set (``auc_metric`` of the best weights) against the old tree's over

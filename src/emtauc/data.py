@@ -152,22 +152,6 @@ def _checked_indices(indices, n: int, what: str) -> np.ndarray:
     return idx
 
 
-# Fewest nonzeros of ``class_matrix`` (n x nonzeros per row, the work of a
-# view's CSR product) for which a view keeps a dense copy of its rows
-# (``DatasetView.dense_rows``) and counts on certified BLAS values. Fitted
-# with ``scripts/solve_ab.py`` (one BLAS thread, 2 vCPUs): the median ratio
-# of solve CPU with the copy over without it, and the rounds it won.
-#   nonzeros  view                     GA           MFEA         EMEA
-#      12000  500 x 24 sweep-cv fold   0.76  30/30  0.90  25/30  0.93  26/30
-#       6144  768 x 8, diabetes size   0.81  26/30  0.93  23/30  0.97  22/30
-#       3072  384 x 8 sweep-cv fold    0.94  25/40  1.02  13/40  1.01  19/40
-#        608  76 x 8 cheap view        0.99  22/40  0.97  29/40  0.97  26/40
-# The two smaller views gain nothing beyond the spread of single rounds
-# (0.6-1.4), so they stay on CSR; the 20000 x 50 benchmark view and its
-# 2000 x 50 cheap views lie far above the gate. A view whose rows repeat
-# across the classes fails every certificate and pays both products: on
-# 768 x 8 sign features the same runs read 1.52, 1.35 and 1.32.
-_DENSE_MIN_NONZEROS = 4096
 # Bytes of one dense row block of ``_dense_blocks``, the walk that
 # ``scale_features`` and ``DatasetView.dense_rows`` densify rows by. Besides
 # its result, ``dense_rows`` holds one block and the block's absolute values,
@@ -204,8 +188,8 @@ class DatasetView:
     The view owns no data. It caches at most two copies of its rows, each
     built on first use: one CSR matrix in class order (``class_matrix``: the
     positives, then the negatives, each in view order), so repeated
-    evaluations stay cheap, and, for views with enough nonzeros that are
-    not sparse, one dense copy of that matrix (``dense_rows``).
+    evaluations stay cheap, and, for views whose dense copy takes no more
+    bytes than that matrix's arrays, one dense copy of it (``dense_rows``).
     """
 
     __slots__ = ("base", "selected", "pos_selected", "neg_selected", "_matrix", "_dense")
@@ -259,19 +243,15 @@ class DatasetView:
 
         The (dim, n) layout makes a (k, dim) weight batch's product with
         it a plain ``W @ dense``, with no transposed operand. A view
-        densifies only if ``class_matrix`` has at least
-        ``_DENSE_MIN_NONZEROS`` nonzeros and its dense copy takes no more
-        bytes than its CSR arrays, so views with little work per row
-        (such as the cheap task's subsamples) and sparse high-dimensional
-        data never do. Both are built on first use and cached. The copy is
-        filled block by block (``_dense_blocks``), and the magnitudes are
-        taken from each block as it is filled, so no second n x dim array
-        exists even for a moment.
+        densifies if and only if its dense copy takes no more bytes than
+        the three arrays of ``class_matrix``, whatever its size, so sparse
+        high-dimensional data never does. Both are built on first use and
+        cached. The copy is filled block by block (``_dense_blocks``), and
+        the magnitudes are taken from each block as it is filled, so no
+        second n x dim array exists even for a moment.
         """
         if self._dense is None:
             X = self.class_matrix
-            if X.nnz < _DENSE_MIN_NONZEROS:
-                return None
             dim = self.base.dim
             if 8 * self.n * dim > X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
                 return None

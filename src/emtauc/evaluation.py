@@ -5,20 +5,21 @@ misordered, with ties counted as losses. Every count is an exact
 comparison count on the CSR decision values (``_decision_rows``): no
 tolerance ever decides whether a pair is a loss.
 
-Views with enough nonzeros (``DatasetView.dense_rows``; at the paper's
-scale, the full 768 x 8 view but not the cheap task's) compute decision
-values faster, with one BLAS product ``W @ dense`` on a dense (dim, n)
-copy of their rows, which gives the C-contiguous (k, n) block the kernel
-sorts. But BLAS rounds differently from CSR, and differently again per
-build and thread count. So each weight row's BLAS count is certified
-before it is used. By Higham's componentwise bound (Accuracy and
-Stability of Numerical Algorithms, 2nd ed., sec. 3.1), a length-d dot
-product computed as a sum of its d products, in any order and with or
-without FMA, lies within gamma_d * sum_i |w_i| |x_i| of the exact one,
-gamma_d = d*u / (1 - d*u) and u = 2^-53. With c_i the largest |x_i|
-over the view's rows, that sum is at most |w| . c for every row, so a
-BLAS value is within 2 * gamma_d * |w| . c of its CSR value, and the
-difference of a positive and a negative value within
+Every view whose dense copy takes no more bytes than its CSR arrays
+(``DatasetView.dense_rows``; at the paper's scale, the full 768 x 8 view
+and the cheap task's alike) computes decision values with one BLAS
+product ``W @ dense`` on a dense (dim, n) copy of its rows, which gives
+the C-contiguous (k, n) block the kernel sorts; sparse high-dimensional
+views stay on CSR. But BLAS rounds differently from CSR, and
+differently again per build and thread count. So each weight row's BLAS
+count is certified before it is used. By Higham's componentwise bound
+(Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1), a
+length-d dot product computed as a sum of its d products, in any order
+and with or without FMA, lies within gamma_d * sum_i |w_i| |x_i| of the
+exact one, gamma_d = d*u / (1 - d*u) and u = 2^-53. With c_i the largest
+|x_i| over the view's rows, that sum is at most |w| . c for every row,
+so a BLAS value is within 2 * gamma_d * |w| . c of its CSR value, and
+the difference of a positive and a negative value within
 4 * gamma_d * |w| . c of its CSR difference: half the margin of
 ``_rounding_margin``.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from emtauc import data, evaluation
+from emtauc import evaluation
 from emtauc.data import Dataset, scale_features
 
 # Real LIBSVM files are looked up here for the desk-scale reproduction tests.
@@ -79,24 +79,20 @@ def random_small_dataset(rng, max_per_class=40, max_dim=6, grid=None) -> Dataset
     return Dataset(sparse.csr_matrix(X), labels)
 
 
-@contextmanager
-def dense_gate(min_nonzeros: int):
-    """Views built or evaluated inside take the certified BLAS path of
-    ``evaluate`` from ``min_nonzeros`` nonzeros of their ``class_matrix``
-    on (if their dense copy is no larger than their CSR arrays)."""
-    saved = data._DENSE_MIN_NONZEROS
-    data._DENSE_MIN_NONZEROS = min_nonzeros
-    try:
-        yield
-    finally:
-        data._DENSE_MIN_NONZEROS = saved
+def csr_evaluate(W, view, lam):
+    """``evaluate``'s objectives and losses from the CSR decision values
+    alone (``_decision_rows`` and ``_loss_counts``): the fallback every
+    certified BLAS count is proven equal to."""
+    losses = evaluation._loss_counts(*evaluation._decision_rows(W, view)) / (view.t_pos * view.t_neg)
+    return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
 
 
 @contextmanager
 def count_path_rows():
     """Count the weight rows ``evaluate`` keeps from the certified
     BLAS path (``"certified"``) and those whose CSR decision values it
-    computes (``"csr"``): a small view's rows, or a large view's fallback."""
+    computes (``"csr"``): the rows that fail the certificate, or every row
+    of a view that stays on CSR."""
     rows = {"certified": 0, "csr": 0}
     certified_loss_counts, decision_rows = evaluation._certified_loss_counts, evaluation._decision_rows
 

@@ -17,7 +17,7 @@ from emtauc.config import BenchmarkConfig, CostModelConfig, LandscapeConfig, Run
 from emtauc.data import serialize_libsvm
 from emtauc.environment import CostLedger, TaskId
 
-from conftest import dense_gate, make_gaussian_dataset
+from conftest import make_gaussian_dataset
 
 
 with resources.files("emtauc.schemas").joinpath("manifest.schema.json").open() as fh:
@@ -441,7 +441,7 @@ def test_costmodel_theoretical_column_exact(tmp_path, dataset_file):
 
 def test_costmodel_times_only_evaluations_on_built_row_copies(tmp_path, dataset_file, monkeypatch):
     # The first evaluation on a view builds its cached row copies (the CSR
-    # class copy and, on the certified path, the dense copy), a one-off cost
+    # class copy and the dense copy of the certified path), a one-off cost
     # that would inflate the mean. Every timed call must find both built.
     events = []
     real_objective = cli.objective
@@ -458,8 +458,7 @@ def test_costmodel_times_only_evaluations_on_built_row_copies(tmp_path, dataset_
     monkeypatch.setattr(cli, "time", argparse.Namespace(perf_counter=spy_clock))
     out = tmp_path / "cost"
     cfg = write_config(tmp_path, {"dataset": str(dataset_file), "repetitions": 3, "seed": 6, "output_dir": str(out)})
-    with dense_gate(0):
-        assert main(["costmodel", "--config", str(cfg)]) == 0
+    assert main(["costmodel", "--config", str(cfg)]) == 0
     # per rate: the untimed call, then the clock, three calls and the clock
     assert events == [("call", False), ("clock", None), *[("call", True)] * 3, ("clock", None)] * 4
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emtauc import data
 from emtauc.analysis import landscape_similarity, run_benchmark
 from emtauc.config import BenchmarkConfig, BenchmarkEntry, CostModelConfig, LandscapeConfig, RunConfig
 from emtauc.data import DataError, DatasetView, stratified_kfold
@@ -26,7 +25,7 @@ from emtauc.environment import (
 from emtauc.evaluation import evaluate
 from emtauc.solvers import decode_weights
 
-from conftest import dense_gate, make_gaussian_dataset
+from conftest import make_gaussian_dataset
 
 
 def test_cost_per_eval():
@@ -283,37 +282,36 @@ def test_adjust_twice_appends_events():
     assert gens == [30, 60]
 
 
-@pytest.mark.parametrize("gate", [data._DENSE_MIN_NONZEROS, 0])
-def test_task_batches_equal_checked_evaluate(gate):
+def test_task_batches_equal_checked_evaluate():
     # the solvers' unchecked path gives the bits of the checked entry point
     # on both tasks, before and after the cheap view is rebuilt
     ds = make_gaussian_dataset(6)
     W = decode_weights(np.random.default_rng(9).random((10, ds.dim)))
-    with dense_gate(gate):
-        env = build_environment(ds, seed=4)
-        for _ in range(2):
-            for task in env.tasks.values():
-                got, want = task.objective_batch(W), evaluate(W, task.view, task.lam)
-                assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-            env.adjust_cheap_task(W[0], generation=30)
+    env = build_environment(ds, seed=4)
+    for _ in range(2):
+        for task in env.tasks.values():
+            got, want = task.objective_batch(W), evaluate(W, task.view, task.lam)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        env.adjust_cheap_task(W[0], generation=30)
 
 
-def test_only_the_paper_size_full_view_takes_the_certified_path():
-    # at the paper's scale (768 x 8, like diabetes) the full view densifies
-    # for the certified BLAS path; the cheap view (76 instances at the
-    # default rate, before and after a rebuild) and a 384 x 8 half, like a
-    # two-fold split's, hold too few nonzeros and stay on CSR
+def test_every_paper_size_view_takes_the_certified_path():
+    # a view densifies for the certified BLAS path when its dense copy takes
+    # no more bytes than its CSR arrays, whatever its size. At the paper's
+    # scale (768 x 8, like diabetes) that is the full view, the cheap view
+    # (76 instances at the default rate, before and after a rebuild) and a
+    # 384 x 8 half, like a two-fold split's
     ds = make_gaussian_dataset(3, n_pos=268, n_neg=500, dim=8)
     env = build_environment(ds, seed=0)
     half = DatasetView(ds, stratified_kfold(ds, 2, seed=0).test_indices(0))
     full = env.tasks[TaskId.EXPENSIVE].view
     assert (full.class_matrix.nnz, half.class_matrix.nnz) == (768 * 8, 384 * 8)
     assert full.dense_rows() is not None
-    assert half.dense_rows() is None
+    assert half.dense_rows() is not None
     for _ in range(2):
         cheap = env.tasks[TaskId.CHEAP].view
         assert cheap.n == 76
-        assert cheap.dense_rows() is None
+        assert cheap.dense_rows() is not None
         env.adjust_cheap_task(np.ones(ds.dim), generation=30)
 
 

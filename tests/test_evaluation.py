@@ -9,6 +9,7 @@ from scipy import sparse
 from emtauc import data, evaluation
 from emtauc.config import _DEFAULT_POP
 from emtauc.data import Dataset, DatasetView
+from emtauc.environment import TaskId, build_environment
 from emtauc.evaluation import (
     _rounding_margin,
     auc_metric,
@@ -20,7 +21,7 @@ from emtauc.evaluation import (
     select_hardest,
 )
 
-from conftest import count_path_rows, dense_gate, make_gaussian_dataset, random_small_dataset
+from conftest import count_path_rows, csr_evaluate, make_gaussian_dataset, random_small_dataset
 from _oracles import (
     decision_values,
     dot_exact,
@@ -68,26 +69,24 @@ def test_pair_count_rejects_nan():
         pairwise_loss_count([np.nan], [0.1])
 
 
-@pytest.mark.parametrize("gate", [data._DENSE_MIN_NONZEROS, 0])
-def test_overflowing_decision_values_reject_nan(gate):
+def test_overflowing_decision_values_reject_nan():
     # finite rows and weights whose decision values overflow to inf and
-    # inf - inf: the second positive's is NaN. Their margin is infinite, so
-    # the certified path (gate 0) sends them to CSR without a BLAS product,
+    # inf - inf: the second positive's is NaN. The view densifies, but the
+    # margin is infinite, so the row goes to CSR without a BLAS product,
     # and no numpy overflow or invalid-value warning is raised.
     X = np.array([[1e308, 1e308, 0.0], [1e308, -1e308, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     ds = Dataset(sparse.csr_matrix(X), np.array([1, 1, -1, -1]))
     w = np.array([1e10, 1e10, 1.0])
-    with dense_gate(gate):
-        view = ds.full_view()
-        for call in (
-            lambda: auc_metric(w, view),
-            lambda: objective(w, view, 0.1),
-            lambda: evaluate(w[np.newaxis, :], view, 0.1),
-            lambda: hardness_scores(w, ds),
-        ):
-            with pytest.raises(ValueError, match="decision values must not be NaN"):
-                call()
-        assert (view.dense_rows() is not None) == (gate == 0)
+    view = ds.full_view()
+    for call in (
+        lambda: auc_metric(w, view),
+        lambda: objective(w, view, 0.1),
+        lambda: evaluate(w[np.newaxis, :], view, 0.1),
+        lambda: hardness_scores(w, ds),
+    ):
+        with pytest.raises(ValueError, match="decision values must not be NaN"):
+            call()
+    assert view.dense_rows() is not None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -240,18 +239,19 @@ def test_select_hardest_validates_lengths(toy_dataset):
 
 def test_decision_values_view_subset(toy_dataset):
     # a view of some instances, in shuffled order, evaluates bit for bit as
-    # the Dataset of the same instances does, on CSR and on the certified
-    # BLAS path; the zero weight row ties every pair
+    # the Dataset of the same instances does, and as the CSR values count;
+    # the zero weight row ties every pair and falls back to CSR
     rng = np.random.default_rng(3)
     idx = rng.permutation(toy_dataset.n)[: toy_dataset.n // 2]
     W = rng.normal(size=(6, toy_dataset.dim))
     W[0] = 0.0
-    for gate in (data._DENSE_MIN_NONZEROS, 0):
-        with dense_gate(gate), count_path_rows() as rows:
-            got = evaluate(W, DatasetView(toy_dataset, idx), 0.125)
-            want = evaluate(W, toy_dataset.subset(idx).full_view(), 0.125)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-        assert rows["certified"] == (10 if gate == 0 else 0)
+    view = DatasetView(toy_dataset, idx)
+    with count_path_rows() as rows:
+        got = evaluate(W, view, 0.125)
+        want = evaluate(W, toy_dataset.subset(idx).full_view(), 0.125)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in csr_evaluate(W, view, 0.125)]
+    assert rows == {"certified": 10, "csr": 2}
 
 
 @pytest.mark.parametrize("label", [1, -1])
@@ -302,11 +302,11 @@ def test_tie_heavy_rows_fall_back_to_csr():
     labels = np.where(np.arange(40) % 3 == 0, 1, -1)
     ds = Dataset(sparse.csr_matrix(X), labels)
     W = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [0.3, 0.7], [-0.9, 0.2]])
-    want = evaluate(W, DatasetView(ds, np.arange(ds.n)), 0.125)[0]
-    with dense_gate(0), count_path_rows() as rows:
-        view = ds.full_view()
+    view = ds.full_view()
+    with count_path_rows() as rows:
         got = evaluate(W, view, 0.125)[0]
-        assert view.dense_rows() is not None
+    assert view.dense_rows() is not None
+    want = csr_evaluate(W, view, 0.125)[0]
     assert rows == {"certified": 0, "csr": W.shape[0]}
     assert np.array_equal(got, want)
     losses = [pair_loss_naive(*decision_values(w, view)) for w in W]
@@ -314,49 +314,70 @@ def test_tie_heavy_rows_fall_back_to_csr():
 
 
 def test_paper_size_tie_heavy_rows_fall_back_to_csr():
-    # 768 x 8 sign features, the paper's scale: the full view takes the
-    # certified path, but its rows repeat 256 patterns across the classes,
-    # so every weight row ties a positive with a negative, fails the
-    # certificate and is counted again on CSR. Weights in quarters make
-    # every decision value exact, so the oracle's product is exact too.
+    # 768 x 8 sign features, the paper's scale: every view densifies for
+    # the certified path, but the rows repeat 256 patterns across the
+    # classes, so every weight row ties a positive with a negative, fails
+    # the certificate and is counted again on CSR. That holds on the full
+    # view and on the cheap task's 76-instance view, before and after a
+    # rebuild. Weights in quarters make every decision value exact, so the
+    # oracle's product is exact too.
     rng = np.random.default_rng(11)
     X = rng.choice([-1.0, 1.0], size=(768, 8))
     labels = np.where(np.arange(768) < 268, 1, -1)
     ds = Dataset(sparse.csr_matrix(X), labels)
     W = rng.integers(-4, 5, size=(10, 8)) / 4
-    with count_path_rows() as rows:
-        view = ds.full_view()
-        got = evaluate(W, view, 0.125)[1]
-    assert view.dense_rows() is not None
-    assert rows == {"certified": 0, "csr": W.shape[0]}
-    losses = [pair_loss_broadcast((X @ w)[labels == 1], (X @ w)[labels == -1]) for w in W]
-    assert np.array_equal(got, np.array(losses) / (268 * 500))
+    env = build_environment(ds, seed=0)
+    views = [ds.full_view(), env.tasks[TaskId.CHEAP].view, env.adjust_cheap_task(np.ones(8), generation=30)]
+    assert [view.n for view in views] == [768, 76, 76]
+    for view in views:
+        with count_path_rows() as rows:
+            got = evaluate(W, view, 0.125)[1]
+        assert view.dense_rows() is not None
+        assert rows == {"certified": 0, "csr": W.shape[0]}
+        losses = [pair_loss_broadcast(X[view.pos_selected] @ w, X[view.neg_selected] @ w) for w in W]
+        assert np.array_equal(got, np.array(losses) / (view.t_pos * view.t_neg))
 
 
 def test_large_gaussian_view_certifies_every_row():
-    # at the gate itself, so the test fails if the BLAS path is not taken
-    dim = 8
-    n = data._DENSE_MIN_NONZEROS // dim
-    ds = make_gaussian_dataset(8, n_pos=n // 2, n_neg=n - n // 2, dim=dim)
+    # continuous features at 512 x 8: every row certifies on the BLAS path,
+    # and every count equals the CSR values' count
+    ds = make_gaussian_dataset(8, n_pos=256, n_neg=256, dim=8)
     W = np.random.default_rng(8).uniform(-1, 1, size=(12, ds.dim))
     view = ds.full_view()
-    assert view.class_matrix.nnz == data._DENSE_MIN_NONZEROS
     with count_path_rows() as rows:
         got = evaluate(W, view, 0.125)[0]
     assert rows == {"certified": W.shape[0], "csr": 0}
-    metrics = (auc_metric, loss_fraction)
-    with dense_gate(view.class_matrix.nnz + 1):
-        csr_view = DatasetView(ds, np.arange(ds.n))
-        assert np.array_equal(got, evaluate(W, csr_view, 0.125)[0])
-        csr_values = [metric(W[0], csr_view) for metric in metrics]
-    # the AUC of a large view is counted by the same certified path
-    for metric, csr_value in zip(metrics, csr_values):
+    want, csr_losses = csr_evaluate(W, view, 0.125)
+    assert np.array_equal(got, want)
+    # the AUC of a view is counted by the same certified path
+    for metric, csr_value in ((loss_fraction, csr_losses[0]), (auc_metric, 1.0 - csr_losses[0])):
         with count_path_rows() as rows:
             assert metric(W[0], view).hex() == csr_value.hex()
         assert rows == {"certified": 1, "csr": 0}
     losses = [pair_loss_broadcast(*decision_values(w, view)) for w in W]
     want = np.array(losses) / (view.t_pos * view.t_neg) + 0.0625 * np.einsum("ij,ij->i", W, W)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    ("rows", "csr_bytes"), [([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0]], 48), ([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], 36)]
+)
+def test_a_view_densifies_when_its_dense_copy_is_no_larger_than_its_csr_arrays(rows, csr_bytes):
+    # one positive and one negative at dim 3: the dense copy takes 48 bytes.
+    # Three nonzeros take 48 CSR bytes (8 per value, 4 per index, 4 per
+    # row pointer), so the view densifies and its row certifies; two take
+    # 36 and the view stays on CSR. Both count the one pair alike.
+    ds = Dataset(sparse.csr_matrix(np.array(rows)), np.array([1, -1]))
+    view = ds.full_view()
+    X = view.class_matrix
+    assert X.data.nbytes + X.indices.nbytes + X.indptr.nbytes == csr_bytes
+    with count_path_rows() as counted:
+        losses = evaluate(np.array([[1.0, 1.0, 1.0]]), view, 0.125)[1]
+    assert np.array_equal(losses, [0.0])
+    if csr_bytes >= 48:
+        assert view.dense_rows() is not None and counted == {"certified": 1, "csr": 0}
+    else:
+        assert view.dense_rows() is None and counted == {"certified": 0, "csr": 1}
 
 
 def test_sparse_high_dim_view_never_densifies():
@@ -367,7 +388,6 @@ def test_sparse_high_dim_view_never_densifies():
     X = sparse.csr_matrix((rng.normal(size=n * per_row), cols, np.arange(0, n * per_row + 1, per_row)), shape=(n, dim))
     ds = Dataset(X, np.where(np.arange(n) % 2 == 0, 1, -1))
     view = ds.full_view()
-    assert view.class_matrix.nnz >= data._DENSE_MIN_NONZEROS
     W = rng.uniform(-1, 1, size=(3, dim))
     with count_path_rows() as rows:
         evaluate(W, view, 0.125)
@@ -377,16 +397,16 @@ def test_sparse_high_dim_view_never_densifies():
 
 @pytest.mark.parametrize("n", [20, 2000])
 def test_views_without_features_lose_every_pair(n):
-    # with no features every decision value is 0, so every pair ties. With
-    # no nonzeros a view stays on CSR; the large view is pinned to the
-    # certified path, where it densifies an empty (0, n) copy whose row
-    # blocks must not divide by the zero row width
+    # with no features every decision value is 0, so every pair ties. The
+    # view densifies an empty (0, n) copy, whose row blocks must not divide
+    # by the zero row width, and every row falls back to CSR
     ds = Dataset(np.zeros((n, 0)), np.where(np.arange(n) % 2 == 0, 1, -1))
-    with dense_gate(0 if n == 2000 else data._DENSE_MIN_NONZEROS):
-        view = ds.full_view()
+    view = ds.full_view()
+    with count_path_rows() as rows:
         losses = evaluate(np.zeros((3, 0)), view, 0.125)[1]
-        assert np.array_equal(losses, np.ones(3))
-        assert (view.dense_rows() is not None) == (n == 2000)
+    assert np.array_equal(losses, np.ones(3))
+    assert view.dense_rows() is not None
+    assert rows == {"certified": 0, "csr": 3}
 
 
 def test_dense_copy_and_magnitudes_match_the_rows_in_every_block():
@@ -397,7 +417,7 @@ def test_dense_copy_and_magnitudes_match_the_rows_in_every_block():
     X[[1, 4, 7, 10], [0, 1, 2, 3]] = [50.0, -60.0, 70.0, -80.0]
     X[:, 4] = 0.0
     ds = Dataset(sparse.csr_matrix(X), np.where(np.arange(11) % 3 == 0, 1, -1))
-    with dense_gate(0), mock.patch.object(data, "_DENSE_BLOCK_BYTES", 8 * 5 * 3):
+    with mock.patch.object(data, "_DENSE_BLOCK_BYTES", 8 * 5 * 3):
         view = DatasetView(ds, np.arange(ds.n)[::-1])
         dense, magnitudes = view.dense_rows()
     assert dense.flags.c_contiguous

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from emtauc.data import Dataset, DatasetView
+from emtauc.data import Dataset
 from emtauc.evaluation import (
     _HALF_MAX,
     _certified_loss_counts,
@@ -24,7 +24,7 @@ from emtauc.evaluation import (
     pairwise_loss_count,
 )
 
-from conftest import count_path_rows, dense_gate
+from conftest import count_path_rows, csr_evaluate
 from _oracles import (
     certified_loss_counts_reference,
     decision_values,
@@ -70,14 +70,12 @@ def continuous_problem(draw):
 
 
 def _certified_and_csr(X, labels, W, lam):
-    """``evaluate``'s objectives with every view on the certified BLAS
-    path, the same on the CSR path, and the rows each path counted in
-    the first."""
-    ds = Dataset(sparse.csr_matrix(X), labels)
-    csr = evaluate(W, ds.full_view(), lam)[0]
-    with dense_gate(0), count_path_rows() as rows:
-        got = evaluate(W, DatasetView(ds, np.arange(ds.n)), lam)[0]
-    return got, csr, rows
+    """``evaluate``'s objectives, those counted on the CSR values alone,
+    and the rows each path counted in the first."""
+    view = Dataset(sparse.csr_matrix(X), labels).full_view()
+    with count_path_rows() as rows:
+        got = evaluate(W, view, lam)[0]
+    return got, csr_evaluate(W, view, lam)[0], rows
 
 
 def _oracle_decisions(X, labels, w):
@@ -268,9 +266,8 @@ def test_rounding_margin_covers_the_blas_and_csr_rounding(rows):
     X, W = rows
     dim = X.shape[1]
     ds = Dataset(sparse.csr_matrix(X), np.where(np.arange(X.shape[0]) % 2 == 0, 1, -1))
-    with dense_gate(0):
-        view = DatasetView(ds, np.arange(ds.n))
-        copy = view.dense_rows()
+    view = ds.full_view()
+    copy = view.dense_rows()
     class_rows = view.class_matrix.toarray()
     magnitudes = np.abs(X).max(axis=0)
     if copy is not None:
@@ -341,9 +338,6 @@ def test_certified_path_matches_csr_on_edge_values(rows, lam):
     X = np.column_stack([g[0], np.ones(g.shape[1])])
     labels = np.repeat(np.array([1, -1], dtype=np.int64), [t_pos, g.shape[1] - t_pos])
     W = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.5], [-0.5, 0.0]])
-    ds = Dataset(sparse.csr_matrix(X), labels)
-    want = evaluate(W, ds.full_view(), lam)[0]
-    with dense_gate(0):
-        view = DatasetView(ds, np.arange(ds.n))
-        assert view.dense_rows() is not None
-        assert np.array_equal(evaluate(W, view, lam)[0], want)
+    view = Dataset(sparse.csr_matrix(X), labels).full_view()
+    assert view.dense_rows() is not None
+    assert np.array_equal(evaluate(W, view, lam)[0], csr_evaluate(W, view, lam)[0])
