@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -341,10 +342,15 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
         weights = rng.uniform(-1.0, 1.0, size=(cfg.repetitions, ds.dim))
         # untimed: the first evaluation builds the view's cached row copies
         objective(weights[0], view, DEFAULT_LAM)
-        start = time.perf_counter()
+        # each call's CPU seconds, and their median: a call on a small view
+        # takes well under a millisecond, so one preempted call or a wall-clock
+        # mean would swing the ratio
+        seconds = []
         for w in weights:
+            start = time.process_time()
             objective(w, view, DEFAULT_LAM)
-        timed.append((rate, (time.perf_counter() - start) / cfg.repetitions))
+            seconds.append(time.process_time() - start)
+        timed.append((rate, statistics.median(seconds)))
     finished_at = _utc_now()
 
     base_seconds = next((sec for rate, sec in timed if rate == DEFAULT_RATE), timed[0][1])

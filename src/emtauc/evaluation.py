@@ -145,10 +145,11 @@ def _loss_counts(f_pos: np.ndarray, f_neg: np.ndarray) -> np.ndarray:
 
 def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
     """Per row r of the C-contiguous (k, n) BLAS block ``g``, whose first
-    ``t_pos`` columns are positives: the loss count of the class-tagged
-    values, and True where each pair of sorted neighbours of different
-    classes lies more than 2 * margin[r] apart, which makes that count the
-    CSR count (module docstring).
+    ``t_pos`` columns are positives and the rest negatives, both classes
+    present: the loss count of the class-tagged values, and True where
+    each pair of sorted neighbours of different classes lies more than
+    2 * margin[r] apart, which makes that count the CSR count (module
+    docstring).
 
     ``g`` is tagged and sorted in place. After the sort, the negatives
     below the positives number the sum of the positives' positions less
@@ -164,13 +165,13 @@ def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
     """
     k, n = g.shape
     bits = g.view(np.int64)
+    bits &= ~1
     bits[:, :t_pos] |= 1
-    bits[:, t_pos:] &= ~1
     g.sort(axis=1)
-    below = np.einsum("ij,j->i", bits & 1, np.arange(n)) - t_pos * (t_pos - 1) // 2
+    below = np.dot(bits & 1, np.arange(n)) - t_pos * (t_pos - 1) // 2
     bound = 2 * margin
-    gaps = np.diff(g, axis=1)
-    certified = gaps.min(axis=1, initial=np.inf) > bound
+    gaps = g[:, 1:] - g[:, :-1]
+    certified = gaps.min(axis=1) > bound
     if not certified.all():
         rest = np.flatnonzero(~certified)
         close = gaps <= bound[:, np.newaxis]

@@ -57,23 +57,21 @@ def sbx_crossover(p1, p2, u, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
     Identical parents produce bit-identical children.
     """
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta + 1.0)),
-        (0.5 / (1.0 - u)) ** (1.0 / (eta + 1.0)),
-    )
+    # one power over both branches' bases: each gene's beta is the same
+    # power of the same base as with one power per branch
+    beta = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)) ** (1.0 / (eta + 1.0))
     mean = 0.5 * (p1 + p2)
     spread = 0.5 * beta * (p1 - p2)
-    return np.clip(mean + spread, 0.0, 1.0), np.clip(mean - spread, 0.0, 1.0)
+    return (mean + spread).clip(0.0, 1.0), (mean - spread).clip(0.0, 1.0)
 
 
 def pm_mutation(g, mask_u, u, eta: float, prob: float) -> np.ndarray:
     """Polynomial mutation gene by gene, in [0, 1]: a gene mutates where its
     ``mask_u`` uniform is below ``prob`` and takes its step from ``u``."""
-    toward_zero = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
-    toward_one = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
-    child = np.where(u <= 0.5, g + toward_zero * g, g + toward_one * (1.0 - g))
-    return np.clip(np.where(mask_u < prob, child, g), 0.0, 1.0)
+    low = u <= 0.5
+    step = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
+    child = np.where(low, g + (step - 1.0) * g, g + (1.0 - step) * (1.0 - g))
+    return np.where(mask_u < prob, child, g).clip(0.0, 1.0)
 
 
 # ridge added to the diagonal of P P^T in ``fit_transfer_map``
@@ -150,12 +148,9 @@ def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     m = costs.shape[0]
     ranks = np.empty((m, 2), dtype=np.int64)
     ranks[np.argsort(costs, axis=0, kind="stable"), [0, 1]] = np.arange(1, m + 1)[:, np.newaxis]
-    masked = ranks.astype(np.float64)
-    masked[~np.isfinite(costs)] = np.inf
-    skills = np.argmin(masked, axis=1)
-    best_rank = masked.min(axis=1)
-    fitness = np.where(np.isfinite(best_rank), 1.0 / best_rank, 0.0)
-    return ranks, skills, fitness
+    masked = np.where(costs == np.inf, np.inf, ranks)
+    # a row with no evaluated task has best rank inf and fitness 1/inf = 0
+    return ranks, masked.argmin(axis=1), 1.0 / masked.min(axis=1)
 
 
 def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -171,9 +166,20 @@ def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray,
     the values and the number of charged rows, which are the leading ones;
     rows left uncharged read inf, as if never evaluated.
     """
+    ledger = env.ledger
+    if isinstance(task_ids, (int, np.integer)):
+        # one task: the batch is evaluated as it is, and the first minimum
+        # of its charged rows, the leading ones, is archived
+        if not keys.shape[0]:
+            return np.empty(0), 0
+        values, losses = _eval_batch(env.tasks[task_ids], keys)
+        kept = 0 if ledger.exhausted else ledger.charge([task_ids] * keys.shape[0])
+        values[kept:] = np.inf
+        if kept and task_ids == TaskId.EXPENSIVE:
+            best = np.argmin(values[:kept])
+            env.record_expensive(decode_weights(keys[best]), values[best], losses[best])
+        return values, kept
     tids = np.asarray(task_ids, dtype=np.int64)
-    if tids.ndim == 0:
-        tids = tids.repeat(keys.shape[0])
     values = np.empty(keys.shape[0])
     losses = np.empty(keys.shape[0])
     for tid in (0, 1):
@@ -181,7 +187,6 @@ def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray,
         if rows.size:
             # a batch of one task is evaluated as it is, without a gather
             values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys if rows.size == tids.size else keys[rows])
-    ledger = env.ledger
     kept = 0 if ledger.exhausted else ledger.charge(tids.tolist())
     values[kept:] = np.inf
     expensive = tids[:kept].nonzero()[0]
@@ -223,10 +228,12 @@ def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float)
     only its first child is kept. Children 2i and 2i + 1 come from pair i,
     and the first len(genomes) are returned.
     """
-    first = genomes[parents[:, 0]]
-    second = genomes[parents[:, 1]]
-    first[cross], second[cross] = sbx_crossover(first[cross], second[cross], u[cross, 0], config.sbx_eta)
-    children = pm_mutation(np.stack([first, second], axis=1), u[:, 1::2], u[:, 2::2], config.pm_eta, pm_prob)
+    block = genomes[parents]
+    if cross.all():
+        block[:, 0], block[:, 1] = sbx_crossover(block[:, 0], block[:, 1], u[:, 0], config.sbx_eta)
+    elif cross.any():
+        block[cross, 0], block[cross, 1] = sbx_crossover(block[cross, 0], block[cross, 1], u[cross, 0], config.sbx_eta)
+    children = pm_mutation(block, u[:, 1::2], u[:, 2::2], config.pm_eta, pm_prob)
     return children.reshape(-1, genomes.shape[1])[: genomes.shape[0]]
 
 

@@ -442,7 +442,7 @@ def test_costmodel_theoretical_column_exact(tmp_path, dataset_file):
 def test_costmodel_times_only_evaluations_on_built_row_copies(tmp_path, dataset_file, monkeypatch):
     # The first evaluation on a view builds its cached row copies (the CSR
     # class copy and the dense copy of the certified path), a one-off cost
-    # that would inflate the mean. Every timed call must find both built.
+    # that would skew the timing. Every timed call must find both built.
     events = []
     real_objective = cli.objective
 
@@ -455,12 +455,13 @@ def test_costmodel_times_only_evaluations_on_built_row_copies(tmp_path, dataset_
         return 0.0
 
     monkeypatch.setattr(cli, "objective", spy_objective)
-    monkeypatch.setattr(cli, "time", argparse.Namespace(perf_counter=spy_clock))
+    monkeypatch.setattr(cli, "time", argparse.Namespace(process_time=spy_clock))
     out = tmp_path / "cost"
     cfg = write_config(tmp_path, {"dataset": str(dataset_file), "repetitions": 3, "seed": 6, "output_dir": str(out)})
     assert main(["costmodel", "--config", str(cfg)]) == 0
-    # per rate: the untimed call, then the clock, three calls and the clock
-    assert events == [("call", False), ("clock", None), *[("call", True)] * 3, ("clock", None)] * 4
+    # per rate: the untimed call, then each of three calls between two
+    # readings of the CPU clock
+    assert events == [("call", False), *[("clock", None), ("call", True), ("clock", None)] * 3] * 4
 
 
 TOY_TEXT = serialize_libsvm(make_gaussian_dataset(0, n_pos=30, n_neg=40, dim=4))

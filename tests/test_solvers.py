@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emtauc.environment import TaskId, TaskSpec, build_environment
@@ -468,6 +468,20 @@ def evaluate_batches(draw):
     return batches
 
 
+# Four expensive rows, worst first at lam 0 and 0.125 (objectives 1.0,
+# 0.68, 0.43 and 0.17 at 0.125): the best is the last.
+WORST_FIRST = np.array([[0.5, 0.5, 0.5, 0.5], [0.25, 0.25, 0.75, 0.75], [0.25, 0.25, 0.25, 0.75], [0.25, 0.75, 0.25, 0.75]])
+# At s = 1/10 an expensive row costs 100, so a budget of 250 is crossed by
+# the third row, and the fourth, the best, is never charged: a batch on one
+# task, the same batch on the exhausted ledger, then empty batches on it.
+ONE_TASK_BATCHES = [
+    (TaskId.EXPENSIVE, WORST_FIRST),
+    (TaskId.EXPENSIVE, WORST_FIRST),
+    (TaskId.EXPENSIVE, WORST_FIRST[:0]),
+    (TaskId.CHEAP, WORST_FIRST[:0]),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     batches=evaluate_batches(),
@@ -475,6 +489,8 @@ def evaluate_batches(draw):
     s=st.sampled_from(["1/10", "3/10", "1"]),
     lam=st.sampled_from([0.0, 0.125]),
 )
+@example(batches=ONE_TASK_BATCHES, budget=250, s="1/10", lam=0.125)
+@example(batches=ONE_TASK_BATCHES[:1], budget=250, s="1/10", lam=0.0)
 def test_evaluate_matches_per_row_oracle(batches, budget, s, lam):
     # Small budgets run out inside a batch or before it starts; each
     # environment sees the same batches, one through the batched path and
