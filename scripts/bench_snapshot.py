@@ -1,11 +1,13 @@
 """Run the benchmark on one or more source trees and write one snapshot file.
 
-    python scripts/bench_snapshot.py --out BENCH.json --tree parent=OTHER_CHECKOUT --tree change=.
+    python scripts/bench_snapshot.py --out BENCH.json --tree parent=PARENT_CLONE --tree change=CHANGE_CLONE
 
 Each ``--tree LABEL=DIR`` names a checkout that holds ``perfbench/`` and
-``src/``; with no ``--tree`` the snapshot runs this checkout alone, as
-``change``. For every workload of ``BENCHMARK.json`` and every seed, each
-tree runs its own, unchanged ``perfbench/run.py --trace 0`` once, in a
+``src/``; give at least one. Trees that are compared should be alike
+apart from their commits, two fresh clones say, not one clone and a
+working checkout: on the large workload a working checkout read a few
+percent slower than a clone of the same code. For every workload of
+``BENCHMARK.json`` and every seed, each tree runs its own, unchanged ``perfbench/run.py --trace 0`` once, in a
 fresh process from the tree's root; the tree that goes first alternates
 from seed to seed, so the runs of a seed form a pair that shares the
 machine's conditions. Then each tree runs ``--trace 1`` once, on the
@@ -13,7 +15,8 @@ first seed, for the per-layer metrics.
 
 The snapshot is one JSON object:
 
-* ``seconds``, ``seeds``, ``workloads`` and ``command``: what was run;
+* ``seconds`` (``BENCHMARK.json``'s ``run_seconds``, which every run
+  uses), ``seeds``, ``workloads`` and ``command``: what was run;
 * ``trees``: per label, the commit (``run.py``'s ``git_commit``) and the
   sha256 of ``git diff HEAD -- src``, null when ``src`` is committed;
 * ``machine``: the machine facts ``run.py`` prints;
@@ -78,7 +81,7 @@ CAVEATS = {
 
 def parse_trees(specs: list[str]) -> dict[str, Path]:
     trees = {}
-    for spec in specs or ["change=."]:
+    for spec in specs:
         label, sep, path = spec.partition("=")
         if not sep or not label or label in trees:
             raise SystemExit(f"--tree wants a new LABEL=DIR, got {spec!r}")
@@ -103,11 +106,11 @@ def src_diff_sha256(tree: Path) -> str | None:
     return hashlib.sha256(done.stdout).hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``run.py`` process: its result line, its machine facts and its
     exit code."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)]
+               "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     machine = next((line for line in lines if line.startswith("machine ")), "")
@@ -128,8 +131,7 @@ def summary(values: list[float | None]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
+    parser.add_argument("--tree", action="append", required=True, metavar="LABEL=DIR")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("2801-2805"), metavar="FIRST-LAST")
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in BENCHMARK["workloads"]])
     args = parser.parse_args(argv)
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
 
     snapshot = {
         "command": BENCHMARK["command"],
-        "seconds": args.seconds,
+        "seconds": BENCHMARK["run_seconds"],
         "seeds": args.seeds,
         "workloads": args.workloads,
         "trees": {label: {"commit": None, "src_diff_sha256": src_diff_sha256(tree)} for label, tree in trees.items()},
@@ -154,8 +156,8 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = labels[i % len(labels):] + labels[: i % len(labels)]
             for label in order:
-                runs[label].append(run_once(trees[label], workload, seed, args.seconds, 0))
-        traced = {label: run_once(trees[label], workload, args.seeds[0], args.seconds, 1) for label in labels}
+                runs[label].append(run_once(trees[label], workload, seed, 0))
+        traced = {label: run_once(trees[label], workload, args.seeds[0], 1) for label in labels}
         per_tree = {}
         for label in labels:
             results = [run["result"] for run in runs[label]]

@@ -166,32 +166,35 @@ def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray,
     the values and the number of charged rows, which are the leading ones;
     rows left uncharged read inf, as if never evaluated.
     """
-    ledger = env.ledger
-    if isinstance(task_ids, (int, np.integer)):
-        # one task: the batch is evaluated as it is, and the first minimum
-        # of its charged rows, the leading ones, is archived
+    single = isinstance(task_ids, (int, np.integer))
+    if single:
+        # one task: the batch is evaluated as it is, with no per-row ids
         if not keys.shape[0]:
             return np.empty(0), 0
         values, losses = _eval_batch(env.tasks[task_ids], keys)
-        kept = 0 if ledger.exhausted else ledger.charge([task_ids] * keys.shape[0])
-        values[kept:] = np.inf
-        if kept and task_ids == TaskId.EXPENSIVE:
-            best = np.argmin(values[:kept])
-            env.record_expensive(decode_weights(keys[best]), values[best], losses[best])
-        return values, kept
-    tids = np.asarray(task_ids, dtype=np.int64)
-    values = np.empty(keys.shape[0])
-    losses = np.empty(keys.shape[0])
-    for tid in (0, 1):
-        rows = (tids == tid).nonzero()[0]
-        if rows.size:
-            # a batch of one task is evaluated as it is, without a gather
-            values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys if rows.size == tids.size else keys[rows])
-    kept = 0 if ledger.exhausted else ledger.charge(tids.tolist())
+        charged = [task_ids] * keys.shape[0]
+    else:
+        tids = np.asarray(task_ids, dtype=np.int64)
+        values = np.empty(keys.shape[0])
+        losses = np.empty(keys.shape[0])
+        for tid in (0, 1):
+            rows = (tids == tid).nonzero()[0]
+            if rows.size:
+                # a batch of one task is evaluated as it is, without a gather
+                values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys if rows.size == tids.size else keys[rows])
+        charged = tids.tolist()
+    ledger = env.ledger
+    kept = 0 if ledger.exhausted else ledger.charge(charged)
     values[kept:] = np.inf
-    expensive = tids[:kept].nonzero()[0]
-    if expensive.size:
-        best = expensive[np.argmin(values[expensive])]
+    best = None
+    if not single:
+        expensive = tids[:kept].nonzero()[0]
+        if expensive.size:
+            best = expensive[np.argmin(values[expensive])]
+    elif kept and task_ids == TaskId.EXPENSIVE:
+        # every charged row is expensive, and they are the leading ones
+        best = np.argmin(values[:kept])
+    if best is not None:
         env.record_expensive(decode_weights(keys[best]), values[best], losses[best])
     return values, kept
 
@@ -229,10 +232,12 @@ def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float)
     and the first len(genomes) are returned.
     """
     block = genomes[parents]
-    if cross.all():
-        block[:, 0], block[:, 1] = sbx_crossover(block[:, 0], block[:, 1], u[:, 0], config.sbx_eta)
-    elif cross.any():
-        block[cross, 0], block[cross, 1] = sbx_crossover(block[cross, 0], block[cross, 1], u[cross, 0], config.sbx_eta)
+    # SBX runs on every pair, and a pair that does not cross keeps its
+    # parents: u < 1, so its unused children are finite
+    first, second = sbx_crossover(block[:, 0], block[:, 1], u[:, 0], config.sbx_eta)
+    crossing = cross[:, np.newaxis]
+    block[:, 0] = np.where(crossing, first, block[:, 0])
+    block[:, 1] = np.where(crossing, second, block[:, 1])
     children = pm_mutation(block, u[:, 1::2], u[:, 2::2], config.pm_eta, pm_prob)
     return children.reshape(-1, genomes.shape[1])[: genomes.shape[0]]
 
