@@ -14,6 +14,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -182,6 +183,47 @@ def _dense_blocks(X: sp.csr_matrix):
         yield start, _row_block(X, start, min(start + step, n)).toarray()
 
 
+class DenseRows(NamedTuple):
+    """A view's dense copy and the constants every evaluation on it reuses.
+
+    ``matrix`` is the C-contiguous (dim, n) copy of ``class_matrix``,
+    column j holding row j; ``magnitude_sum`` is the sum over the features
+    of each one's largest magnitude over the view's rows (inf if it
+    overflows); ``t_pos`` is the number of positives, which fill the first
+    columns; ``pairs`` is t_pos * t_neg.
+    """
+
+    matrix: np.ndarray
+    magnitude_sum: float
+    t_pos: int
+    pairs: int
+
+
+def _has_cross_class_duplicates(X: sp.csr_matrix, t_pos: int) -> bool:
+    """Whether some positive row of the class-ordered CSR matrix ``X`` (its
+    first ``t_pos`` rows) equals some negative row.
+
+    Every row is hashed by one CSR product with fixed weights. Equal rows
+    hold the same (index, value) entries, since a Dataset's matrix has
+    sorted indices and no explicit zeros, so their hashes are the same
+    products summed in the same order and are equal. Only the positives
+    whose hash a negative shares are then compared entry by entry, until
+    one equals a negative. The weights sum to at most 1/2 in magnitude, so
+    no hash overflows.
+    """
+    dim = X.shape[1]
+    h = X @ (np.cos(np.arange(1.0, dim + 1)) / (2 * max(dim, 1)))
+    neg_h = h[t_pos:]
+    ptr, indices, data = X.indptr, X.indices, X.data
+    for i in np.flatnonzero(np.isin(h[:t_pos], neg_h)):
+        row = slice(ptr[i], ptr[i + 1])
+        for j in t_pos + np.flatnonzero(neg_h == h[i]):
+            other = slice(ptr[j], ptr[j + 1])
+            if np.array_equal(indices[row], indices[other]) and np.array_equal(data[row], data[other]):
+                return True
+    return False
+
+
 class DatasetView:
     """An ordered selection of instances from a base Dataset.
 
@@ -189,7 +231,8 @@ class DatasetView:
     built on first use: one CSR matrix in class order (``class_matrix``: the
     positives, then the negatives, each in view order), so repeated
     evaluations stay cheap, and, for views whose dense copy takes no more
-    bytes than that matrix's arrays, one dense copy of it (``dense_rows``).
+    bytes than that matrix's arrays and whose classes share no row, one
+    dense copy of it (``dense_rows``).
     """
 
     __slots__ = ("base", "selected", "pos_selected", "neg_selected", "_matrix", "_dense")
@@ -201,6 +244,8 @@ class DatasetView:
         self.pos_selected = self.selected[mask]
         self.neg_selected = self.selected[~mask]
         self._matrix = None
+        # None until ``dense_rows`` first runs, then its DenseRows, or False
+        # for a view that stays on CSR
         self._dense = None
 
     @property
@@ -235,33 +280,42 @@ class DatasetView:
         a new block on every access."""
         return _row_block(self.class_matrix, self.t_pos, self.n)
 
-    def dense_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """A dense copy of ``class_matrix`` as one C-contiguous (dim, n)
-        array, column j holding row j, and the (dim,) largest magnitude of
-        each feature over the view's rows; or None for a view that stays on
-        CSR.
+    def dense_rows(self) -> DenseRows | None:
+        """The view's ``DenseRows``: a dense copy of ``class_matrix`` and
+        the constants every evaluation on it reuses; or None for a view
+        that stays on CSR.
 
         The (dim, n) layout makes a (k, dim) weight batch's product with
-        it a plain ``W @ dense``, with no transposed operand. A view
+        it a plain ``W @ matrix``, with no transposed operand. A view
         densifies if and only if its dense copy takes no more bytes than
         the three arrays of ``class_matrix``, whatever its size, so sparse
-        high-dimensional data never does. Both are built on first use and
-        cached. The copy is filled block by block (``_dense_blocks``), and
-        the magnitudes are taken from each block as it is filled, so no
-        second n x dim array exists even for a moment.
+        high-dimensional data never does, and no positive row equals a
+        negative row (``_has_cross_class_duplicates``): such a pair ties
+        under every weight vector, so no count on the view could ever be
+        certified on BLAS values. Both the decision and the copy are made
+        on first use and cached. The copy is filled block by block
+        (``_dense_blocks``), and the magnitudes are taken from each block
+        as it is filled, so no second n x dim array exists even for a
+        moment.
         """
         if self._dense is None:
-            X = self.class_matrix
-            dim = self.base.dim
-            if 8 * self.n * dim > X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
-                return None
-            dense = np.empty((dim, self.n))
-            magnitudes = np.zeros(dim)
-            for start, block in _dense_blocks(X):
-                np.maximum(magnitudes, np.abs(block).max(axis=0), out=magnitudes)
-                dense[:, start:start + block.shape[0]] = block.T
-            self._dense = (dense, magnitudes)
-        return self._dense
+            self._dense = self._dense_copy()
+        return self._dense or None
+
+    def _dense_copy(self) -> DenseRows | bool:
+        X = self.class_matrix
+        dim, t_pos = self.base.dim, self.t_pos
+        if 8 * self.n * dim > X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
+            return False
+        if _has_cross_class_duplicates(X, t_pos):
+            return False
+        dense = np.empty((dim, self.n))
+        magnitudes = np.zeros(dim)
+        for start, block in _dense_blocks(X):
+            np.maximum(magnitudes, np.abs(block).max(axis=0), out=magnitudes)
+            dense[:, start:start + block.shape[0]] = block.T
+        # a sum of Python floats overflows to inf without a warning
+        return DenseRows(dense, sum(magnitudes.tolist()), t_pos, t_pos * self.t_neg)
 
     def fingerprint(self) -> str:
         h = hashlib.blake2b(digest_size=8)

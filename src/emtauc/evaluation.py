@@ -5,23 +5,30 @@ misordered, with ties counted as losses. Every count is an exact
 comparison count on the CSR decision values (``_decision_rows``): no
 tolerance ever decides whether a pair is a loss.
 
-Every view whose dense copy takes no more bytes than its CSR arrays
-(``DatasetView.dense_rows``; at the paper's scale, the full 768 x 8 view
-and the cheap task's alike) computes decision values with one BLAS
-product ``W @ dense`` on a dense (dim, n) copy of its rows, which gives
-the C-contiguous (k, n) block the kernel sorts; sparse high-dimensional
-views stay on CSR. But BLAS rounds differently from CSR, and
-differently again per build and thread count. So each weight row's BLAS
-count is certified before it is used. By Higham's componentwise bound
-(Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1), a
-length-d dot product computed as a sum of its d products, in any order
-and with or without FMA, lies within gamma_d * sum_i |w_i| |x_i| of the
-exact one, gamma_d = d*u / (1 - d*u) and u = 2^-53. With c_i the largest
-|x_i| over the view's rows, that sum is at most |w| . c for every row,
-so a BLAS value is within 2 * gamma_d * |w| . c of its CSR value, and
-the difference of a positive and a negative value within
-4 * gamma_d * |w| . c of its CSR difference: half the margin of
-``_rounding_margin``.
+Every view whose dense copy takes no more bytes than its CSR arrays and
+whose classes share no row (``DatasetView.dense_rows``; at the paper's
+scale, the full 768 x 8 view and the cheap task's alike) computes
+decision values with one BLAS product ``W @ dense`` on a dense (dim, n)
+copy of its rows, which gives the C-contiguous (k, n) block the kernel
+sorts; sparse high-dimensional views, and views in which a positive row
+equals a negative row, whose pair ties under any weights, stay on CSR.
+But BLAS rounds differently from CSR, and differently again per build
+and thread count. So each weight row's BLAS count is certified before it
+is used. By Higham's componentwise bound (Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sec. 3.1), a length-d dot product
+computed as a sum of its d products, in any order and with or without
+FMA, lies within gamma_d * sum_i |w_i| |x_i| of the exact one,
+gamma_d = d*u / (1 - d*u) and u = 2^-53. With c_i the largest |x_i| over
+the view's rows, that sum is at most |w| . c, and since
+|w| . c <= max_i |w_i| * sum_i c_i, at most max|w| * sum(c) for every row
+w of the batch, where max|w| is the largest weight magnitude in the
+batch. So a BLAS value is within 2 * gamma_d * max|w| * sum(c) of its CSR
+value, and the difference of a positive and a negative value within
+4 * gamma_d * max|w| * sum(c) of its CSR difference: half the batch's
+margin, 8 * gamma_d * max|w| * sum(c) + 8 * d * tiny rounded up
+(``_batch_margin``). One bound serves the whole batch: it costs a few
+float operations per call where a bound per row cost a dozen numpy
+calls, and it is never below any row's own 8 * gamma_d * |w| . c.
 
 The BLAS count takes one sort per row (``_certified_loss_counts``). Each
 value's lowest mantissa bit is first set to its class, 1 for a positive
@@ -34,16 +41,18 @@ the normal range, which the margin's absolute term covers. So the two tags
 of a pair move its difference by less than another half margin, and a
 tagged difference lies within one margin of the CSR one. If every pair of
 sorted neighbours of different classes lies more than 2 * margin apart (a
-factor 2 of slack for the rounding of |w| . c and the gaps), no pair
-compares differently on the CSR values, and the BLAS count is the CSR
-count. The check takes two stages: every gap between neighbours of
+factor 2 of slack for the rounding of max|w| * sum(c) and the gaps), no
+pair compares differently on the CSR values, and the BLAS count is the
+CSR count. The check takes two stages: every gap between neighbours of
 different classes is a gap between sorted neighbours, so a row whose
 smallest gap between any two sorted neighbours exceeds 2 * margin passes
 at once, and only the rows that fail it are checked neighbour by
 neighbour with their classes. Together the two stages certify exactly
 the rows that the class-aware check alone would. Rows that fail (ties,
-zero weights, near-ties) are recounted on CSR. Every count, and so every
-objective and trace, is the same whatever the BLAS.
+zero weights, near-ties) are recounted on CSR, and a batch whose values
+could overflow (max|w| * sum(c) above half the largest float) is counted
+on CSR whole. Every count, and so every objective and trace, is the same
+whatever the BLAS.
 
 Weights are checked once, at the public entry points (``_checked_rows``);
 the solvers' ``TaskSpec.objective_batch`` calls the unchecked core,
@@ -51,6 +60,7 @@ the solvers' ``TaskSpec.objective_batch`` calls the unchecked core,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +68,9 @@ import numpy as np
 from .data import Dataset, DatasetView, as_rate, class_view_sizes
 
 _U = 2.0**-53  # unit roundoff of float64
-_TINY = np.finfo(np.float64).tiny
-_HALF_MAX = np.finfo(np.float64).max / 2
-# Bytes of one chunk's (k, n) float64 decision values in ``_loss_fractions``;
+_TINY = float(np.finfo(np.float64).tiny)
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
+# Bytes of one chunk's (k, n) float64 decision values in ``_evaluate_rows``;
 # an evaluation's working set is a few arrays of that size. A 20000-instance
 # view takes 52 rows per chunk, more than any solver batch at the default
 # population sizes (at most 20 rows per task), so solver batches are never
@@ -143,12 +153,12 @@ def _loss_counts(f_pos: np.ndarray, f_neg: np.ndarray) -> np.ndarray:
     return f_pos.shape[1] * f_neg.shape[1] - below.sum(axis=1)
 
 
-def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
-    """Per row r of the C-contiguous (k, n) BLAS block ``g``, whose first
+def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: float):
+    """Per row of the C-contiguous (k, n) BLAS block ``g``, whose first
     ``t_pos`` columns are positives and the rest negatives, both classes
     present: the loss count of the class-tagged values, and True where
     each pair of sorted neighbours of different classes lies more than
-    2 * margin[r] apart, which makes that count the CSR count (module
+    2 * margin apart, which makes that count the CSR count (module
     docstring).
 
     ``g`` is tagged and sorted in place. After the sort, the negatives
@@ -174,7 +184,7 @@ def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
     certified = gaps.min(axis=1) > bound
     if not certified.all():
         rest = np.flatnonzero(~certified)
-        close = gaps <= bound[:, np.newaxis]
+        close = gaps <= bound
         del gaps
         close = close[rest]
         tags = bits[rest]
@@ -186,25 +196,25 @@ def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: np.ndarray):
     return t_pos * (n - t_pos) - below, certified
 
 
-def _rounding_margin(W: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
-    """Per row of ``W``, a gap between BLAS decision values above which the
-    CSR values of the same pair are ordered the same way, on rows whose
-    feature magnitudes are at most ``magnitudes`` (shape (dim,)).
+def _batch_margin(W: np.ndarray, magnitude_sum: float) -> float:
+    """One gap between BLAS decision values above which the CSR values of
+    the same pair are ordered the same way, for every row of ``W``, on a
+    view whose features' largest magnitudes sum to ``magnitude_sum``
+    (``DenseRows``); inf if the products could overflow.
 
     Each of the two values of a pair is off its CSR value by at most
-    2 * gamma_d * |w| . magnitudes, so 4 * gamma_d * |w| . magnitudes
-    suffices; the factor 8 covers the rounding of ``|W| @ magnitudes``, of
-    this product and of the gap subtraction, and the absolute term covers
-    underflow. Rows whose products could overflow get an infinite margin
-    and always fall back.
+    2 * gamma_d * max|w| * magnitude_sum, so 4 times that suffices; the
+    factor 8 covers the rounding of ``magnitude_sum``, of this product and
+    of the gap subtraction, and the absolute term covers underflow. The
+    arithmetic is on Python floats, which overflow to inf without a
+    warning.
     """
+    reach = float(np.abs(W).max(initial=0.0)) * magnitude_sum
+    if not reach <= _HALF_MAX:
+        return math.inf
     dim = W.shape[1]
     gamma = dim * _U / (1 - dim * _U)
-    with np.errstate(over="ignore"):
-        bound = np.abs(W) @ magnitudes
-        margin = np.nextafter(8 * gamma * bound + 8 * dim * _TINY, np.inf)
-    margin[~(bound <= _HALF_MAX)] = np.inf
-    return margin
+    return math.nextafter(8 * gamma * reach + 8 * dim * _TINY, math.inf)
 
 
 def pairwise_loss_count(f_pos, f_neg) -> int:
@@ -227,61 +237,43 @@ def pairwise_loss_count(f_pos, f_neg) -> int:
 
 def _evaluate_rows(W: np.ndarray, view: DatasetView, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """``evaluate`` without its input check: ``W`` is a float64 (k, dim)
-    array of finite weights, and the view holds both classes."""
-    losses = _loss_fractions(W, view)
-    return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
+    array of finite weights, and the view holds both classes.
 
-
-def _loss_fractions(W: np.ndarray, view: DatasetView) -> np.ndarray:
-    """The pairwise loss of each row of the float64 (k, dim) array ``W`` on
-    the view: its exact CSR loss count over T+ * T-.
-
+    Each loss is the exact CSR loss count of its row alone over T+ * T-.
     Rows are counted in chunks whose decision values take at most
     ``_CHUNK_BYTES``, so memory stays bounded however many rows there are.
-    Each count is the CSR count of its row alone (``_chunk_loss_counts``),
-    so the chunks yield bit-equal results to one full batch.
-    """
-    step = max(1, _CHUNK_BYTES // (8 * view.n))
-    if W.shape[0] <= step:
-        losses = _chunk_loss_counts(W, view)
-    else:
-        losses = np.concatenate([_chunk_loss_counts(W[i : i + step], view) for i in range(0, W.shape[0], step)])
-    return losses / (view.t_pos * view.t_neg)
-
-
-def _chunk_loss_counts(W: np.ndarray, view: DatasetView) -> np.ndarray:
-    """The exact CSR loss count of each row of ``W`` on the view.
-
-    A view with ``dense_rows`` takes its values from one BLAS product and
-    keeps each row's count only if the certificate (module docstring)
-    proves it equal to the CSR count; the other rows are counted on CSR.
-    Rows whose products could overflow (an infinite margin) can never be
-    certified, so they skip the BLAS product and go to CSR at once; when
-    no row does, the batch takes the BLAS path whole, with no gather or
-    scatter, which matters on paper-size calls of about 0.1 ms.
+    A view with ``dense_rows`` takes each chunk's values from one BLAS
+    product and keeps each row's count only if the certificate (module
+    docstring) proves it equal to the CSR count; the other rows are
+    counted on CSR. A batch whose products could overflow (an infinite
+    margin) is counted on CSR whole, with no BLAS product. So the chunks,
+    and any split of a batch, yield bit-equal results to one full batch.
     """
     rows = view.dense_rows()
     if rows is None:
-        return _loss_counts(*_decision_rows(W, view))
-    dense, magnitudes = rows
-    margin = _rounding_margin(W, magnitudes)
-    blas = margin < np.inf
-    if blas.all():
-        losses, certified = _certified_loss_counts(W @ dense, view.t_pos, margin)
+        margin, pairs = math.inf, view.t_pos * view.t_neg
     else:
-        losses = np.empty(W.shape[0], dtype=np.int64)
-        certified = np.zeros(W.shape[0], dtype=bool)
-        if blas.any():
-            losses[blas], certified[blas] = _certified_loss_counts(W[blas] @ dense, view.t_pos, margin[blas])
-    if not certified.all():
-        losses[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
-    return losses
+        margin, pairs = _batch_margin(W, rows.magnitude_sum), rows.pairs
+    k = W.shape[0]
+    step = max(1, _CHUNK_BYTES // (8 * view.n))
+    counts = np.empty(k, dtype=np.int64)
+    for start in range(0, k, step):
+        chunk = W[start:start + step]
+        if margin < math.inf:
+            part, certified = _certified_loss_counts(chunk @ rows.matrix, rows.t_pos, margin)
+            if not certified.all():
+                part[~certified] = _loss_counts(*_decision_rows(chunk[~certified], view))
+        else:
+            part = _loss_counts(*_decision_rows(chunk, view))
+        counts[start:start + step] = part
+    losses = counts / pairs
+    return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
 
 
 def loss_fraction(w, view: DatasetView) -> float:
     """Fraction of misordered pairs, ties included: ``evaluate``'s loss
     for one row. Below 2^53 pairs the quotient is correctly rounded."""
-    return float(_loss_fractions(_checked_rows(w, view, batch=False), view)[0])
+    return float(_evaluate_rows(_checked_rows(w, view, batch=False), view, 0.0)[1][0])
 
 
 def auc_metric(w, view: DatasetView) -> float:
@@ -302,7 +294,7 @@ def evaluate(W, view: DatasetView, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """The ``objective`` of each row of ``W`` (shape (k, dim)) and the loss
     fraction in it; one minus a loss is that row's ``auc_metric``.
 
-    The losses come from ``_loss_fractions``, the path every evaluation
+    The losses come from ``_evaluate_rows``, the path every evaluation
     counts by, so each is the exact CSR count of its row alone, whether or
     not the view certified it on BLAS values.
     """

@@ -132,9 +132,10 @@ class RunResult:
 
 
 def _eval_batch(task: TaskSpec, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode and evaluate a batch of genomes on one task: each row's
-    objective and the loss fraction in it."""
-    return task.objective_batch(decode_weights(np.atleast_2d(keys)))
+    """Decode and evaluate a batch of genomes, a float64 (k, dim) array, on
+    one task: each row's objective and the loss fraction in it. The keys
+    are decoded as ``decode_weights`` does, without its conversion."""
+    return task.objective_batch(2.0 * keys - 1.0)
 
 
 def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from emtauc.config import _DEFAULT_POP
 from emtauc.data import Dataset, DatasetView
 from emtauc.environment import TaskId, build_environment
 from emtauc.evaluation import (
-    _rounding_margin,
+    _batch_margin,
     auc_metric,
     evaluate,
     hardness_scores,
@@ -278,25 +278,30 @@ def test_weight_shape_validation(toy_dataset):
 def test_rounding_margin_bounds():
     dim = 50
     magnitudes = np.linspace(0.5, 3.0, dim)
+    magnitude_sum = sum(magnitudes.tolist())
     big = np.zeros(dim)
     big[-1] = 0.2 * np.finfo(np.float64).max
     W = np.array([np.linspace(-1, 1, dim), np.full(dim, 1e-170), np.zeros(dim), np.full(dim, 1e307), big])
-    margin = _rounding_margin(W, magnitudes)
     # twice the 4 * gamma_d * |w| . magnitudes that a pair's rounding can
     # reach, summed exactly (the signs of w do not lower it), up to the
-    # rounding of the margin's own few float operations
+    # rounding of the margin's own few float operations: for each row
+    # alone, and for every row of a batch that holds it
     for r in (0, 1):
         bound = 8 * higham_gamma(dim) * dot_exact(np.abs(W[r]), magnitudes)
-        assert Fraction(margin[r]) >= bound * (1 - higham_gamma(dim + 4))
-    assert 0 < margin[2] < 1e-300
-    # the products could overflow: always fall back, whether |w| . magnitudes
-    # overflows (1e307 * 87.5) or only exceeds half the largest float
-    assert margin[3] == margin[4] == np.inf
+        for batch in (W[r:r + 1], W[:3]):
+            assert Fraction(_batch_margin(batch, magnitude_sum)) >= bound * (1 - higham_gamma(dim + 4))
+    assert 0 < _batch_margin(W[2:3], magnitude_sum) < 1e-300
+    # the products could overflow: the batch always falls back, whether
+    # max|w| * sum(magnitudes) overflows (1e307 * 87.5) or only exceeds
+    # half the largest float, and whatever other rows it holds
+    for batch in (W[3:4], W[4:5], W[:4], W[[0, 4]]):
+        assert _batch_margin(batch, magnitude_sum) == np.inf
 
 
 def test_tie_heavy_rows_fall_back_to_csr():
     # features in {-1, 0, 1} at dim 2: 40 instances over 9 distinct rows,
-    # so rows repeat across the classes and every weight vector ties
+    # so rows repeat across the classes and every weight vector ties: the
+    # view stays on CSR
     rng = np.random.default_rng(4)
     X = rng.integers(-1, 2, size=(40, 2)).astype(np.float64)
     labels = np.where(np.arange(40) % 3 == 0, 1, -1)
@@ -305,7 +310,7 @@ def test_tie_heavy_rows_fall_back_to_csr():
     view = ds.full_view()
     with count_path_rows() as rows:
         got = evaluate(W, view, 0.125)[0]
-    assert view.dense_rows() is not None
+    assert view.dense_rows() is None
     want = csr_evaluate(W, view, 0.125)[0]
     assert rows == {"certified": 0, "csr": W.shape[0]}
     assert np.array_equal(got, want)
@@ -314,13 +319,17 @@ def test_tie_heavy_rows_fall_back_to_csr():
 
 
 def test_paper_size_tie_heavy_rows_fall_back_to_csr():
-    # 768 x 8 sign features, the paper's scale: every view densifies for
-    # the certified path, but the rows repeat 256 patterns across the
-    # classes, so every weight row ties a positive with a negative, fails
-    # the certificate and is counted again on CSR. That holds on the full
-    # view and on the cheap task's 76-instance view, before and after a
-    # rebuild. Weights in quarters make every decision value exact, so the
-    # oracle's product is exact too.
+    # 768 x 8 sign features, the paper's scale: the rows repeat 256
+    # patterns across the classes, so every weight row ties a positive with
+    # a negative and would fail the certificate. A view finds such a pair
+    # once, where it would densify, and stays on CSR: no BLAS product is
+    # taken. The full view and the cheap task's first 76-instance view hold
+    # such pairs. The view rebuilt from the hardest instances under all-ones
+    # weights holds none (its positives have few +1 features, its negatives
+    # many), so it densifies, but weights in quarters tie its distinct rows
+    # and no row certifies. On every view every count is the CSR count.
+    # Weights in quarters make every decision value exact, so the oracle's
+    # product is exact too.
     rng = np.random.default_rng(11)
     X = rng.choice([-1.0, 1.0], size=(768, 8))
     labels = np.where(np.arange(768) < 268, 1, -1)
@@ -329,13 +338,18 @@ def test_paper_size_tie_heavy_rows_fall_back_to_csr():
     env = build_environment(ds, seed=0)
     views = [ds.full_view(), env.tasks[TaskId.CHEAP].view, env.adjust_cheap_task(np.ones(8), generation=30)]
     assert [view.n for view in views] == [768, 76, 76]
-    for view in views:
-        with count_path_rows() as rows:
-            got = evaluate(W, view, 0.125)[1]
-        assert view.dense_rows() is not None
-        assert rows == {"certified": 0, "csr": W.shape[0]}
+    for view, shares_a_row in zip(views, (True, True, False)):
+        rows = view.class_matrix.toarray()
+        assert shares_a_row == bool({*map(tuple, rows[: view.t_pos])} & {*map(tuple, rows[view.t_pos:])})
+        kernel = mock.Mock(wraps=evaluation._certified_loss_counts)
+        with mock.patch.object(evaluation, "_certified_loss_counts", kernel), count_path_rows() as counted:
+            got = evaluate(W, view, 0.125)
+        assert (view.dense_rows() is None) == shares_a_row
+        assert kernel.call_count == (0 if shares_a_row else 1)
+        assert counted == {"certified": 0, "csr": W.shape[0]}
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in csr_evaluate(W, view, 0.125)]
         losses = [pair_loss_broadcast(X[view.pos_selected] @ w, X[view.neg_selected] @ w) for w in W]
-        assert np.array_equal(got, np.array(losses) / (view.t_pos * view.t_neg))
+        assert np.array_equal(got[1], np.array(losses) / (view.t_pos * view.t_neg))
 
 
 def test_large_gaussian_view_certifies_every_row():
@@ -392,20 +406,20 @@ def test_sparse_high_dim_view_never_densifies():
     with count_path_rows() as rows:
         evaluate(W, view, 0.125)
     assert rows == {"certified": 0, "csr": 3}
-    assert view.dense_rows() is None and view._dense is None
+    assert view.dense_rows() is None and view._dense is False
 
 
 @pytest.mark.parametrize("n", [20, 2000])
 def test_views_without_features_lose_every_pair(n):
-    # with no features every decision value is 0, so every pair ties. The
-    # view densifies an empty (0, n) copy, whose row blocks must not divide
-    # by the zero row width, and every row falls back to CSR
+    # with no features every decision value is 0, so every pair ties. Every
+    # row is the empty row, which both classes hold, so the view stays on
+    # CSR, and every row is counted there
     ds = Dataset(np.zeros((n, 0)), np.where(np.arange(n) % 2 == 0, 1, -1))
     view = ds.full_view()
     with count_path_rows() as rows:
         losses = evaluate(np.zeros((3, 0)), view, 0.125)[1]
     assert np.array_equal(losses, np.ones(3))
-    assert view.dense_rows() is not None
+    assert view.dense_rows() is None
     assert rows == {"certified": 0, "csr": 3}
 
 
@@ -419,10 +433,32 @@ def test_dense_copy_and_magnitudes_match_the_rows_in_every_block():
     ds = Dataset(sparse.csr_matrix(X), np.where(np.arange(11) % 3 == 0, 1, -1))
     with mock.patch.object(data, "_DENSE_BLOCK_BYTES", 8 * 5 * 3):
         view = DatasetView(ds, np.arange(ds.n)[::-1])
-        dense, magnitudes = view.dense_rows()
-    assert dense.flags.c_contiguous
-    assert np.array_equal(dense, view.class_matrix.toarray().T)
-    assert np.array_equal(magnitudes, [50.0, 60.0, 70.0, 80.0, 0.0])
+        rows = view.dense_rows()
+    assert rows.matrix.flags.c_contiguous
+    assert np.array_equal(rows.matrix, view.class_matrix.toarray().T)
+    assert rows.magnitude_sum == 50.0 + 60.0 + 70.0 + 80.0
+    assert (rows.t_pos, rows.pairs) == (4, 4 * 7)
+
+
+def test_dense_rows_and_their_constants_are_built_once_per_view():
+    # two evaluations on one view build its dense copy and constants once,
+    # at the first evaluation and not when the view is made; the view that
+    # a cheap-task rebuild makes builds its own
+    ds = make_gaussian_dataset(12, n_pos=268, n_neg=500, dim=8)
+    W = np.random.default_rng(12).uniform(-1, 1, size=(4, ds.dim))
+    built = mock.Mock(wraps=DatasetView._dense_copy)
+    with mock.patch.object(DatasetView, "_dense_copy", autospec=True, side_effect=built) as copy:
+        env = build_environment(ds, seed=0)
+        views = [task.view for task in env.tasks.values()]
+        views.append(env.adjust_cheap_task(W[0], generation=30))
+        assert copy.call_count == 0
+        for view in views:
+            for _ in range(2):
+                with count_path_rows() as rows:
+                    evaluate(W, view, 0.125)
+                assert rows == {"certified": W.shape[0], "csr": 0}
+        assert [call.args[0] for call in copy.call_args_list] == views
+    assert len({id(view.dense_rows()) for view in views}) == 3
 
 
 def _csr_equal(a, b) -> bool:

@@ -6,6 +6,7 @@ exact. The certified BLAS path is checked on those, where most rows fall
 back to CSR, and on continuous values, where every row certifies.
 """
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from emtauc import evaluation
 from emtauc.data import Dataset
 from emtauc.evaluation import (
     _HALF_MAX,
+    _batch_margin,
     _certified_loss_counts,
     _decision_rows,
-    _rounding_margin,
     evaluate,
     hardness_scores,
     pairwise_loss_count,
@@ -155,12 +157,12 @@ def test_pairwise_loss_count_matches_oracles(f_pos, f_neg):
     assert got == pair_loss_naive(f_pos, f_neg) == pair_loss_broadcast(f_pos, f_neg)
 
 
-def _certified_like_reference(g: np.ndarray, t_pos: int, margin: np.ndarray):
+def _certified_like_reference(g: np.ndarray, t_pos: int, margin: float):
     """``_certified_loss_counts`` on a copy of ``g``, after asserting that
     its (losses, certified) are bit-equal to the one-stage reference
-    kernel's on another copy."""
+    kernel's on another copy, which takes the margin once per row."""
     losses, certified = _certified_loss_counts(g.copy(), t_pos, margin)
-    want_losses, want_certified = certified_loss_counts_reference(g.copy(), t_pos, margin)
+    want_losses, want_certified = certified_loss_counts_reference(g.copy(), t_pos, np.full(g.shape[0], margin))
     assert losses.dtype == want_losses.dtype and certified.dtype == want_certified.dtype
     assert np.array_equal(losses, want_losses) and np.array_equal(certified, want_certified)
     return losses, certified
@@ -187,7 +189,7 @@ def test_certificate_is_the_smallest_pair_gap(seed, margin):
     f_pos = rng.integers(-4, 5, size=(k, n_pos)) / 2 + rng.choice(offsets, size=(k, n_pos))
     f_neg = rng.integers(-4, 5, size=(k, n_neg)) / 2 + rng.choice(offsets, size=(k, n_neg))
     g = np.hstack([f_pos, f_neg])
-    losses, certified = _certified_like_reference(g, n_pos, np.full(k, margin))
+    losses, certified = _certified_like_reference(g, n_pos, margin)
     for r in range(k):
         gap = np.abs(f_pos[r][:, None] - f_neg[r][None, :]).min()
         if certified[r]:
@@ -221,7 +223,7 @@ def test_certificate_holds_every_smallest_gap_above_twice_the_margin(seed, margi
             is_pos[near + 1], is_pos[other] = is_pos[other], is_pos[near + 1]
         rows.append(np.concatenate([values[is_pos], values[~is_pos]]))
     g = np.array(rows)
-    losses, certified = _certified_loss_counts(g.copy(), t_pos, np.full(k, margin))
+    losses, certified = _certified_loss_counts(g.copy(), t_pos, margin)
     for r in range(k):
         f_pos, f_neg = g[r, :t_pos], g[r, t_pos:]
         gap = np.abs(f_pos[:, None] - f_neg[None, :]).min()
@@ -260,9 +262,10 @@ def test_rounding_margin_covers_the_blas_and_csr_rounding(rows):
     # value of each row lie within Higham's componentwise bound
     # gamma_d * |w| . c (plus the subnormal spacing per product, for
     # underflow) of the exact value, so within 2 * bound of each other; and
-    # the margin is at least 4 times that, up to the rounding of its own few
-    # float operations, which the certificate's 2 * margin absorbs. Only
-    # rows with a finite margin take the BLAS path.
+    # the batch's margin is at least 4 times that for every row, up to the
+    # rounding of its own few float operations, which the certificate's
+    # 2 * margin absorbs. Only batches with a finite margin take the BLAS
+    # path.
     X, W = rows
     dim = X.shape[1]
     ds = Dataset(sparse.csr_matrix(X), np.where(np.arange(X.shape[0]) % 2 == 0, 1, -1))
@@ -271,18 +274,63 @@ def test_rounding_margin_covers_the_blas_and_csr_rounding(rows):
     class_rows = view.class_matrix.toarray()
     magnitudes = np.abs(X).max(axis=0)
     if copy is not None:
-        assert np.array_equal(copy[0], class_rows.T) and np.array_equal(copy[1], magnitudes)
-    margin = _rounding_margin(W, magnitudes)
-    finite = np.flatnonzero(margin < np.inf)
-    blas = W[finite] @ np.ascontiguousarray(class_rows.T)
-    csr = np.hstack(_decision_rows(W[finite], view))
-    for i, r in enumerate(finite):
+        assert np.array_equal(copy.matrix, class_rows.T) and copy.magnitude_sum == sum(magnitudes.tolist())
+    margin = _batch_margin(W, sum(magnitudes.tolist()))
+    if margin == np.inf:
+        return
+    blas = W @ np.ascontiguousarray(class_rows.T)
+    csr = np.hstack(_decision_rows(W, view))
+    for r in range(W.shape[0]):
         bound = higham_gamma(dim) * dot_exact(np.abs(W[r]), magnitudes) + dim * Fraction(1, 2**1074)
         for j, x in enumerate(class_rows):
             exact = dot_exact(W[r], x)
-            assert abs(Fraction(blas[i, j]) - exact) <= bound
-            assert abs(Fraction(csr[i, j]) - exact) <= bound
-        assert Fraction(margin[r]) >= 4 * (2 * bound) * (1 - higham_gamma(dim + 4))
+            assert abs(Fraction(blas[r, j]) - exact) <= bound
+            assert abs(Fraction(csr[r, j]) - exact) <= bound
+        assert Fraction(margin) >= 4 * (2 * bound) * (1 - higham_gamma(dim + 4))
+
+
+@st.composite
+def unscaled_batch(draw):
+    """(X, labels, W): unscaled rows of ``mixed_magnitude_rows`` with both
+    classes, and its weight batch with zero rows spliced in."""
+    X, W = draw(mixed_magnitude_rows())
+    labels = np.where(np.arange(X.shape[0]) % 2 == 0, 1, -1)
+    zeros = draw(st.integers(0, 2))
+    at = draw(st.lists(st.integers(0, W.shape[0]), min_size=zeros, max_size=zeros))
+    return X, labels, np.insert(W, at, 0.0, axis=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unscaled_batch())
+def test_batch_threshold_covers_every_row_and_overflow_falls_back(problem):
+    # One threshold per batch, 2 * margin, is at least each row's own
+    # 16 * gamma_d * (|w| . c), whatever the magnitudes of the other rows,
+    # up to the rounding of the margin's own float operations. A batch
+    # whose values could overflow takes no BLAS product and is counted on
+    # CSR, and no step warns (pytest turns RuntimeWarnings into errors).
+    # Where a CSR value is NaN (inf - inf) there is no count, and both
+    # raise.
+    X, labels, W = problem
+    dim = X.shape[1]
+    view = Dataset(sparse.csr_matrix(X), labels).full_view()
+    magnitudes = np.abs(X).max(axis=0)
+    margin = _batch_margin(W, sum(magnitudes.tolist()))
+    if margin < np.inf:
+        for w in W:
+            row_threshold = 16 * higham_gamma(dim) * dot_exact(np.abs(w), magnitudes)
+            assert Fraction(2 * margin) >= row_threshold * (1 - higham_gamma(dim + 4))
+    kernel = mock.Mock(wraps=evaluation._certified_loss_counts)
+    try:
+        want = csr_evaluate(W, view, 0.125)
+    except ValueError:
+        with mock.patch.object(evaluation, "_certified_loss_counts", kernel), pytest.raises(ValueError):
+            evaluate(W, view, 0.125)
+    else:
+        with mock.patch.object(evaluation, "_certified_loss_counts", kernel):
+            got = evaluate(W, view, 0.125)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    if margin == np.inf or view.dense_rows() is None:
+        assert kernel.call_count == 0
 
 
 # Decision values where a class tag in the lowest mantissa bit could go
@@ -312,18 +360,19 @@ def edge_rows(draw):
 # row is certified, the second (a positive equals a negative) is not
 @example((np.array([[1.0, 1.0, 3.0, -2.5], [3.0, 3.0, 3.0, -1.0]]), 2), 1.0)
 def test_class_tags_keep_certified_counts_exact_on_edge_values(rows, scale):
-    # scale 1 is the smallest margin _rounding_margin gives a row: that of a
-    # length-1 product with |w| = the row's largest |value| and magnitude 1
+    # each row on its own: scale 1 is the smallest margin _batch_margin
+    # gives a row, that of a length-1 product with |w| = the row's largest
+    # |value| and magnitude 1
     g, t_pos = rows
-    margin = _rounding_margin(np.abs(g).max(axis=1)[:, np.newaxis], np.ones(1)) * scale
-    losses, certified = _certified_like_reference(g, t_pos, margin)
     for r in range(g.shape[0]):
+        margin = _batch_margin(np.abs(g[r:r + 1]).max(axis=1, keepdims=True), 1.0) * scale
+        losses, certified = _certified_like_reference(g[r:r + 1], t_pos, margin)
         f_pos, f_neg = g[r, :t_pos], g[r, t_pos:]
-        if certified[r]:
+        if certified[0]:
             assert not (f_pos[:, None] == f_neg[None, :]).any()
-            assert losses[r] == pair_loss_naive(f_pos, f_neg)
-        if np.abs(f_pos[:, None] - f_neg[None, :]).min() > 2 * margin[r] + _tie_free_gap_bound(g[r]):
-            assert certified[r]
+            assert losses[0] == pair_loss_naive(f_pos, f_neg)
+        if np.abs(f_pos[:, None] - f_neg[None, :]).min() > 2 * margin + _tie_free_gap_bound(g[r]):
+            assert certified[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,13 +380,13 @@ def test_class_tags_keep_certified_counts_exact_on_edge_values(rows, scale):
 def test_certified_path_matches_csr_on_edge_values(rows, lam):
     # the first row's values as a one-feature set; a constant second
     # feature keeps the dense copy smaller than the CSR arrays. The decision
-    # values are the edge values times 1, -1 or -0.5, or plus 0.5, whose
-    # margin overflows (so the row goes to CSR at once) when the set holds
-    # a value near half the largest float.
+    # values are the edge values times 1, -1 or -0.5, or plus 0.5. A set in
+    # which a positive equals a negative stays on CSR.
     g, t_pos = rows
     X = np.column_stack([g[0], np.ones(g.shape[1])])
     labels = np.repeat(np.array([1, -1], dtype=np.int64), [t_pos, g.shape[1] - t_pos])
     W = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.5], [-0.5, 0.0]])
     view = Dataset(sparse.csr_matrix(X), labels).full_view()
-    assert view.dense_rows() is not None
+    shares_a_row = bool(set(g[0, :t_pos].tolist()) & set(g[0, t_pos:].tolist()))
+    assert (view.dense_rows() is None) == shares_a_row
     assert np.array_equal(evaluate(W, view, lam)[0], csr_evaluate(W, view, lam)[0])
