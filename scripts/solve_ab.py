@@ -19,7 +19,10 @@ paper-scale workload), 300 + 700 x 24 (the synthetic set of its
 that workload's fold subsets), 2400 + 3600 x 20 (a set of the larger grid
 of ``scripts/trace_digest.py``) and 8000 + 12000 x 50 (the shape of the
 benchmark's large workload). Every view of these dense sets, full and
-cheap, counts on the certified BLAS path of ``evaluate``. Every solve
+cheap, counts on the certified BLAS path of ``evaluate``. A seventh set,
+268 + 500 x 8 sign features (``TIE_HEAVY_SHAPES``), repeats 256 row
+patterns across the classes, so its full view, and every cheap view that
+holds a positive and a negative of one pattern, stays on CSR. Every solve
 uses the budget, rate, lambda and delta of the paper-scale workload. The
 script prints, per shape and solver, the median CPU seconds of each
 tree, the median and range of the paired ratios new/old, how many rounds
@@ -53,6 +56,8 @@ KINDS = ("single_task_ga", "mfea", "emea")
 SHAPES = (  # (positives, negatives, features)
     (268, 500, 8), (300, 700, 24), (134, 250, 8), (150, 350, 24), (2400, 3600, 20), (8000, 12000, 50),
 )
+# (positives, negatives, features) of sets of random +-1 features
+TIE_HEAVY_SHAPES = ((268, 500, 8),)
 SEED = 7
 ROUNDS = 10
 
@@ -77,6 +82,12 @@ def gaussian_data(n_pos: int, n_neg: int, dim: int, seed: int) -> tuple[np.ndarr
     return X, np.r_[np.ones(n_pos), -np.ones(n_neg)].astype(np.int64)
 
 
+def sign_data(n_pos: int, n_neg: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random +-1 features: at 8 features, rows repeat across the classes."""
+    X = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n_pos + n_neg, dim))
+    return X, np.r_[np.ones(n_pos), -np.ones(n_neg)].astype(np.int64)
+
+
 def timed_solve(pkg, ds, kind: str, env_seed: int, solver_seed: int):
     env = pkg.build_environment(ds, s="1/10", lam=0.125, delta=30, budget=101000, seed=env_seed)
     config = pkg.SolverConfig(kind=kind, seed=solver_seed)
@@ -89,9 +100,10 @@ def timed_solve(pkg, ds, kind: str, env_seed: int, solver_seed: int):
     return seconds, (result.best_objective, trace), pkg.auc_metric(result.best_weights, ds.full_view())
 
 
-def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
-    """Alternate the solves of both trees on one shape; True if all pairs agreed."""
-    X, y = gaussian_data(n_pos, n_neg, dim, SEED)
+def compare(trees: dict, n_pos: int, n_neg: int, dim: int, make_data=gaussian_data) -> bool:
+    """Alternate the solves of both trees on one shape of ``make_data``'s
+    sets; True if all pairs agreed."""
+    X, y = make_data(n_pos, n_neg, dim, SEED)
     data = {side: pkg.Dataset(X, y) for side, pkg in trees.items()}
     times = {(kind, side): [] for kind in KINDS for side in trees}
     aucs = {(kind, side): [] for kind in KINDS for side in trees}
@@ -107,7 +119,8 @@ def compare(trees: dict, n_pos: int, n_neg: int, dim: int) -> bool:
                 aucs[kind, side].append(auc)
             same[kind] &= outputs["old"] == outputs["new"]
 
-    print(f"{ROUNDS} rounds, {n_pos}+{n_neg} x {dim}, CPU seconds per solve")
+    features = "" if make_data is gaussian_data else " sign features"
+    print(f"{ROUNDS} rounds, {n_pos}+{n_neg} x {dim}{features}, CPU seconds per solve")
     print(f"{'solver':<16}{'old p50':>10}{'new p50':>10}{'ratio p50':>11}{'ratio range':>16}{'wins':>7}  same output")
     for kind in KINDS:
         old, new = times[kind, "old"], times[kind, "new"]
@@ -137,6 +150,7 @@ def main(argv=None) -> int:
 
     trees = {"old": load_package(args.old_src, "emtauc_old"), "new": load_package(args.new_src, "emtauc_new")}
     agreed = [compare(trees, *shape) for shape in SHAPES]
+    agreed += [compare(trees, *shape, make_data=sign_data) for shape in TIE_HEAVY_SHAPES]
     return 0 if all(agreed) else 1
 
 

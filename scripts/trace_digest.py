@@ -17,10 +17,10 @@ during initialisation, mid-generation or during transfer) x delta
 from ``tests/conftest.py``: 864 runs. A second grid covers larger views:
 3 solvers x seeds 0-1 x budgets {2021, 8000, 40000} x delta {None, 3}
 over a 2400/3600 x 20 Gaussian set, where rows certify, a copy with 100
-positive rows repeated as negatives, where every row ties and falls back
-to CSR, and a 268/500 x 8 Gaussian set, the size of the paper's diabetes
-data: 108 runs. Every view of every run, full and cheap, counts on the
-certified BLAS path of ``evaluate``, so run it at more than one BLAS
+positive rows repeated as negatives, whose full view stays on CSR since
+every row ties there, and a 268/500 x 8 Gaussian set, the size of the
+paper's diabetes data: 108 runs. Every other view of every run, full and
+cheap, counts on the certified BLAS path of ``evaluate``, so run it at more than one BLAS
 thread count (``OPENBLAS_NUM_THREADS``) to check that the output does not
 depend on it. It takes no flags.
 """

@@ -46,7 +46,8 @@ pair compares differently on the CSR values, and the BLAS count is the
 CSR count. The check takes two stages: every gap between neighbours of
 different classes is a gap between sorted neighbours, so a row whose
 smallest gap between any two sorted neighbours exceeds 2 * margin passes
-at once, and only the rows that fail it are checked neighbour by
+at once (and a batch in which every row does passes after one minimum
+over its gaps), and only the rows that fail it are checked neighbour by
 neighbour with their classes. Together the two stages certify exactly
 the rows that the class-aware check alone would. Rows that fail (ties,
 zero weights, near-ties) are recounted on CSR, and a batch whose values

@@ -232,21 +232,6 @@ def test_certificate_holds_every_smallest_gap_above_twice_the_margin(seed, margi
         assert losses[r] == pair_loss_naive(f_pos, f_neg)
 
 
-@pytest.mark.parametrize("margin", (1e-3, 0.25))
-def test_certificate_ignores_the_step_from_one_row_to_the_next(margin):
-    # Every row starts below the end of the row before it. The kernel takes
-    # its gaps from the flattened block, so a step across rows must neither
-    # fail a batch whose rows all pass nor a row of a batch in which another
-    # row fails: the last row's one pair of different classes lies 0.3
-    # apart, which fails at a margin of 0.25.
-    rows = np.array([[3.0, 0.0, 1.0, 2.0], [1.0, -2.0, 0.0, -1.0], [-1.2, -3.0, -2.0, -1.5]])
-    losses, certified = _certified_like_reference(rows[:2], 1, margin)
-    assert certified.tolist() == [True, True] and losses.tolist() == [0, 0]
-    losses, certified = _certified_like_reference(rows, 1, margin)
-    assert certified.tolist() == [True, True, margin < 0.25]
-    assert losses.tolist() == [0, 0, 0]
-
-
 # Per-feature and per-weight scales from the smallest subnormal to near the
 # largest float, so that products underflow, cancel across scales and, for
 # the largest, overflow.
