@@ -14,7 +14,6 @@ from .analysis import (
     BenchmarkCell,
     BenchmarkRow,
     BenchmarkSummary,
-    LandscapeReport,
     compare_cells,
     landscape_similarity,
     run_benchmark,
@@ -69,7 +68,6 @@ __all__ = [
     "BenchmarkCell",
     "BenchmarkRow",
     "BenchmarkSummary",
-    "LandscapeReport",
     "compare_cells",
     "landscape_similarity",
     "run_benchmark",

@@ -19,7 +19,9 @@ import numpy as np
 
 from .config import BenchmarkEntry
 from .data import DataError, Dataset, DatasetView, as_rate, stratified_kfold, stratified_sample
-from .environment import DEFAULT_BUDGET, DEFAULT_LAM, DEFAULT_RATE, TaskId, as_budget, build_environment
+from .environment import (
+    DEFAULT_BUDGET, DEFAULT_LAM, DEFAULT_RATE, AdjustmentEvent, TaskId, as_budget, build_environment,
+)
 from .evaluation import auc_metric, evaluate
 from .solvers import decode_weights, dispatch_solver
 
@@ -62,27 +64,11 @@ def spearman_rho(a, b) -> float:
     return float(np.corrcoef(ra, rb)[0, 1])
 
 
-@dataclass(frozen=True)
-class LandscapeReport:
-    """Per-repeat rank correlations between cheap and expensive objectives."""
-
-    rhos: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.rhos))
-
-    @property
-    def variance(self) -> float:
-        if len(self.rhos) < 2:
-            return 0.0
-        return float(np.var(self.rhos, ddof=1))
-
-
 def landscape_similarity(
     ds: Dataset, s, lam: float = DEFAULT_LAM, *, n_points: int, n_repeats: int, seed
-) -> LandscapeReport:
-    """Correlate the two objectives over uniform random weights.
+) -> tuple[float, ...]:
+    """Per-repeat rank correlations between the two objectives over uniform
+    random weights.
 
     Each repeat draws a fresh stratified subsample at rate ``s`` and
     ``n_points`` genomes, then ranks the cheap objective against the
@@ -110,7 +96,7 @@ def landscape_similarity(
                     f"the {task} objective is constant over the sampled weights; rank correlation is undefined"
                 )
         rhos.append(spearman_rho(cheap_obj, expensive_obj))
-    return LandscapeReport(rhos=tuple(rhos))
+    return tuple(rhos)
 
 
 def _rank_sum_exact_p(ranks: np.ndarray, n_a: int, observed: float) -> float:
@@ -183,7 +169,6 @@ def stable_seed(*parts) -> int:
 class BenchmarkCell:
     dataset: str
     solver: str
-    entry_index: int
     trial: int
     fold: int
     seed: int
@@ -194,7 +179,7 @@ class BenchmarkCell:
     spent: Fraction | None = None
     cheap_evals: int = 0
     expensive_evals: int = 0
-    adjustments: tuple[tuple[int, str], ...] = ()
+    adjustments: tuple[AdjustmentEvent, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -205,7 +190,6 @@ class BenchmarkRow:
     std: float | None
     n: int
     verdict: str
-    aucs: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,6 @@ class BenchmarkSummary:
 class _CellJob:
     dataset_name: str
     dataset: Dataset
-    entry_index: int
     entry: BenchmarkEntry
     trial: int
     fold: int
@@ -246,36 +229,21 @@ def _execute_cell(job: _CellJob) -> BenchmarkCell:
         if result.best_weights is None:
             raise RuntimeError("budget too small for any expensive evaluation")
         test_view = DatasetView(job.dataset, job.test_idx)
-        auc = auc_metric(result.best_weights, test_view)
-        return BenchmarkCell(
-            dataset=job.dataset_name,
-            solver=job.entry.label,
-            entry_index=job.entry_index,
-            trial=job.trial,
-            fold=job.fold,
-            seed=job.seed,
-            auc=float(auc),
+        outcome = dict(
+            auc=float(auc_metric(result.best_weights, test_view)),
             error=None,
             best_objective=result.best_objective,
             train_auc=env.best_expensive_auc,
             spent=env.ledger.spent,
             cheap_evals=env.ledger.evals[TaskId.CHEAP],
             expensive_evals=env.ledger.evals[TaskId.EXPENSIVE],
-            adjustments=tuple(
-                (e.generation, e.view_fingerprint) for e in env.adjustment_log
-            ),
+            adjustments=tuple(env.adjustment_log),
         )
     except Exception as exc:  # record per-cell failures, never abort the sweep
-        return BenchmarkCell(
-            dataset=job.dataset_name,
-            solver=job.entry.label,
-            entry_index=job.entry_index,
-            trial=job.trial,
-            fold=job.fold,
-            seed=job.seed,
-            auc=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        outcome = dict(auc=None, error=f"{type(exc).__name__}: {exc}")
+    return BenchmarkCell(
+        dataset=job.dataset_name, solver=job.entry.label, trial=job.trial, fold=job.fold, seed=job.seed, **outcome
+    )
 
 
 def run_benchmark(
@@ -294,9 +262,11 @@ def run_benchmark(
 
     All solvers share the same splits within a (dataset, trial); the
     held-out score is the plain pairwise AUC of the returned weights.
-    Per-cell seeds derive from ``base_seed`` and the cell key through a
-    stable hash, so reruns reproduce each cell independently of execution
-    order. Failures are recorded on their cell and excluded from summaries.
+    Cells and rows are keyed by (dataset, entry label), so labels must be
+    distinct. Per-cell seeds derive from ``base_seed`` and the cell key
+    through a stable hash, so reruns reproduce each cell independently of
+    execution order. Failures are recorded on their cell and excluded from
+    summaries.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -304,11 +274,14 @@ def run_benchmark(
         raise ValueError("need at least one solver entry")
     if trials < 1 or folds < 2:
         raise ValueError("need trials >= 1 and folds >= 2")
+    labels = [e.label for e in entries]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate entry labels in {labels}; set a distinct label per entry")
     rate = as_rate(s, "sampling rate")
     budget = as_budget(budget)
     if baseline is None:
-        baseline = entries[0].label
-    if baseline not in {e.label for e in entries}:
+        baseline = labels[0]
+    if baseline not in labels:
         raise ValueError(f"baseline {baseline!r} is not among the entry labels")
 
     jobs_list: list[_CellJob] = []
@@ -318,13 +291,12 @@ def run_benchmark(
             for fold in range(folds):
                 train_idx = split.train_indices(fold)
                 test_idx = split.test_indices(fold)
-                for entry_index, entry in enumerate(entries):
+                for entry in entries:
                     cell_seed = base_seed ^ stable_seed(name, entry.label, trial, fold)
                     jobs_list.append(
                         _CellJob(
                             dataset_name=name,
                             dataset=ds,
-                            entry_index=entry_index,
                             entry=entry,
                             trial=trial,
                             fold=fold,
@@ -345,41 +317,23 @@ def run_benchmark(
     else:
         cells = [_execute_cell(job) for job in jobs_list]
 
-    by_key: dict[tuple[str, int], list[BenchmarkCell]] = {}
+    # keyed in dataset-then-entry order, which is the order of the rows
+    aucs: dict[tuple[str, str], list[float]] = {(name, label): [] for name in datasets for label in labels}
     for cell in cells:
-        by_key.setdefault((cell.dataset, cell.entry_index), []).append(cell)
-    auc_table = {
-        (name, entry_index): tuple(
-            c.auc for c in by_key.get((name, entry_index), []) if c.auc is not None
-        )
-        for name in datasets
-        for entry_index in range(len(entries))
-    }
-    baseline_index = next(i for i, e in enumerate(entries) if e.label == baseline)
+        if cell.auc is not None:
+            aucs[cell.dataset, cell.solver].append(cell.auc)
 
     rows: list[BenchmarkRow] = []
-    for name in datasets:
-        base_vals = auc_table[(name, baseline_index)]
-        for entry_index, entry in enumerate(entries):
-            aucs = auc_table[(name, entry_index)]
-            mean = float(np.mean(aucs)) if aucs else None
-            std = float(np.std(aucs, ddof=1)) if len(aucs) > 1 else (0.0 if aucs else None)
-            if entry.label == baseline:
-                verdict = VERDICT_SIMILAR
-            elif len(aucs) >= 5 and len(base_vals) >= 5:
-                verdict = compare_cells(np.array(aucs), np.array(base_vals))
-            else:
-                verdict = VERDICT_UNDECIDED
-            rows.append(
-                BenchmarkRow(
-                    dataset=name,
-                    solver=entry.label,
-                    mean=mean,
-                    std=std,
-                    n=len(aucs),
-                    verdict=verdict,
-                    aucs=aucs,
-                )
-            )
+    for (name, label), vals in aucs.items():
+        base_vals = aucs[name, baseline]
+        mean = float(np.mean(vals)) if vals else None
+        std = float(np.std(vals, ddof=1)) if len(vals) > 1 else (0.0 if vals else None)
+        if label == baseline:
+            verdict = VERDICT_SIMILAR
+        elif len(vals) >= 5 and len(base_vals) >= 5:
+            verdict = compare_cells(np.array(vals), np.array(base_vals))
+        else:
+            verdict = VERDICT_UNDECIDED
+        rows.append(BenchmarkRow(dataset=name, solver=label, mean=mean, std=std, n=len(vals), verdict=verdict))
 
     return BenchmarkSummary(rows=tuple(rows), cells=tuple(cells), baseline=baseline)

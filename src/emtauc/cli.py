@@ -163,7 +163,7 @@ def _write_manifest(
 def _run_results(best_objective, train_auc, test_auc, spent, budget, evaluations, adjustments) -> dict:
     """The results keys of one solver run, shared by ``run`` and
     ``benchmark-cell`` manifests. ``evaluations`` is (cheap, expensive)
-    and ``adjustments`` holds (generation, view fingerprint) pairs."""
+    and ``adjustments`` holds ``AdjustmentEvent``s."""
     cheap, expensive = evaluations
     return {
         "final_best_objective": best_objective,
@@ -222,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     results = _run_results(
         result.best_objective, train_auc, None, ledger.spent, ledger.budget,
         (ledger.evals[TaskId.CHEAP], ledger.evals[TaskId.EXPENSIVE]),
-        [(e.generation, e.view_fingerprint) for e in env.adjustment_log],
+        env.adjustment_log,
     )
     _write_manifest(
         out_dir / "manifest.json", "run", echo(cfg), out_dir, cfg.seed, (started_at, finished_at),
@@ -311,20 +311,22 @@ def cmd_landscape(args: argparse.Namespace) -> int:
     ds = _load_dataset(cfg.dataset)
 
     started_at = _utc_now()
-    report = landscape_similarity(
+    rhos = landscape_similarity(
         ds, s=cfg.s, lam=cfg.lam, n_points=cfg.n_points, n_repeats=cfg.repeats, seed=cfg.seed
     )
     finished_at = _utc_now()
 
-    rows = [(str(i), repr(rho)) for i, rho in enumerate(report.rhos)]
+    mean_rho = float(np.mean(rhos))
+    variance_rho = float(np.var(rhos, ddof=1)) if len(rhos) > 1 else 0.0
+    rows = [(str(i), repr(rho)) for i, rho in enumerate(rhos)]
     _drop_manifest(out_dir)
-    _write_csv(out_dir / "landscape.csv", LANDSCAPE_HEADER, rows + [("mean", repr(report.mean))])
+    _write_csv(out_dir / "landscape.csv", LANDSCAPE_HEADER, rows + [("mean", repr(mean_rho))])
     _write_manifest(
         out_dir / "manifest.json", "landscape", echo(cfg), out_dir, cfg.seed, (started_at, finished_at),
-        {"mean_rho": report.mean, "variance_rho": report.variance, "rhos": list(report.rhos)},
+        {"mean_rho": mean_rho, "variance_rho": variance_rho, "rhos": list(rhos)},
         dataset_stats=_dataset_stats(cfg.dataset, ds),
     )
-    print(f"landscape: mean rho {report.mean:.4f} over {cfg.repeats} repeats -> {out_dir}")
+    print(f"landscape: mean rho {mean_rho:.4f} over {cfg.repeats} repeats -> {out_dir}")
     return 0
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +157,7 @@ class TaskSpec:
         return _evaluate_rows(W, self.view, self.lam)
 
 
-@dataclass(frozen=True)
-class AdjustmentEvent:
+class AdjustmentEvent(NamedTuple):
     generation: int
     view_fingerprint: str
 

@@ -172,37 +172,37 @@ def test_stable_seed_properties():
 
 def test_landscape_full_rate_is_perfect():
     ds = make_gaussian_dataset(0)
-    report = landscape_similarity(ds, s="1", n_points=40, n_repeats=3, seed=5)
-    assert report.rhos == (1.0, 1.0, 1.0)
-    assert report.mean == 1.0
+    rhos = landscape_similarity(ds, s="1", n_points=40, n_repeats=3, seed=5)
+    assert rhos == (1.0, 1.0, 1.0)
+    assert np.mean(rhos) == 1.0
 
 
 def test_landscape_deterministic_and_free():
     ds = make_gaussian_dataset(1)
     r1 = landscape_similarity(ds, s="1/2", n_points=60, n_repeats=4, seed=6)
     r2 = landscape_similarity(ds, s="1/2", n_points=60, n_repeats=4, seed=6)
-    assert r1.rhos == r2.rhos
-    assert len(r1.rhos) == 4
-    assert all(-1.0 <= r <= 1.0 for r in r1.rhos)
+    assert r1 == r2
+    assert len(r1) == 4
+    assert all(-1.0 <= r <= 1.0 for r in r1)
     r3 = landscape_similarity(ds, s="1/2", n_points=60, n_repeats=4, seed=7)
-    assert r3.rhos != r1.rhos
+    assert r3 != r1
 
 
 def test_landscape_reasonable_rho_on_easy_data():
     ds = make_gaussian_dataset(2)
-    report = landscape_similarity(ds, s="1/2", n_points=200, n_repeats=5, seed=8)
-    assert report.mean > 0.5
+    rhos = landscape_similarity(ds, s="1/2", n_points=200, n_repeats=5, seed=8)
+    assert np.mean(rhos) > 0.5
 
 
 def _landscape_hex(ds, n_points):
     """The rhos of one landscape repeat as float.hex, and its traced peak."""
     tracemalloc.start()
     try:
-        report = landscape_similarity(ds, "1/10", n_points=n_points, n_repeats=1, seed=3)
+        rhos = landscape_similarity(ds, "1/10", n_points=n_points, n_repeats=1, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return [rho.hex() for rho in report.rhos], peak
+    return [rho.hex() for rho in rhos], peak
 
 
 # 2000 x 4, 8000 nonzeros: its full view takes the certified BLAS path
@@ -331,6 +331,39 @@ def test_run_benchmark_pool_never_exceeds_cells(monkeypatch):
     assert pooled == serial
     run_benchmark(datasets, _tiny_entries(), jobs=3, **kwargs)
     assert asked == [4, 3]
+
+
+def test_run_benchmark_tiny_budget_fails_only_the_multitask_cells():
+    # At budget 3 the GA's first charged rows are expensive, while MFEA's and
+    # EMEA's are cheap, so those two never archive an expensive solution.
+    datasets = {"toy": make_gaussian_dataset(14)}
+    entries = _tiny_entries() + [BenchmarkEntry(label="emea", config=SolverConfig(kind="emea"))]
+    kwargs = dict(trials=1, folds=5, base_seed=15, budget=3)
+    summary = run_benchmark(datasets, entries, jobs=1, **kwargs)
+    ga, mfea, emea = summary.rows
+    assert (ga.solver, ga.n, ga.verdict) == ("ga", 5, VERDICT_SIMILAR)
+    for row in (mfea, emea):
+        assert (row.n, row.mean, row.std, row.verdict) == (0, None, None, VERDICT_UNDECIDED)
+    failed = [c for c in summary.cells if c.error is not None]
+    assert [(c.solver, c.trial, c.fold) for c in failed] == [
+        (label, 0, fold) for fold in range(5) for label in ("mfea", "emea")
+    ]
+    for cell in failed:
+        assert cell.dataset == "toy"
+        assert cell.seed == 15 ^ stable_seed("toy", cell.solver, cell.trial, cell.fold)
+        assert cell.auc is None
+        assert cell.error == "RuntimeError: budget too small for any expensive evaluation"
+    assert run_benchmark(datasets, entries, jobs=2, **kwargs).cells == summary.cells
+
+
+def test_run_benchmark_rejects_duplicate_labels():
+    datasets = {"toy": make_gaussian_dataset(6)}
+    entries = [
+        BenchmarkEntry(label="ga", config=SolverConfig(kind="single_task_ga")),
+        BenchmarkEntry(label="ga", config=SolverConfig(kind="mfea")),
+    ]
+    with pytest.raises(ValueError, match="duplicate entry labels"):
+        run_benchmark(datasets, entries, trials=1, folds=2, budget=1500)
 
 
 def test_run_benchmark_perfect_on_separable():
