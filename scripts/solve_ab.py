@@ -23,7 +23,8 @@ cheap, counts on the certified BLAS path of ``evaluate``. A seventh set,
 268 + 500 x 8 sign features (``TIE_HEAVY_SHAPES``), repeats 256 row
 patterns across the classes, so its full view, and every cheap view that
 holds a positive and a negative of one pattern, stays on CSR. Every solve
-uses the budget, rate, lambda and delta of the paper-scale workload. The
+uses the rate, lambda, delta and budget that ``build_environment`` takes by
+default, the paper's protocol, which the paper-scale workload also uses. The
 script prints, per shape and solver, the median CPU seconds of each
 tree, the median and range of the paired ratios new/old, how many rounds
 the new tree won, and whether every pair of runs gave the same trace and
@@ -89,7 +90,7 @@ def sign_data(n_pos: int, n_neg: int, dim: int, seed: int) -> tuple[np.ndarray, 
 
 
 def timed_solve(pkg, ds, kind: str, env_seed: int, solver_seed: int):
-    env = pkg.build_environment(ds, s="1/10", lam=0.125, delta=30, budget=101000, seed=env_seed)
+    env = pkg.build_environment(ds, seed=env_seed)
     config = pkg.SolverConfig(kind=kind, seed=solver_seed)
     gc.collect()
     start = process_time()

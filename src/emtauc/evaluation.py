@@ -190,10 +190,10 @@ def _certified_loss_counts(g: np.ndarray, t_pos: int, margin: float):
     flat = g.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=gaps.reshape(-1)[:-1])
     gaps[:, -1] = np.inf
-    if gaps.min(initial=np.inf) > bound:
+    if np.minimum.reduce(gaps, axis=None, initial=np.inf) > bound:
         return t_pos * (n - t_pos) - below, np.ones(k, dtype=bool)
-    certified = gaps.min(axis=1) > bound
-    if not certified.all():
+    certified = np.minimum.reduce(gaps, axis=1) > bound
+    if not np.logical_and.reduce(certified):
         rest = np.flatnonzero(~certified)
         close = gaps[:, :-1] <= bound
         del gaps
@@ -220,7 +220,7 @@ def _batch_margin(W: np.ndarray, magnitude_sum: float) -> float:
     arithmetic is on Python floats, which overflow to inf without a
     warning.
     """
-    reach = float(np.abs(W).max(initial=0.0)) * magnitude_sum
+    reach = float(np.maximum.reduce(np.abs(W), axis=None, initial=0.0)) * magnitude_sum
     if not reach <= _HALF_MAX:
         return math.inf
     dim = W.shape[1]
@@ -246,6 +246,19 @@ def pairwise_loss_count(f_pos, f_neg) -> int:
     return int(_loss_counts(f_pos.reshape(1, -1), f_neg.reshape(1, -1))[0])
 
 
+def _chunk_loss_counts(W: np.ndarray, view: DatasetView, rows, margin: float) -> np.ndarray:
+    """The exact CSR loss count of each row of ``W``: certified on one BLAS
+    product with the view's ``DenseRows`` ``rows`` where ``margin`` is
+    finite, the rows the certificate fails recounted on CSR; counted on CSR
+    whole where it is inf."""
+    if margin == math.inf:
+        return _loss_counts(*_decision_rows(W, view))
+    counts, certified = _certified_loss_counts(W @ rows.matrix, rows.t_pos, margin)
+    if not np.logical_and.reduce(certified):
+        counts[~certified] = _loss_counts(*_decision_rows(W[~certified], view))
+    return counts
+
+
 def _evaluate_rows(W: np.ndarray, view: DatasetView, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """``evaluate`` without its input check: ``W`` is a float64 (k, dim)
     array of finite weights, and the view holds both classes.
@@ -267,16 +280,13 @@ def _evaluate_rows(W: np.ndarray, view: DatasetView, lam: float) -> tuple[np.nda
         margin, pairs = _batch_margin(W, rows.magnitude_sum), rows.pairs
     k = W.shape[0]
     step = max(1, _CHUNK_BYTES // (8 * view.n))
-    counts = np.empty(k, dtype=np.int64)
-    for start in range(0, k, step):
-        chunk = W[start:start + step]
-        if margin < math.inf:
-            part, certified = _certified_loss_counts(chunk @ rows.matrix, rows.t_pos, margin)
-            if not certified.all():
-                part[~certified] = _loss_counts(*_decision_rows(chunk[~certified], view))
-        else:
-            part = _loss_counts(*_decision_rows(chunk, view))
-        counts[start:start + step] = part
+    if k <= step:
+        # one chunk, every solver batch: its counts are the kernel's own array
+        counts = _chunk_loss_counts(W, view, rows, margin)
+    else:
+        counts = np.concatenate(
+            [_chunk_loss_counts(W[start:start + step], view, rows, margin) for start in range(0, k, step)]
+        )
     losses = counts / pairs
     return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
 
@@ -349,8 +359,9 @@ def select_hardest(scores: HardnessScores, ds: Dataset, s) -> DatasetView:
     if scores.pos_scores.shape[0] != ds.t_pos or scores.neg_scores.shape[0] != ds.t_neg:
         raise ValueError("scores do not match the dataset's class sizes")
     n_pos, n_neg = class_view_sizes(ds, rate)
-    # lexsort: primary key descending score, secondary ascending position
-    pos_order = np.lexsort((np.arange(ds.t_pos), -scores.pos_scores))[:n_pos]
-    neg_order = np.lexsort((np.arange(ds.t_neg), -scores.neg_scores))[:n_neg]
-    chosen = np.concatenate([ds.pos_idx[pos_order], ds.neg_idx[neg_order]])
-    return DatasetView(ds, np.sort(chosen))
+    # a stable sort of the negated scores: descending score, ties by position
+    pos_order = (-scores.pos_scores).argsort(kind="stable")[:n_pos]
+    neg_order = (-scores.neg_scores).argsort(kind="stable")[:n_neg]
+    chosen = np.concatenate((ds.pos_idx[pos_order], ds.neg_idx[neg_order]))
+    chosen.sort()
+    return DatasetView(ds, chosen)

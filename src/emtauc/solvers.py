@@ -44,6 +44,8 @@ from .config import SolverConfig
 from .environment import Environment, TaskId, TaskSpec
 
 _BOTH_TASKS = [TaskId.CHEAP, TaskId.EXPENSIVE]
+# the column index of a (m, 2) cost table, one entry per task
+_TASK_COLUMNS = np.arange(2)
 
 
 def decode_weights(keys) -> np.ndarray:
@@ -86,7 +88,7 @@ class TransferMap:
 
     def apply(self, genomes) -> np.ndarray:
         G = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
-        return np.clip(G @ self.matrix.T, 0.0, 1.0)
+        return (G @ self.matrix.T).clip(0.0, 1.0)
 
 
 def fit_transfer_map(P, Q) -> TransferMap:
@@ -148,10 +150,10 @@ def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     m = costs.shape[0]
     ranks = np.empty((m, 2), dtype=np.int64)
-    ranks[np.argsort(costs, axis=0, kind="stable"), [0, 1]] = np.arange(1, m + 1)[:, np.newaxis]
+    ranks[costs.argsort(axis=0, kind="stable"), _TASK_COLUMNS] = np.arange(1, m + 1)[:, np.newaxis]
     masked = np.where(costs == np.inf, np.inf, ranks)
     # a row with no evaluated task has best rank inf and fitness 1/inf = 0
-    return ranks, masked.argmin(axis=1), 1.0 / masked.min(axis=1)
+    return ranks, masked.argmin(axis=1), 1.0 / np.minimum.reduce(masked, axis=1)
 
 
 def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -191,18 +193,21 @@ def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray,
     if not single:
         expensive = tids[:kept].nonzero()[0]
         if expensive.size:
-            best = expensive[np.argmin(values[expensive])]
+            best = expensive[values[expensive].argmin()]
     elif kept and task_ids == TaskId.EXPENSIVE:
         # every charged row is expensive, and they are the leading ones
-        best = np.argmin(values[:kept])
+        best = values[:kept].argmin()
     if best is not None:
         env.record_expensive(decode_weights(keys[best]), values[best], losses[best])
     return values, kept
 
 
 def _finite_min(values: np.ndarray) -> float | None:
-    finite = values[np.isfinite(values)]
-    return float(finite.min()) if finite.size else None
+    """The smallest finite entry of ``values`` as a float, None if there is
+    none. Costs are finite or inf (unevaluated), never NaN or -inf, so one
+    minimum is the smallest finite cost exactly when it is finite."""
+    low = np.minimum.reduce(values, initial=np.inf)
+    return None if low == np.inf else float(low)
 
 
 def _archive_trace_point(
@@ -265,9 +270,9 @@ def _ga_generation(
     children by objective survive; ties keep parents, then index order."""
     children = _ga_offspring(genomes, objectives, config, pm_prob, rng)
     values, kept = _evaluate(env, tid, children)
-    merged_g = np.vstack([genomes, children[:kept]])
-    merged_o = np.concatenate([objectives, values[:kept]])
-    order = np.argsort(merged_o, kind="stable")[: genomes.shape[0]]
+    merged_g = np.concatenate((genomes, children[:kept]))
+    merged_o = np.concatenate((objectives, values[:kept]))
+    order = merged_o.argsort(kind="stable")[: genomes.shape[0]]
     return merged_g[order], merged_o[order]
 
 
@@ -292,7 +297,9 @@ def _mfea_offspring(
     """
     n, dim = genomes.shape
     pairs = (n + 1) // 2
-    parents = np.resize(rng.permutation(n), (pairs, 2))
+    order = rng.permutation(n)
+    # an odd n pairs its last parent with the first, as a cyclic fill would
+    parents = (np.concatenate((order, order[:1])) if n % 2 else order).reshape(pairs, 2)
     # per pair: the rmp coin, then each child's skill coin, drawn whether
     # or not the pair uses them
     coins = rng.random((pairs, 3))
@@ -325,7 +332,7 @@ def _mfea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
     """
     cheap = TaskId.CHEAP.value
     genomes = rng.random((n, env.dataset.dim))
-    values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), np.vstack([genomes, genomes]))
+    values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), np.concatenate((genomes, genomes)))
     costs = values.reshape(2, n).T
     _, skills, _ = _population_stats(costs)
     adjust_event = False
@@ -341,12 +348,14 @@ def _mfea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
         if not env.ledger.exhausted:
             child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
             values, kept = _evaluate(env, child_skills, child_genomes)
-            child_costs = np.full((n, 2), np.inf)
-            child_costs[np.arange(n), child_skills] = values
-            merged_genomes = np.vstack([genomes, child_genomes[:kept]])
-            merged_costs = np.vstack([costs, child_costs[:kept]])
+            # each charged child's cost on its skill task, inf on the other
+            child_costs = np.where(
+                child_skills[:kept, np.newaxis] == _TASK_COLUMNS, values[:kept, np.newaxis], np.inf
+            )
+            merged_genomes = np.concatenate((genomes, child_genomes[:kept]))
+            merged_costs = np.concatenate((costs, child_costs))
             _, _, merged_fitness = _population_stats(merged_costs)
-            order = np.argsort(-merged_fitness, kind="stable")[:n]
+            order = (-merged_fitness).argsort(kind="stable")[:n]
             genomes = merged_genomes[order]
             costs = merged_costs[order]
             _, skills, _ = _population_stats(costs)
@@ -383,7 +392,7 @@ def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
 
         if not ledger.exhausted and config.transfer_count > 0 and t % config.transfer_interval == 0:
             count = min(config.transfer_count, n)
-            sorted_pops = [genomes[i][np.argsort(objectives[i], kind="stable")].T for i in (0, 1)]
+            sorted_pops = [genomes[i][objectives[i].argsort(kind="stable")].T for i in (0, 1)]
             top_genomes = [pop[:, :count].T.copy() for pop in sorted_pops]
             for target in TaskId:
                 if ledger.exhausted:
@@ -392,7 +401,7 @@ def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
                 mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
                 candidates = mapping.apply(top_genomes[source])
                 values, kept = _evaluate(env, target, candidates)
-                slots = np.argsort(objectives[target], kind="stable")[::-1][:kept]
+                slots = objectives[target].argsort(kind="stable")[::-1][:kept]
                 genomes[target][slots] = candidates[:kept]
                 objectives[target][slots] = values[:kept]
 

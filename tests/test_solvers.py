@@ -16,6 +16,7 @@ from emtauc.solvers import (
     pm_mutation,
     sbx_crossover,
     _evaluate,
+    _finite_min,
     _ga_offspring,
     _mfea_offspring,
     _population_stats,
@@ -135,6 +136,16 @@ def test_population_stats_unevaluated_everywhere():
     assert np.all(fitness == 0.0)
     # argmin over equal masked ranks falls back to task 0
     assert np.all(skills == 0)
+
+
+def test_finite_min_of_a_cost_column():
+    """``_finite_min`` takes one minimum, which is the smallest finite cost
+    exactly when it is finite: that relies on costs holding no NaN and no
+    -inf, only finite values and inf for an unevaluated entry."""
+    costs = np.array([[np.inf, 0.7], [np.inf, np.inf], [np.inf, 0.25], [np.inf, 0.5]])
+    assert _finite_min(costs[:, 0]) is None
+    low = _finite_min(costs[:, 1])
+    assert low == 0.25 and type(low) is float
 
 
 def test_solver_config_validation():
