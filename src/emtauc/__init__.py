@@ -50,7 +50,6 @@ from .evaluation import (
     auc_metric,
     evaluate,
     hardness_scores,
-    loss_fraction,
     objective,
     pairwise_loss_count,
     select_hardest,
@@ -96,7 +95,6 @@ __all__ = [
     "auc_metric",
     "evaluate",
     "hardness_scores",
-    "loss_fraction",
     "objective",
     "pairwise_loss_count",
     "select_hardest",

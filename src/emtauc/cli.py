@@ -226,12 +226,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     _write_manifest(
         out_dir / "manifest.json", "run", echo(cfg), out_dir, cfg.seed, (started_at, finished_at),
-        dict(results, solver_kind=result.kind, generations=result.trace[-1].generation),
+        dict(results, solver_kind=cfg.solver.kind, generations=result.trace[-1].generation),
         derived_seeds={"environment": env_seed, "solver": solver_seed},
         dataset_stats=_dataset_stats(cfg.dataset, ds),
     )
     print(
-        f"run: solver={result.kind} best_objective={_fmt(result.best_objective) or 'n/a'} "
+        f"run: solver={cfg.solver.kind} best_objective={_fmt(result.best_objective) or 'n/a'} "
         f"train_auc={_fmt(train_auc) or 'n/a'} spent={float(ledger.spent)!r} -> {out_dir}"
     )
     return 0

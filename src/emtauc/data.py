@@ -141,12 +141,15 @@ class Dataset:
 
 
 def _checked_indices(indices, n: int, what: str) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     if idx.ndim != 1:
         raise DataError(f"{what} indices must be one-dimensional")
     if idx.size == 0:
         raise DataError(f"{what} indices must be nonempty")
-    if idx.min(initial=0) < 0 or (idx.size and (idx >= n).any()):
+    if idx.dtype.kind not in "iu":
+        raise DataError(f"{what} indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if idx.min() < 0 or (idx >= n).any():
         raise DataError(f"{what} indices out of range for {n} instances")
     if np.unique(idx).size != idx.size:
         raise DataError(f"{what} indices contain duplicates")

@@ -98,15 +98,8 @@ class CostLedger:
         return Fraction(self._spent_units, self._den)
 
     @property
-    def remaining(self) -> Fraction:
-        return self._budget - self.spent
-
-    @property
     def exhausted(self) -> bool:
         return self._spent_units >= self._budget_units
-
-    def cost_per_eval(self, task_id: TaskId) -> Fraction:
-        return Fraction(self._units[TaskId(task_id)], self._den)
 
     def charge(self, task_ids) -> int:
         """Charge a batch of evaluations, one task id per evaluation, in
@@ -139,8 +132,8 @@ class CostLedger:
 
 
 class TaskSpec:
-    """One optimization task: a data view and the regularizer. Its price
-    per evaluation lives in ``CostLedger.cost_per_eval``."""
+    """One optimization task: a data view and the regularizer. An evaluation
+    costs 1 budget unit on the cheap task, ``expensive_cost`` on the expensive one."""
 
     __slots__ = ("task_id", "view", "lam")
 
@@ -172,13 +165,12 @@ class Environment:
             raise ValueError(f"delta must be a positive integer or None, got {delta!r}")
         self.dataset = dataset
         self.s = rate
-        self.lam = float(lam)
         self.delta = delta
         self.ledger = CostLedger(budget, rate)
         cheap_view = stratified_sample(dataset, rate, seed)
         self.tasks = {
-            TaskId.CHEAP: TaskSpec(TaskId.CHEAP, cheap_view, self.lam),
-            TaskId.EXPENSIVE: TaskSpec(TaskId.EXPENSIVE, dataset.full_view(), self.lam),
+            TaskId.CHEAP: TaskSpec(TaskId.CHEAP, cheap_view, lam),
+            TaskId.EXPENSIVE: TaskSpec(TaskId.EXPENSIVE, dataset.full_view(), lam),
         }
         self._best_w: np.ndarray | None = None
         self._best_obj: float = np.inf

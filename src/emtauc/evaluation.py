@@ -291,15 +291,10 @@ def _evaluate_rows(W: np.ndarray, view: DatasetView, lam: float) -> tuple[np.nda
     return losses + 0.5 * lam * np.einsum("ij,ij->i", W, W), losses
 
 
-def loss_fraction(w, view: DatasetView) -> float:
-    """Fraction of misordered pairs, ties included: ``evaluate``'s loss
-    for one row. Below 2^53 pairs the quotient is correctly rounded."""
-    return float(_evaluate_rows(_checked_rows(w, view, batch=False), view, 0.0)[1][0])
-
-
 def auc_metric(w, view: DatasetView) -> float:
-    """Fraction of correctly ordered pairs; ties count against it."""
-    return 1.0 - loss_fraction(w, view)
+    """Fraction of correctly ordered pairs, ties counting against it: one
+    minus ``evaluate``'s loss for one row; that loss is correctly rounded below 2^53 pairs."""
+    return 1.0 - float(_evaluate_rows(_checked_rows(w, view, batch=False), view, 0.0)[1][0])
 
 
 def objective(w, view: DatasetView, lam: float) -> float:

@@ -80,18 +80,7 @@ def pm_mutation(g, mask_u, u, eta: float, prob: float) -> np.ndarray:
 _RIDGE = 1e-6
 
 
-@dataclass(frozen=True)
-class TransferMap:
-    """Linear map between two tasks' key spaces; application clamps."""
-
-    matrix: np.ndarray
-
-    def apply(self, genomes) -> np.ndarray:
-        G = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
-        return (G @ self.matrix.T).clip(0.0, 1.0)
-
-
-def fit_transfer_map(P, Q) -> TransferMap:
+def fit_transfer_map(P, Q) -> np.ndarray:
     """Ridge-regularized least squares map M minimizing ||M P - Q||_F.
 
     ``P`` and ``Q`` hold one genome per column, sorted by their own task
@@ -109,8 +98,7 @@ def fit_transfer_map(P, Q) -> TransferMap:
     Q = Q[:, :m]
     A = P @ P.T
     A[np.diag_indices_from(A)] += _RIDGE
-    M = np.linalg.solve(A, P @ Q.T).T
-    return TransferMap(matrix=M)
+    return np.linalg.solve(A, P @ Q.T).T
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,6 @@ class TracePoint:
 
 @dataclass
 class RunResult:
-    kind: str
     best_weights: np.ndarray | None
     best_objective: float | None
     trace: list[TracePoint]
@@ -140,20 +127,20 @@ def _eval_batch(task: TaskSpec, keys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return task.objective_batch(2.0 * keys - 1.0)
 
 
-def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factorial ranks, skill factors, and scalar fitness from a cost table.
+def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Skill factors and scalar fitness from a cost table.
 
-    ``costs`` is (m, 2) with inf marking unevaluated entries. Ranks are
-    1-based per task (unevaluated rank last, ties keep index order); the
-    skill factor is the argmin rank among evaluated tasks (lower task id on
-    ties) and scalar fitness is 1/rank on the skill task.
+    ``costs`` is (m, 2) with inf marking unevaluated entries. A row's
+    factorial rank per task is 1-based (unevaluated last, ties keep index
+    order); its skill factor is the argmin rank among evaluated tasks (lower
+    task id on ties) and its scalar fitness is 1/rank on the skill task.
     """
     m = costs.shape[0]
     ranks = np.empty((m, 2), dtype=np.int64)
     ranks[costs.argsort(axis=0, kind="stable"), _TASK_COLUMNS] = np.arange(1, m + 1)[:, np.newaxis]
     masked = np.where(costs == np.inf, np.inf, ranks)
     # a row with no evaluated task has best rank inf and fitness 1/inf = 0
-    return ranks, masked.argmin(axis=1), 1.0 / np.minimum.reduce(masked, axis=1)
+    return masked.argmin(axis=1), 1.0 / np.minimum.reduce(masked, axis=1)
 
 
 def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -208,19 +195,6 @@ def _finite_min(values: np.ndarray) -> float | None:
     minimum is the smallest finite cost exactly when it is finite."""
     low = np.minimum.reduce(values, initial=np.inf)
     return None if low == np.inf else float(low)
-
-
-def _archive_trace_point(
-    env: Environment, generation: int, best_cheap: float | None, adjust_event: bool
-) -> TracePoint:
-    return TracePoint(
-        generation=generation,
-        cumulative_cost=env.ledger.spent,
-        best_objective_expensive=env.best_expensive_objective,
-        best_auc_expensive=env.best_expensive_auc,
-        best_objective_cheap=best_cheap,
-        adjust_event=adjust_event,
-    )
 
 
 def _offspring(genomes, parents, cross, u, config: SolverConfig, pm_prob: float) -> np.ndarray:
@@ -334,7 +308,7 @@ def _mfea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
     genomes = rng.random((n, env.dataset.dim))
     values, _ = _evaluate(env, np.repeat(_BOTH_TASKS, n), np.concatenate((genomes, genomes)))
     costs = values.reshape(2, n).T
-    _, skills, _ = _population_stats(costs)
+    skills, _ = _population_stats(costs)
     adjust_event = False
     for t in itertools.count(1):
         yield _finite_min(costs[:, cheap]), adjust_event
@@ -343,7 +317,7 @@ def _mfea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
             costs[:, cheap] = np.inf
             refresh = np.flatnonzero(skills == cheap)
             costs[refresh, cheap], _ = _evaluate(env, TaskId.CHEAP, genomes[refresh])
-            _, skills, _ = _population_stats(costs)
+            skills, _ = _population_stats(costs)
 
         if not env.ledger.exhausted:
             child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
@@ -354,11 +328,11 @@ def _mfea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
             )
             merged_genomes = np.concatenate((genomes, child_genomes[:kept]))
             merged_costs = np.concatenate((costs, child_costs))
-            _, _, merged_fitness = _population_stats(merged_costs)
+            _, merged_fitness = _population_stats(merged_costs)
             order = (-merged_fitness).argsort(kind="stable")[:n]
             genomes = merged_genomes[order]
             costs = merged_costs[order]
-            _, skills, _ = _population_stats(costs)
+            skills, _ = _population_stats(costs)
 
 
 def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
@@ -398,8 +372,8 @@ def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
                 if ledger.exhausted:
                     break
                 source = 1 - target
-                mapping = fit_transfer_map(sorted_pops[source], sorted_pops[target])
-                candidates = mapping.apply(top_genomes[source])
+                M = fit_transfer_map(sorted_pops[source], sorted_pops[target])
+                candidates = (top_genomes[source] @ M.T).clip(0.0, 1.0)
                 values, kept = _evaluate(env, target, candidates)
                 slots = objectives[target].argsort(kind="stable")[::-1][:kept]
                 genomes[target][slots] = candidates[:kept]
@@ -424,7 +398,8 @@ def dispatch_solver(env: Environment, config: SolverConfig, jobs: int = 1) -> Ru
     trace = []
     generations = solver(env, config, rng, config.resolved_pop_size(), pm_prob)
     for generation, (best_cheap, adjust_event) in enumerate(generations):
-        trace.append(_archive_trace_point(env, generation, best_cheap, adjust_event))
+        trace.append(TracePoint(generation, env.ledger.spent, env.best_expensive_objective,
+                                env.best_expensive_auc, best_cheap, adjust_event))
         if env.ledger.exhausted:
             break
-    return RunResult(config.kind, env.best_expensive_weights, env.best_expensive_objective, trace)
+    return RunResult(env.best_expensive_weights, env.best_expensive_objective, trace)

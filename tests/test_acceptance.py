@@ -27,8 +27,8 @@ from emtauc.data import as_rate, parse_libsvm_path, scale_features, serialize_li
 from emtauc.environment import CostLedger, TaskId, build_environment
 from emtauc.evaluation import (
     auc_metric,
+    evaluate,
     hardness_scores,
-    loss_fraction,
     pairwise_loss_count,
     select_hardest,
 )
@@ -128,7 +128,7 @@ def test_criterion_03_auc_loss_identity_and_scale_invariance():
         dim = ds.X.shape[1]
         w = rng.normal(size=dim)
         view = ds.full_view()
-        total = auc_metric(w, view) + loss_fraction(w, view)
+        total = auc_metric(w, view) + evaluate(w[np.newaxis], view, 0.0)[1][0]
         assert abs(total - 1.0) <= one_ulp
         base = auc_metric(w, view)
         for c in (1e-3, 1.0, 1e3):
@@ -237,13 +237,13 @@ def test_criterion_07_transfer_map_optimal_and_identity():
         P = rng.random((4, 8))
         Q = rng.random((4, 8))
         fitted = fit_transfer_map(P, Q)
-        resid = np.linalg.norm(fitted.matrix @ P - Q)
+        resid = np.linalg.norm(fitted @ P - Q)
         for _ in range(100):
             R = rng.normal(size=(4, 4))
             assert resid < np.linalg.norm(R @ P - Q)
     P = rng.random((5, 12))
     fitted = fit_transfer_map(P, P)
-    assert np.linalg.norm(fitted.matrix - np.eye(5)) < 1e-4
+    assert np.linalg.norm(fitted - np.eye(5)) < 1e-4
     print("criterion 07 least-squares transfer map optimality: PASS")
 
 

@@ -15,7 +15,7 @@ from emtauc import cli
 from emtauc.cli import build_parser, main
 from emtauc.config import BenchmarkConfig, CostModelConfig, LandscapeConfig, RunConfig
 from emtauc.data import serialize_libsvm
-from emtauc.environment import CostLedger, TaskId
+from emtauc.environment import CostLedger, TaskId, expensive_cost
 
 from conftest import make_gaussian_dataset
 
@@ -473,9 +473,12 @@ def test_ledger_and_costmodel_share_one_price(rates):
     # a full evaluation costs 1/s^2 cheap ones in the ledger, and costmodel's
     # theoretical ratio is the same price relative to the rate 1/10
     for rate in rates:
-        ledger = CostLedger(1, rate)
-        assert ledger.cost_per_eval(TaskId.CHEAP) == 1
-        assert ledger.cost_per_eval(TaskId.EXPENSIVE) == 1 / rate**2
+        assert expensive_cost(rate) == 1 / rate**2
+        ledger = CostLedger(2 / rate**2, rate)
+        ledger.charge([TaskId.CHEAP])
+        assert ledger.spent == 1
+        ledger.charge([TaskId.EXPENSIVE])
+        assert ledger.spent == 1 + expensive_cost(rate)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "cost"
         (Path(tmp) / "toy.libsvm").write_text(TOY_TEXT)

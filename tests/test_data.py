@@ -377,6 +377,20 @@ def test_subset_keeps_dim_and_classes():
     assert sub.t_pos == 2 and sub.t_neg == 2
 
 
+def test_indices_must_be_integers():
+    # a float list or a bool mask would otherwise cast to positions silently
+    ds = make_gaussian_dataset(4, n_pos=10, n_neg=10, dim=6)
+    for bad in ([0.9, 1.7], np.array([True, False])):
+        with pytest.raises(DataError, match="^subset indices must be integers"):
+            ds.subset(bad)
+        with pytest.raises(DataError, match="^view indices must be integers"):
+            DatasetView(ds, bad)
+    # an empty list reads as float64 and keeps its own message
+    with pytest.raises(DataError, match="^subset indices must be nonempty$"):
+        ds.subset([])
+    assert ds.subset(np.array([ds.neg_idx[0], ds.pos_idx[0]], dtype=np.int32)).n == 2
+
+
 def test_dataset_equality_is_semantic():
     ds = make_gaussian_dataset(8)
     clone = Dataset(ds.X.copy(), ds.labels.copy())

@@ -21,6 +21,7 @@ from emtauc.environment import (
     TaskId,
     as_budget,
     build_environment,
+    expensive_cost,
 )
 from emtauc.evaluation import evaluate
 from emtauc.solvers import decode_weights
@@ -29,11 +30,13 @@ from conftest import make_gaussian_dataset
 
 
 def test_cost_per_eval():
-    ledger = CostLedger(101000, "0.1")
-    assert ledger.cost_per_eval(TaskId.CHEAP) == 1
-    assert ledger.cost_per_eval(TaskId.EXPENSIVE) == 100
-    assert CostLedger(10, "0.5").cost_per_eval(TaskId.EXPENSIVE) == 4
-    assert CostLedger(10, 1).cost_per_eval(TaskId.EXPENSIVE) == 1
+    for s, price in (("0.1", 100), ("0.5", 4), (1, 1)):
+        assert expensive_cost(s) == price
+        ledger = CostLedger(10 * price, s)
+        ledger.charge([TaskId.CHEAP])
+        assert ledger.spent == 1
+        ledger.charge([TaskId.EXPENSIVE])
+        assert ledger.spent == 1 + price
 
 
 DECLARED = {"s": DEFAULT_RATE, "lam": DEFAULT_LAM, "delta": DEFAULT_DELTA, "budget": DEFAULT_BUDGET}
@@ -87,7 +90,7 @@ def test_ledger_exact_at_default_budget():
     for _ in range(1000):
         ledger.charge([TaskId.EXPENSIVE])
     assert ledger.spent == 101000
-    assert ledger.remaining == 0
+    assert ledger.budget - ledger.spent == 0
     assert ledger.exhausted
     assert ledger.evals == {TaskId.CHEAP: 1000, TaskId.EXPENSIVE: 1000}
 
@@ -137,7 +140,7 @@ def test_crossing_charge_completes():
     assert ledger.exhausted
     assert ledger.spent == 200
     # overshoot never exceeds one expensive evaluation
-    assert ledger.spent - ledger.budget <= ledger.cost_per_eval(TaskId.EXPENSIVE)
+    assert ledger.spent - ledger.budget <= expensive_cost("0.1")
     with pytest.raises(BudgetExhaustedError):
         ledger.charge([TaskId.CHEAP])
 
@@ -223,8 +226,7 @@ def test_environment_views():
     assert cheap.t_pos == 6 and cheap.t_neg == 8
     full = env.tasks[TaskId.EXPENSIVE].view
     assert full.t_pos == 60 and full.t_neg == 80
-    assert env.ledger.cost_per_eval(TaskId.CHEAP) == 1
-    assert env.ledger.cost_per_eval(TaskId.EXPENSIVE) == 100
+    assert expensive_cost(env.s) == 100
 
 
 def test_environment_cheap_view_deterministic():
@@ -346,7 +348,7 @@ def test_ledger_matches_fraction_reference(charges, s, budget):
         ledger.charge([tid])  # the crossing charge completes
         spent += 1 if tid == TaskId.CHEAP else 1 / s**2
         assert ledger.spent == spent
-        assert ledger.remaining == budget - spent
+        assert ledger.budget - ledger.spent == budget - spent
         assert ledger.exhausted == (spent >= budget)
     assert ledger.spent == spent
 

@@ -15,7 +15,6 @@ from emtauc.evaluation import (
     auc_metric,
     evaluate,
     hardness_scores,
-    loss_fraction,
     objective,
     pairwise_loss_count,
     select_hardest,
@@ -121,7 +120,7 @@ def test_auc_plus_loss_is_one(toy_dataset):
     eps = np.finfo(np.float64).eps
     for _ in range(50):
         w = rng.uniform(-1, 1, size=toy_dataset.dim)
-        assert abs(auc_metric(w, view) + loss_fraction(w, view) - 1.0) <= eps
+        assert abs(auc_metric(w, view) + evaluate(w[np.newaxis], view, 0.0)[1][0] - 1.0) <= eps
 
 
 def test_auc_scale_invariance(toy_dataset):
@@ -261,7 +260,6 @@ def test_one_class_view_rejected(toy_dataset, label):
     for call in (
         lambda: evaluate(w[np.newaxis, :], view, 0.125),
         lambda: objective(w, view, 0.125),
-        lambda: loss_fraction(w, view),
         lambda: auc_metric(w, view),
     ):
         with pytest.raises(ValueError, match="both classes"):
@@ -364,9 +362,12 @@ def test_large_gaussian_view_certifies_every_row():
     want, csr_losses = csr_evaluate(W, view, 0.125)
     assert np.array_equal(got, want)
     # the AUC of a view is counted by the same certified path
-    for metric, csr_value in ((loss_fraction, csr_losses[0]), (auc_metric, 1.0 - csr_losses[0])):
+    for metric, csr_value in (
+        (lambda w: float(evaluate(w[np.newaxis], view, 0.0)[1][0]), csr_losses[0]),
+        (lambda w: auc_metric(w, view), 1.0 - csr_losses[0]),
+    ):
         with count_path_rows() as rows:
-            assert metric(W[0], view).hex() == csr_value.hex()
+            assert metric(W[0]).hex() == csr_value.hex()
         assert rows == {"certified": 1, "csr": 0}
     losses = [pair_loss_broadcast(*decision_values(w, view)) for w in W]
     want = np.array(losses) / (view.t_pos * view.t_neg) + 0.0625 * np.einsum("ij,ij->i", W, W)

@@ -1,5 +1,7 @@
-"""The package's module layering, read from each source file's imports."""
+"""The package's module layering, read from each source file's imports,
+and its export list."""
 import ast
+import types
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -76,3 +78,15 @@ def test_no_module_imports_scipy_stats_at_import_time():
         if isinstance(node, ast.FunctionDef) and _scipy_stats_imports(node.body)
     }
     assert lazy == {"spearman_rho", "compare_cells"}
+
+
+def test_export_list_names_every_public_attribute():
+    # a removed name cannot linger in __all__, nor a new one stay unlisted
+    import emtauc
+
+    assert [name for name in emtauc.__all__ if not hasattr(emtauc, name)] == []
+    public = {
+        name for name, value in vars(emtauc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(emtauc.__all__)) == []
