@@ -27,8 +27,11 @@ uses the rate, lambda, delta and budget that ``build_environment`` takes by
 default, the paper's protocol, which the paper-scale workload also uses. The
 script prints, per shape and solver, the median CPU seconds of each
 tree, the median and range of the paired ratios new/old, how many rounds
-the new tree won, and whether every pair of runs gave the same trace and
-best objective; it exits 1 if any pair differed.
+the new tree won, and whether every pair of runs gave the same output; it
+exits 1 if any pair differed. A run's output is what
+``scripts/trace_digest.py`` digests: every field of every trace row, the
+best objective and the bytes of the best weights, the ledger's spent total
+and evaluations per task, and the cheap-task adjustment log.
 When they differ (a new draw order, say), it also prints, per shape and
 solver, the ``compare_cells`` verdict of the new tree's final AUC on the
 full set (``auc_metric`` of the best weights) against the old tree's over
@@ -96,9 +99,14 @@ def timed_solve(pkg, ds, kind: str, env_seed: int, solver_seed: int):
     start = process_time()
     result = pkg.dispatch_solver(env, config)
     seconds = process_time() - start
-    trace = [(p.generation, p.cumulative_cost, p.best_objective_expensive, p.best_objective_cheap, p.adjust_event)
-             for p in result.trace]
-    return seconds, (result.best_objective, trace), pkg.auc_metric(result.best_weights, ds.full_view())
+    trace = [(p.generation, p.cumulative_cost, p.best_objective_expensive, p.best_auc_expensive,
+              p.best_objective_cheap, p.adjust_event) for p in result.trace]
+    weights = None if result.best_weights is None else result.best_weights.tobytes()
+    ledger = env.ledger
+    evals = (ledger.evals[pkg.TaskId.CHEAP], ledger.evals[pkg.TaskId.EXPENSIVE])
+    adjustments = [(e.generation, e.view_fingerprint) for e in env.adjustment_log]
+    output = (trace, result.best_objective, weights, ledger.spent, evals, adjustments)
+    return seconds, output, pkg.auc_metric(result.best_weights, ds.full_view())
 
 
 def compare(trees: dict, n_pos: int, n_neg: int, dim: int, make_data=gaussian_data) -> bool:

@@ -355,9 +355,10 @@ def cmd_costmodel(args: argparse.Namespace) -> int:
         timed.append((rate, statistics.median(seconds)))
     finished_at = _utc_now()
 
-    base_seconds = next((sec for rate, sec in timed if rate == DEFAULT_RATE), timed[0][1])
-    # the model's time ratio to the protocol rate: (rate / DEFAULT_RATE)^2
-    base_cost = expensive_cost(DEFAULT_RATE)
+    # both ratios are to one base rate, the protocol rate if it was timed,
+    # else the first one listed; the model's time ratio is (rate / base)^2
+    base_rate, base_seconds = next((row for row in timed if row[0] == DEFAULT_RATE), timed[0])
+    base_cost = expensive_cost(base_rate)
     # costmodel.csv's columns are also the keys of the manifest's rows
     rows = [
         (str(rate), str(base_cost / expensive_cost(rate)), sec, sec / base_seconds if base_seconds > 0 else float("nan"))

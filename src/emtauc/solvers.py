@@ -26,11 +26,14 @@ yield into a ``TracePoint``, so trace point 0 is initialisation and point t
 is generation t; it stops after the first point recorded with the budget
 exhausted.
 
-``_evaluate`` is the only place that evaluates, charges and archives:
-every solver hands it a batch, it charges the batch with one
-``CostLedger.charge`` call, in index order, the evaluation that crosses the
-budget completes and is recorded, and the run then stops. Rows past that
-point are never charged and never enter a population.
+``_evaluate`` is the only place that charges, evaluates and archives, and
+the only one, with the driver's stop, that reads the ledger: every solver
+hands it a batch, it charges the batch first with one ``CostLedger.charge``
+call, in index order, and then evaluates only the charged rows. The
+evaluation that crosses the budget completes and is recorded, and the run
+then stops. Rows past that point are never evaluated and never enter a
+population, and a batch on an exhausted ledger is neither charged nor
+evaluated, so the solvers need no budget check of their own.
 """
 from __future__ import annotations
 
@@ -144,46 +147,43 @@ def _population_stats(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(env: Environment, task_ids, keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Evaluate, charge and archive a batch of genomes.
+    """Charge, evaluate and archive a batch of genomes.
 
-    ``task_ids`` is one TaskId for the whole batch or one per row. Each
-    task's rows are evaluated together, cheap rows first, on the task as
-    ``env`` holds it now. The batch is then charged in one
-    ``CostLedger.charge`` call, in index order until the ledger is
-    exhausted; the row that crosses the budget completes. The first
-    minimum among the charged expensive rows is archived with its loss
-    fraction, which is what archiving them one by one would keep. Returns
-    the values and the number of charged rows, which are the leading ones;
-    rows left uncharged read inf, as if never evaluated.
+    ``task_ids`` is one TaskId for the whole batch or one per row. The batch
+    is first charged in one ``CostLedger.charge`` call, in index order until
+    the ledger is exhausted; the row that crosses the budget is charged, and
+    an exhausted ledger charges nothing. Only the charged rows, the leading
+    ones, are then evaluated: each task's rows together, cheap rows first,
+    on the task as ``env`` holds it now. The first minimum among the charged
+    expensive rows is archived with its loss fraction, which is what
+    archiving them one by one would keep. Returns the values and the number
+    of charged rows; rows left uncharged read inf, as if never evaluated.
+    An evaluation that raises leaves its rows charged: the error ends the
+    run, and nothing reads that ledger again.
     """
     single = isinstance(task_ids, (int, np.integer))
+    tids = None if single else np.asarray(task_ids, dtype=np.int64)
+    ledger = env.ledger
+    kept = 0 if ledger.exhausted else ledger.charge([task_ids] * keys.shape[0] if single else tids.tolist())
+    values = np.full(keys.shape[0], np.inf)
+    best = None
     if single:
-        # one task: the batch is evaluated as it is, with no per-row ids
-        if not keys.shape[0]:
-            return np.empty(0), 0
-        values, losses = _eval_batch(env.tasks[task_ids], keys)
-        charged = [task_ids] * keys.shape[0]
+        # one task: the charged rows are evaluated as they are, with no per-row ids
+        if kept:
+            values[:kept], losses = _eval_batch(env.tasks[task_ids], keys[:kept])
+            if task_ids == TaskId.EXPENSIVE:
+                best = values[:kept].argmin()
     else:
-        tids = np.asarray(task_ids, dtype=np.int64)
-        values = np.empty(keys.shape[0])
-        losses = np.empty(keys.shape[0])
+        tids = tids[:kept]
+        losses = np.empty(kept)
         for tid in (0, 1):
             rows = (tids == tid).nonzero()[0]
             if rows.size:
-                # a batch of one task is evaluated as it is, without a gather
-                values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys if rows.size == tids.size else keys[rows])
-        charged = tids.tolist()
-    ledger = env.ledger
-    kept = 0 if ledger.exhausted else ledger.charge(charged)
-    values[kept:] = np.inf
-    best = None
-    if not single:
-        expensive = tids[:kept].nonzero()[0]
+                # charged rows of one task are evaluated as they are, without a gather
+                values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys[:kept] if rows.size == kept else keys[rows])
+        expensive = tids.nonzero()[0]
         if expensive.size:
             best = expensive[values[expensive].argmin()]
-    elif kept and task_ids == TaskId.EXPENSIVE:
-        # every charged row is expensive, and they are the leading ones
-        best = values[:kept].argmin()
     if best is not None:
         env.record_expensive(decode_weights(keys[best]), values[best], losses[best])
     return values, kept
@@ -319,20 +319,19 @@ def _mfea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
             costs[refresh, cheap], _ = _evaluate(env, TaskId.CHEAP, genomes[refresh])
             skills, _ = _population_stats(costs)
 
-        if not env.ledger.exhausted:
-            child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
-            values, kept = _evaluate(env, child_skills, child_genomes)
-            # each charged child's cost on its skill task, inf on the other
-            child_costs = np.where(
-                child_skills[:kept, np.newaxis] == _TASK_COLUMNS, values[:kept, np.newaxis], np.inf
-            )
-            merged_genomes = np.concatenate((genomes, child_genomes[:kept]))
-            merged_costs = np.concatenate((costs, child_costs))
-            _, merged_fitness = _population_stats(merged_costs)
-            order = (-merged_fitness).argsort(kind="stable")[:n]
-            genomes = merged_genomes[order]
-            costs = merged_costs[order]
-            skills, _ = _population_stats(costs)
+        child_genomes, child_skills = _mfea_offspring(genomes, skills, config, pm_prob, rng)
+        values, kept = _evaluate(env, child_skills, child_genomes)
+        # each charged child's cost on its skill task, inf on the other
+        child_costs = np.where(
+            child_skills[:kept, np.newaxis] == _TASK_COLUMNS, values[:kept, np.newaxis], np.inf
+        )
+        merged_genomes = np.concatenate((genomes, child_genomes[:kept]))
+        merged_costs = np.concatenate((costs, child_costs))
+        _, merged_fitness = _population_stats(merged_costs)
+        order = (-merged_fitness).argsort(kind="stable")[:n]
+        genomes = merged_genomes[order]
+        costs = merged_costs[order]
+        skills, _ = _population_stats(costs)
 
 
 def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
@@ -344,7 +343,6 @@ def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
     there (charged), and overwrite that population's current worst members.
     Cheap-task adjustment refreshes the whole cheap population.
     """
-    ledger = env.ledger
     dim = env.dataset.dim
     # Row i of ``genomes`` and ``objectives`` is the population of TaskId(i).
     genomes = rng.random((2, n, dim))
@@ -358,19 +356,15 @@ def _emea(env: Environment, config: SolverConfig, rng, n: int, pm_prob: float):
             objectives[0], _ = _evaluate(env, TaskId.CHEAP, genomes[0])
 
         for tid in TaskId:
-            if ledger.exhausted:
-                break
             genomes[tid], objectives[tid] = _ga_generation(
                 env, genomes[tid], objectives[tid], tid, config, pm_prob, rng
             )
 
-        if not ledger.exhausted and config.transfer_count > 0 and t % config.transfer_interval == 0:
+        if config.transfer_count > 0 and t % config.transfer_interval == 0:
             count = min(config.transfer_count, n)
             sorted_pops = [genomes[i][objectives[i].argsort(kind="stable")].T for i in (0, 1)]
             top_genomes = [pop[:, :count].T.copy() for pop in sorted_pops]
             for target in TaskId:
-                if ledger.exhausted:
-                    break
                 source = 1 - target
                 M = fit_transfer_map(sorted_pops[source], sorted_pops[target])
                 candidates = (top_genomes[source] @ M.T).clip(0.0, 1.0)

@@ -158,27 +158,22 @@ def pm_mutation_naive(genome, eta: float, prob: float, mask_u, u):
 
 
 def evaluate_per_row(env, task_ids, keys):
-    """``solvers._evaluate`` as it was before it charged a whole batch at
-    once: every row is charged on its own, in index order, until the ledger
-    is exhausted, and every charged expensive row is offered to the archive
-    on its own."""
+    """``solvers._evaluate`` one row at a time: every row is charged on its
+    own, in index order, until the ledger is exhausted, then evaluated on
+    its own, and every charged expensive row is offered to the archive on
+    its own."""
     tids = np.broadcast_to(np.asarray(task_ids, dtype=np.int64), keys.shape[:1])
-    values = np.empty(keys.shape[0])
-    losses = np.empty(keys.shape[0])
-    for tid in TaskId:
-        rows = np.flatnonzero(tids == tid)
-        if rows.size:
-            values[rows], losses[rows] = _eval_batch(env.tasks[tid], keys[rows])
+    values = np.full(keys.shape[0], np.inf)
     ledger = env.ledger
     kept = 0
     for tid in tids.tolist():
         if ledger.exhausted:
             break
         ledger.charge([tid])
+        (values[kept],), (loss,) = _eval_batch(env.tasks[tid], keys[kept : kept + 1])
         if tid == TaskId.EXPENSIVE:
-            env.record_expensive(decode_weights(keys[kept]), values[kept], losses[kept])
+            env.record_expensive(decode_weights(keys[kept]), values[kept], loss)
         kept += 1
-    values[kept:] = np.inf
     return values, kept
 
 

@@ -471,7 +471,8 @@ TOY_TEXT = serialize_libsvm(make_gaussian_dataset(0, n_pos=30, n_neg=40, dim=4))
 @given(rates=st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000), min_size=1, max_size=3))
 def test_ledger_and_costmodel_share_one_price(rates):
     # a full evaluation costs 1/s^2 cheap ones in the ledger, and costmodel's
-    # theoretical ratio is the same price relative to the rate 1/10
+    # theoretical ratio is the same price relative to the base rate: 1/10 if
+    # it is listed, else the first rate
     for rate in rates:
         assert expensive_cost(rate) == 1 / rate**2
         ledger = CostLedger(2 / rate**2, rate)
@@ -488,8 +489,24 @@ def test_ledger_and_costmodel_share_one_price(rates):
              "repetitions": 1, "output_dir": str(out)},
         )
         assert main(["costmodel", "--config", str(cfg)]) == 0
-        lines = (out / "costmodel.csv").read_text().splitlines()[1:]
-    assert [Fraction(line.split(",")[1]) for line in lines] == [(r / Fraction(1, 10)) ** 2 for r in rates]
+        rows = [line.split(",") for line in (out / "costmodel.csv").read_text().splitlines()[1:]]
+    base = Fraction(1, 10) if Fraction(1, 10) in rates else rates[0]
+    assert [Fraction(row[1]) for row in rows] == [(r / base) ** 2 for r in rates]
+    # the measured ratio is relative to the same rate's timing
+    assert rows[rates.index(base)][3] in ("1.0", "nan")
+
+
+def test_costmodel_without_the_protocol_rate_prices_both_ratios_against_the_first(tmp_path, dataset_file, monkeypatch):
+    # one call per rate, timed at 2 s at 1/4 and 8 s at 1/2: with 1/10 not
+    # listed, both ratio columns divide by the first rate's row
+    readings = iter([0.0, 2.0, 0.0, 8.0])
+    monkeypatch.setattr(cli, "time", argparse.Namespace(process_time=lambda: next(readings)))
+    out = tmp_path / "cost"
+    cfg = write_config(
+        tmp_path, {"dataset": str(dataset_file), "rates": ["1/4", "1/2"], "repetitions": 1, "output_dir": str(out)}
+    )
+    assert main(["costmodel", "--config", str(cfg)]) == 0
+    assert (out / "costmodel.csv").read_text().splitlines()[1:] == ["1/4,1,2.0,1.0", "1/2,4,8.0,4.0"]
 
 
 def test_failed_manifest_leaves_no_partial_or_temporary_file(tmp_path, dataset_file, monkeypatch):

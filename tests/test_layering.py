@@ -90,3 +90,13 @@ def test_export_list_names_every_public_attribute():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(emtauc.__all__)) == []
+
+
+def test_only_evaluate_and_the_driver_read_the_ledger_in_solvers():
+    # one budget path: _evaluate charges every batch and the driver stops
+    # the run once the ledger is exhausted; no solver checks the budget
+    readers = set()
+    for node in ast.parse((PACKAGE / "solvers.py").read_text(encoding="utf-8")).body:
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "ledger" for sub in ast.walk(node)):
+            readers.add(getattr(node, "name", type(node).__name__))
+    assert readers == {"_evaluate", "dispatch_solver"}

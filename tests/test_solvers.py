@@ -278,11 +278,12 @@ def test_mfea_offspring_evaluated_on_skill_task_only():
     # init evaluates the whole population on both tasks
     assert rec[TaskId.CHEAP].calls[0] == n
     assert rec[TaskId.EXPENSIVE].calls[0] == n
-    # afterwards each generation's calls sum to one evaluation per child
-    cheap_rest = rec[TaskId.CHEAP].calls[1:]
-    exp_rest = rec[TaskId.EXPENSIVE].calls[1:]
+    # afterwards each child is evaluated once, on its skill task alone: every
+    # generation's calls sum to one evaluation per child, except that the
+    # budget may cut the last generation's batch short
+    rest = sum(rec[TaskId.CHEAP].calls[1:]) + sum(rec[TaskId.EXPENSIVE].calls[1:])
     gens = result.trace[-1].generation
-    assert sum(cheap_rest) + sum(exp_rest) == gens * n
+    assert (gens - 1) * n < rest <= gens * n
 
 
 def test_mfea_adjustment_reevaluates_cheap_cohort():
@@ -327,7 +328,30 @@ def test_emea_transfer_disabled_never_maps():
     env.tasks.update(rec)
     dispatch_solver(env, SolverConfig(kind="emea", transfer_count=0, seed=18))
     for tid in rec:
-        assert all(c in (10,) for c in rec[tid].calls)  # init + offspring only
+        # init + offspring only; the budget may cut the last batch short
+        *full, last = rec[tid].calls
+        assert all(c == 10 for c in full) and 0 < last <= 10
+
+
+# With transfer every generation, on make_gaussian_dataset(0) at seed 0,
+# these budgets run out in initialisation (5 to 150), in an offspring batch
+# (every kind at 3000 and 12345), during transfer (EMEA at 2021 and 2100)
+# and, at delta 3, in a cheap-task refresh (EMEA at 3440, MFEA at 3947).
+EXHAUSTING_BUDGETS = (5, 20, 150, 2021, 2100, 3000, 3440, 3947, 12345)
+
+
+@pytest.mark.parametrize("kind", ["single_task_ga", "mfea", "emea"])
+def test_every_evaluated_row_is_charged(kind):
+    # the ledger charges a batch before its rows are evaluated, so the rows
+    # each task evaluated are exactly the evaluations its ledger counts
+    ds = make_gaussian_dataset(0)
+    for budget, delta in itertools.product(EXHAUSTING_BUDGETS, (None, 3)):
+        env = build_environment(ds, delta=delta, budget=budget, seed=0)
+        rec = {tid: RecordingTask(env.tasks[tid]) for tid in env.tasks}
+        env.tasks.update(rec)
+        dispatch_solver(env, SolverConfig(kind=kind, transfer_interval=1, seed=1000))
+        assert env.ledger.exhausted
+        assert {tid: sum(task.calls) for tid, task in rec.items()} == env.ledger.evals, (budget, delta)
 
 
 def test_transfer_map_identity_on_equal_populations():
